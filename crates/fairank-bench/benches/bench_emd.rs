@@ -23,23 +23,6 @@ fn bench_emd(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("one_d", bins), &bins, |bencher, _| {
             bencher.iter(|| one_d.distance(&a, &b).expect("computable"))
         });
-        // The SoA kernel's payoff is batch folds: all C(k, 2) pairs of a
-        // histogram set in one structure-of-arrays pass.
-        let hists: Vec<Histogram> = (0..16)
-            .map(|seed| hist_pair(bins, seed).0)
-            .collect();
-        let kernel = Emd::new(EmdBackendKind::Kernel);
-        group.bench_with_input(
-            BenchmarkId::new("kernel_pairwise16", bins),
-            &bins,
-            |bencher, _| bencher.iter(|| kernel.pairwise(&hists).expect("computable")),
-        );
-        let batched = Emd::new(EmdBackendKind::Batched);
-        group.bench_with_input(
-            BenchmarkId::new("batched_pairwise16", bins),
-            &bins,
-            |bencher, _| bencher.iter(|| batched.pairwise(&hists).expect("computable")),
-        );
         // The transport solver is polynomial in bins; cap to keep runs short.
         if bins <= 50 {
             let transport = Emd::new(EmdBackendKind::Transport);

@@ -123,7 +123,8 @@ fn seeded_session(store: &Arc<DatasetStore>, dataset: &Dataset) -> Session {
     session
 }
 
-/// The benched grid: 2 objectives × all four EMD backends = 8 cells.
+/// The benched grid: 2 objectives × 2 aggregators × both EMD metrics =
+/// 8 cells.
 fn grid_spec(min_partition: usize) -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(Perspective::Grid {
         datasets: vec!["pop".into()],
@@ -136,14 +137,9 @@ fn grid_spec(min_partition: usize) -> ScenarioSpec {
     });
     spec.criteria = Some(CriterionGrid {
         objectives: vec![Objective::MostUnfair, Objective::LeastUnfair],
-        aggregators: vec![Aggregator::Mean],
+        aggregators: vec![Aggregator::Mean, Aggregator::Max],
         bins: vec![10],
-        emds: vec![
-            EmdBackendKind::OneD,
-            EmdBackendKind::Transport,
-            EmdBackendKind::Batched,
-            EmdBackendKind::Kernel,
-        ],
+        emds: EmdBackendKind::all().to_vec(),
     });
     spec
 }

@@ -6,7 +6,7 @@
 //! same mixed profile real marketplaces show), times each delta
 //! re-quantify against a from-scratch `Quantify` over the identical
 //! mutated space, verifies the two agree bit-for-bit every round under
-//! every EMD backend, and emits `BENCH_incremental.json` with p50/p99
+//! both EMD metrics, and emits `BENCH_incremental.json` with p50/p99
 //! latencies and the delta-vs-full speedup so the trajectory is
 //! comparable across PRs.
 //!
@@ -279,8 +279,8 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json).expect("report is writable");
     println!(
-        "\nRESULT: every round bit-identical to a full recompute under all \
-         four backends; delta re-quantify reuses the surviving caches. \
+        "\nRESULT: every round bit-identical to a full recompute under \
+         both EMD metrics; delta re-quantify reuses the surviving caches. \
          Wrote {out_path}."
     );
 }

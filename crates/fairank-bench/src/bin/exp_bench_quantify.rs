@@ -14,7 +14,6 @@
 use std::time::Instant;
 
 use fairank_bench::{header, row, synthetic_space};
-use fairank_core::emd::{Emd, EmdBackendKind};
 use fairank_core::fairness::FairnessCriterion;
 use fairank_core::quantify::{Quantify, QuantifyOutcome};
 use fairank_core::space::RankingSpace;
@@ -26,7 +25,7 @@ struct BenchRecord {
     n: u64,
     attrs: u64,
     cardinality: u64,
-    /// `"engine"` (default backend), `"kernel"`, or `"naive"`.
+    /// `"engine"` or `"naive"`.
     mode: String,
     /// Best-of-3 wall-clock milliseconds.
     wall_ms: f64,
@@ -117,29 +116,19 @@ fn main() {
     );
 
     let engine = Quantify::new(FairnessCriterion::default());
-    let kernel = Quantify::new(
-        FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Kernel)),
-    );
     let naive = Quantify::new(FairnessCriterion::default()).with_naive_evaluation();
     let mut records = Vec::new();
     for &(n, attrs, card) in configs {
         let space = synthetic_space(n, attrs, card, 0.3, 7);
         let (engine_ms, engine_out) = measure(&engine, &space);
-        let (kernel_ms, kernel_out) = measure(&kernel, &space);
         let (naive_ms, naive_out) = measure(&naive, &space);
         assert_eq!(
             engine_out.unfairness, naive_out.unfairness,
             "engine and naive evaluations must agree bit-for-bit"
         );
-        assert_eq!(
-            engine_out.unfairness, kernel_out.unfairness,
-            "the kernel backend must agree bit-for-bit with the default engine"
-        );
         assert_eq!(engine_out.partitions, naive_out.partitions);
-        assert_eq!(engine_out.partitions, kernel_out.partitions);
         for (mode, ms, o) in [
             ("engine", engine_ms, &engine_out),
-            ("kernel", kernel_ms, &kernel_out),
             ("naive", naive_ms, &naive_out),
         ] {
             row(

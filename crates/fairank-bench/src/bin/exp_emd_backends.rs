@@ -45,26 +45,12 @@ fn main() {
 
         let one_d = Emd::new(EmdBackendKind::OneD);
         let transport = Emd::new(EmdBackendKind::Transport);
-        let batched = Emd::new(EmdBackendKind::Batched);
-        let kernel = Emd::new(EmdBackendKind::Kernel);
 
         let mut max_delta = 0.0f64;
         for (a, b) in &pairs {
             let d1 = one_d.distance(a, b).expect("computable");
             let d2 = transport.distance(a, b).expect("computable");
-            let d3 = batched.distance(a, b).expect("computable");
-            let d4 = kernel.distance(a, b).expect("computable");
             max_delta = max_delta.max((d1 - d2).abs());
-            assert_eq!(
-                d1.to_bits(),
-                d3.to_bits(),
-                "batched backend must be bit-identical to the 1-D closed form"
-            );
-            assert_eq!(
-                d1.to_bits(),
-                d4.to_bits(),
-                "kernel backend must be bit-identical to the 1-D closed form"
-            );
         }
 
         let t0 = Instant::now();

@@ -5,37 +5,30 @@
 //! API: given all leaf histograms of a node, a backend returns the full
 //! pairwise (or cross) distance contribution in one call, which lets an
 //! implementation hoist per-histogram work out of the O(L²) pair loop.
-//! Three implementations ship:
+//! Two implementations ship:
 //!
 //! * [`TransportBackend`] — the reference minimum-cost transportation
 //!   solver. Its inputs are put into a canonical order before solving, so
 //!   `d(a, b)` and `d(b, a)` are *bitwise* identical (the solver's pivoting
 //!   is not otherwise guaranteed symmetric at the bit level); downstream
-//!   memo tables can therefore key on unordered pairs.
+//!   memo tables can therefore key on unordered pairs. Its batch entry
+//!   points build the cost matrix once per batch.
 //! * [`OneDBackend`] — the exact 1-D closed form (CDF difference), already
 //!   bitwise symmetric because IEEE negation is exact.
-//! * [`BatchedOneDBackend`] — the closed-form 1-D EMD with batch-level
-//!   hoisting: every histogram's normalized mass vector is computed once
-//!   per batch (the per-pair allocations and divisions of the plain 1-D
-//!   path), and each pair is then folded in the *reference summation
-//!   order* (`cum += pa_i − pb_i; total += |cum|`). Subtracting hoisted
-//!   prefix-sum CDFs (`|CDF_a − CDF_b|`) would change the rounding of that
-//!   fold, so the batched backend hoists masses instead of CDFs — the
-//!   result is bit-identical (0 ULP) to [`OneDBackend`], not merely close.
-//!   Bins are already in ascending score order by construction, so no sort
-//!   step is needed.
 //!
-//! A fourth implementation, [`super::kernel::KernelOneDBackend`], lives in
-//! its own module: the same closed form folded in structure-of-arrays
-//! order, all pairs of a batch advancing one bin level at a time.
+//! The engine evaluates the closed form straight from its hoisted mass
+//! arena through [`one_d_from_parts`]: every histogram's normalized mass
+//! vector is computed once, and each pair is then folded in the *reference
+//! summation order* (`cum += pa_i − pb_i; total += |cum|`). Subtracting
+//! hoisted prefix-sum CDFs (`|CDF_a − CDF_b|`) would change the rounding of
+//! that fold, so masses are hoisted instead of CDFs — the result is
+//! bit-identical (0 ULP) to [`OneDBackend`], not merely close.
 //!
 //! Equivalence guarantees, pinned by `tests/emd_backend_equivalence.rs`:
 //!
 //! | backend     | vs. 1-D closed form | symmetry        |
 //! |-------------|---------------------|-----------------|
 //! | `1d`        | identity            | bitwise (exact) |
-//! | `batched`   | bit-identical (0 ULP) | bitwise (exact) |
-//! | `kernel`    | bit-identical (0 ULP) | bitwise (exact) |
 //! | `transport` | ≤ 1e-9 (solver eps) | bitwise (canonical input order) |
 
 use std::cmp::Ordering;
@@ -54,7 +47,7 @@ pub trait EmdBackend: Send + Sync {
     /// The selector this implementation answers to.
     fn kind(&self) -> EmdBackendKind;
 
-    /// The command-syntax name (`1d` / `transport` / `batched`).
+    /// The command-syntax name (`1d` / `transport`).
     fn name(&self) -> &'static str {
         self.kind().name()
     }
@@ -88,9 +81,9 @@ pub trait EmdBackend: Send + Sync {
 /// The empty-histogram conventions: `Some(distance)` when a convention
 /// decides the pair, `None` when both histograms are non-empty and the
 /// backend must compute. The single source every distance path — including
-/// the engine's id-level batch path via [`one_d_from_parts`] — goes
-/// through, so the conventions cannot drift apart.
-pub(crate) fn convention(a_empty: bool, b_empty: bool, spec: &HistogramSpec) -> Option<f64> {
+/// the engine's id-level path via [`one_d_from_parts`] — goes through, so
+/// the conventions cannot drift apart.
+fn convention(a_empty: bool, b_empty: bool, spec: &HistogramSpec) -> Option<f64> {
     match (a_empty, b_empty) {
         (true, true) => Some(0.0),
         (true, false) | (false, true) => Some(spec.hi() - spec.lo()),
@@ -119,14 +112,6 @@ pub(crate) fn one_d_from_parts(
         .unwrap_or_else(|| one_d::emd_1d_mass(mass_a, mass_b, spec.bin_width()))
 }
 
-/// The 1-D closed-form pair distance on already-normalized masses.
-pub(crate) fn one_d_pair(a: &Histogram, b: &Histogram) -> Result<f64> {
-    if let Some(d) = special_case(a, b)? {
-        return Ok(d);
-    }
-    Ok(one_d::emd_1d_mass(&a.mass(), &b.mass(), a.spec().bin_width()))
-}
-
 /// Exact 1-D closed form (CDF difference) — the default backend.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OneDBackend;
@@ -137,7 +122,8 @@ impl EmdBackend for OneDBackend {
     }
 
     fn pair(&self, a: &Histogram, b: &Histogram) -> Result<f64> {
-        one_d_pair(a, b)
+        a.check_compatible(b)?;
+        Ok(one_d_from_parts(a.is_empty(), b.is_empty(), &a.mass(), &b.mass(), a.spec()))
     }
 }
 
@@ -222,76 +208,14 @@ impl EmdBackend for TransportBackend {
     }
 }
 
-/// The closed-form batched 1-D backend: mass vectors are normalized once
-/// per batch, then every pair is folded in the reference summation order —
-/// bit-identical to [`OneDBackend`], without the per-pair normalization
-/// allocations the plain path performs on every computed pair.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchedOneDBackend;
-
-impl BatchedOneDBackend {
-    fn pair_from_masses(
-        a: &Histogram,
-        b: &Histogram,
-        mass_a: &[f64],
-        mass_b: &[f64],
-    ) -> Result<f64> {
-        a.check_compatible(b)?;
-        Ok(one_d_from_parts(
-            a.is_empty(),
-            b.is_empty(),
-            mass_a,
-            mass_b,
-            a.spec(),
-        ))
-    }
-}
-
-impl EmdBackend for BatchedOneDBackend {
-    fn kind(&self) -> EmdBackendKind {
-        EmdBackendKind::Batched
-    }
-
-    fn pair(&self, a: &Histogram, b: &Histogram) -> Result<f64> {
-        one_d_pair(a, b)
-    }
-
-    fn pairwise(&self, hists: &[Histogram], out: &mut Vec<f64>) -> Result<()> {
-        let masses: Vec<Vec<f64>> = hists.iter().map(Histogram::mass).collect();
-        for i in 0..hists.len() {
-            for j in (i + 1)..hists.len() {
-                out.push(Self::pair_from_masses(
-                    &hists[i], &hists[j], &masses[i], &masses[j],
-                )?);
-            }
-        }
-        Ok(())
-    }
-
-    fn cross(&self, left: &[Histogram], right: &[Histogram], out: &mut Vec<f64>) -> Result<()> {
-        let left_masses: Vec<Vec<f64>> = left.iter().map(Histogram::mass).collect();
-        let right_masses: Vec<Vec<f64>> = right.iter().map(Histogram::mass).collect();
-        for (a, mass_a) in left.iter().zip(&left_masses) {
-            for (b, mass_b) in right.iter().zip(&right_masses) {
-                out.push(Self::pair_from_masses(a, b, mass_a, mass_b)?);
-            }
-        }
-        Ok(())
-    }
-}
-
 impl EmdBackendKind {
     /// The implementation behind this selector.
     pub fn implementation(&self) -> &'static dyn EmdBackend {
         static ONE_D: OneDBackend = OneDBackend;
         static TRANSPORT: TransportBackend = TransportBackend;
-        static BATCHED: BatchedOneDBackend = BatchedOneDBackend;
-        static KERNEL: super::kernel::KernelOneDBackend = super::kernel::KernelOneDBackend;
         match self {
             EmdBackendKind::OneD => &ONE_D,
             EmdBackendKind::Transport => &TRANSPORT,
-            EmdBackendKind::Batched => &BATCHED,
-            EmdBackendKind::Kernel => &KERNEL,
         }
     }
 }
@@ -315,11 +239,12 @@ mod tests {
 
     #[test]
     fn batched_pair_is_bit_identical_to_one_d() {
+        // The engine's path: the fold over hoisted (once-normalized) masses.
         let a = hist(&[0.05, 0.15, 0.15, 0.35, 0.75, 0.85]);
         let b = hist(&[0.25, 0.45, 0.55, 0.95]);
         let d1 = OneDBackend.pair(&a, &b).unwrap();
-        let db = BatchedOneDBackend.pair(&a, &b).unwrap();
-        assert_eq!(d1.to_bits(), db.to_bits());
+        let hoisted = one_d_from_parts(false, false, &a.mass(), &b.mass(), a.spec());
+        assert_eq!(d1.to_bits(), hoisted.to_bits());
     }
 
     #[test]
@@ -330,13 +255,19 @@ mod tests {
             hist(&[0.95, 0.95]),
             hist(&[0.05, 0.95]),
         ];
-        let mut per_pair = Vec::new();
-        OneDBackend.pairwise(&hists, &mut per_pair).unwrap();
-        let mut batched = Vec::new();
-        BatchedOneDBackend.pairwise(&hists, &mut batched).unwrap();
-        assert_eq!(per_pair.len(), 6);
-        for (x, y) in per_pair.iter().zip(&batched) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut batch = Vec::new();
+            backend.pairwise(&hists, &mut batch).unwrap();
+            assert_eq!(batch.len(), 6);
+            let mut k = 0;
+            for i in 0..hists.len() {
+                for j in (i + 1)..hists.len() {
+                    let d = backend.pair(&hists[i], &hists[j]).unwrap();
+                    assert_eq!(batch[k].to_bits(), d.to_bits(), "{kind:?} ({i},{j})");
+                    k += 1;
+                }
+            }
         }
     }
 
@@ -344,13 +275,18 @@ mod tests {
     fn batched_cross_matches_per_pair_loop_bitwise() {
         let left = vec![hist(&[0.05]), hist(&[0.45, 0.55])];
         let right = vec![hist(&[0.95]), hist(&[0.25]), hist(&[0.65, 0.75])];
-        let mut per_pair = Vec::new();
-        OneDBackend.cross(&left, &right, &mut per_pair).unwrap();
-        let mut batched = Vec::new();
-        BatchedOneDBackend.cross(&left, &right, &mut batched).unwrap();
-        assert_eq!(per_pair.len(), 6);
-        for (x, y) in per_pair.iter().zip(&batched) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut batch = Vec::new();
+            backend.cross(&left, &right, &mut batch).unwrap();
+            let per_pair: Vec<f64> = left
+                .iter()
+                .flat_map(|a| right.iter().map(move |b| backend.pair(a, b).unwrap()))
+                .collect();
+            assert_eq!(per_pair.len(), 6);
+            for (x, y) in per_pair.iter().zip(&batch) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{kind:?}");
+            }
         }
     }
 
@@ -369,28 +305,32 @@ mod tests {
         let empty = Histogram::empty(spec);
         let full = hist(&[0.5]);
         let hists = vec![empty.clone(), full.clone(), Histogram::empty(spec)];
-        let mut out = Vec::new();
-        BatchedOneDBackend.pairwise(&hists, &mut out).unwrap();
-        // (empty, full) = 1, (empty, empty) = 0, (full, empty) = 1.
-        assert_eq!(out, vec![1.0, 0.0, 1.0]);
-        let mut out = Vec::new();
-        BatchedOneDBackend
-            .cross(std::slice::from_ref(&empty), &hists, &mut out)
-            .unwrap();
-        assert_eq!(out, vec![0.0, 1.0, 0.0]);
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut out = Vec::new();
+            backend.pairwise(&hists, &mut out).unwrap();
+            // (empty, full) = 1, (empty, empty) = 0, (full, empty) = 1.
+            assert_eq!(out, vec![1.0, 0.0, 1.0], "{kind:?}");
+            let mut out = Vec::new();
+            backend
+                .cross(std::slice::from_ref(&empty), &hists, &mut out)
+                .unwrap();
+            assert_eq!(out, vec![0.0, 1.0, 0.0], "{kind:?}");
+        }
     }
 
     #[test]
     fn incompatible_specs_error_in_batches_too() {
         let a = Histogram::empty(HistogramSpec::unit(5).unwrap());
         let b = Histogram::empty(HistogramSpec::unit(10).unwrap());
-        let mut out = Vec::new();
-        assert!(BatchedOneDBackend
-            .pairwise(&[a.clone(), b.clone()], &mut out)
-            .is_err());
-        let mut out = Vec::new();
-        assert!(BatchedOneDBackend
-            .cross(std::slice::from_ref(&a), std::slice::from_ref(&b), &mut out)
-            .is_err());
+        for kind in EmdBackendKind::all() {
+            let backend = kind.implementation();
+            let mut out = Vec::new();
+            assert!(backend.pairwise(&[a.clone(), b.clone()], &mut out).is_err());
+            let mut out = Vec::new();
+            assert!(backend
+                .cross(std::slice::from_ref(&a), std::slice::from_ref(&b), &mut out)
+                .is_err());
+        }
     }
 }

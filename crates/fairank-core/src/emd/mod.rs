@@ -2,9 +2,9 @@
 //!
 //! The paper quantifies the difference between two partitions' score
 //! distributions with the EMD (Definition 2, citing Pele & Werman's fast
-//! EMD work). The implementations live behind the pluggable
+//! EMD work). Two metrics ship behind the pluggable
 //! [`backend::EmdBackend`] trait (single-pair distance plus pairwise-batch
-//! entry points); four backends ship:
+//! entry points):
 //!
 //! * [`backend::OneDBackend`] (`1d`) — the exact closed form for
 //!   one-dimensional histograms over equal-width bins (the only case
@@ -16,84 +16,78 @@
 //!   implementation the 1-D form is validated against, supports
 //!   non-uniform ground distances, and solves in a canonical input order
 //!   so its distances are bitwise symmetric.
-//! * [`backend::BatchedOneDBackend`] (`batched`) — the 1-D closed form
-//!   with batch-level hoisting of the normalized mass vectors;
-//!   bit-identical to `1d`, built for the O(L²) pairwise aggregations of
-//!   the QUANTIFY hot path.
-//! * [`kernel::KernelOneDBackend`] (`kernel`) — the 1-D closed form over a
-//!   structure-of-arrays batch: all pairs of a batch fold together, one
-//!   bin level at a time, in a branchless inner loop over pairs. Per pair
-//!   the operation sequence is exactly the reference fold, so the backend
-//!   stays bit-identical to `1d` while the inner loop autovectorizes.
+//!
+//! How the closed form is *evaluated* over a node's O(L²) leaf pairs is
+//! the engine's choice, not the user's: `SplitEngine` walks its per-pair
+//! memo for small batches and deduplicates large ones (see
+//! `crate::engine`). The names `batched` and `kernel`, which once selected
+//! such evaluation strategies, still parse as aliases of `1d`.
 //!
 //! Distances are expressed in *score units*: for histograms over `[0, 1]`
 //! the EMD between any two probability distributions lies in `[0, 1]`.
 
 pub mod backend;
-pub mod kernel;
 pub mod one_d;
 pub mod transport;
 
-pub use backend::{BatchedOneDBackend, EmdBackend, OneDBackend, TransportBackend};
-pub use kernel::KernelOneDBackend;
+pub use backend::{EmdBackend, OneDBackend, TransportBackend};
 pub use one_d::emd_1d;
 pub use transport::{transport_emd, TransportPlan};
 
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::error::Result;
 use crate::histogram::Histogram;
 
-/// Which EMD implementation to use — the serializable selector behind
-/// which the [`backend::EmdBackend`] trait objects live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Which EMD metric to use — the serializable selector behind which the
+/// [`backend::EmdBackend`] trait objects live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum EmdBackendKind {
     /// Exact 1-D closed form (CDF difference). Fast path; default.
     #[default]
     OneD,
     /// General transportation solver with `|center_i - center_j|` costs.
     Transport,
-    /// Closed-form batched 1-D backend (bit-identical to `OneD`, hoists
-    /// per-histogram normalization out of pairwise batches).
-    Batched,
-    /// Structure-of-arrays 1-D backend (bit-identical to `OneD`): a whole
-    /// batch's CDF folds advance together, bin level by bin level, with a
-    /// branchless inner loop over pairs.
-    Kernel,
 }
 
 impl EmdBackendKind {
-    /// The command-syntax name of the backend (`1d` / `transport` /
-    /// `batched` / `kernel`) — the single source for both parsing and
-    /// display.
+    /// The command-syntax name of the metric (`1d` / `transport`) — the
+    /// single source for both parsing and display.
     pub fn name(&self) -> &'static str {
         match self {
             EmdBackendKind::OneD => "1d",
             EmdBackendKind::Transport => "transport",
-            EmdBackendKind::Batched => "batched",
-            EmdBackendKind::Kernel => "kernel",
         }
     }
 
-    /// Parses a command-syntax backend name.
+    /// Parses a command-syntax metric name. `batched` and `kernel` name
+    /// retired evaluation strategies of the closed form and alias `1d`.
     pub fn parse(s: &str) -> Option<EmdBackendKind> {
         match s {
-            "1d" => Some(EmdBackendKind::OneD),
+            "1d" | "batched" | "kernel" => Some(EmdBackendKind::OneD),
             "transport" => Some(EmdBackendKind::Transport),
-            "batched" => Some(EmdBackendKind::Batched),
-            "kernel" => Some(EmdBackendKind::Kernel),
             _ => None,
         }
     }
 
-    /// Every backend, for sweeps and conformance suites.
-    pub fn all() -> [EmdBackendKind; 4] {
-        [
-            EmdBackendKind::OneD,
-            EmdBackendKind::Transport,
-            EmdBackendKind::Batched,
-            EmdBackendKind::Kernel,
-        ]
+    /// Every metric, for sweeps and conformance suites.
+    pub fn all() -> [EmdBackendKind; 2] {
+        [EmdBackendKind::OneD, EmdBackendKind::Transport]
+    }
+}
+
+/// Hand-written rather than derived so JSON saved while `Batched` and
+/// `Kernel` were variants (sessions, scenario specs) still loads, as `OneD`.
+impl Deserialize for EmdBackendKind {
+    fn from_value(v: &Value) -> std::result::Result<Self, serde::de::Error> {
+        match v.as_str() {
+            Some("OneD" | "Batched" | "Kernel") => Ok(EmdBackendKind::OneD),
+            Some("Transport") => Ok(EmdBackendKind::Transport),
+            _ => Err(serde::de::Error::custom(format!(
+                "unknown variant {v:?} for enum EmdBackendKind"
+            ))),
+        }
     }
 }
 
@@ -132,7 +126,7 @@ impl Emd {
 
     /// All `C(L, 2)` unordered pairwise distances among `hists`, in
     /// lexicographic pair order `(0,1), (0,2), …` — one call per node, so
-    /// batching backends can hoist per-histogram work out of the pair loop.
+    /// a backend can hoist per-histogram work out of the pair loop.
     pub fn pairwise(&self, hists: &[Histogram]) -> Result<Vec<f64>> {
         let n = hists.len();
         let mut out = Vec::with_capacity(n.saturating_sub(1) * n / 2);
@@ -183,11 +177,7 @@ mod tests {
         let b = hist(&[0.25, 0.45, 0.55, 0.95]);
         let d1 = Emd::new(EmdBackendKind::OneD).distance(&a, &b).unwrap();
         let d2 = Emd::new(EmdBackendKind::Transport).distance(&a, &b).unwrap();
-        let d3 = Emd::new(EmdBackendKind::Batched).distance(&a, &b).unwrap();
-        let d4 = Emd::new(EmdBackendKind::Kernel).distance(&a, &b).unwrap();
         assert!((d1 - d2).abs() < 1e-9, "one_d={d1} transport={d2}");
-        assert_eq!(d1.to_bits(), d3.to_bits(), "one_d={d1} batched={d3}");
-        assert_eq!(d1.to_bits(), d4.to_bits(), "one_d={d1} kernel={d4}");
     }
 
     #[test]
@@ -247,6 +237,70 @@ mod tests {
         for backend in EmdBackendKind::all() {
             assert_eq!(EmdBackendKind::parse(backend.name()), Some(backend));
         }
+        for alias in ["batched", "kernel"] {
+            assert_eq!(EmdBackendKind::parse(alias), Some(EmdBackendKind::OneD));
+        }
         assert_eq!(EmdBackendKind::parse("nonsense"), None);
+    }
+
+    #[test]
+    fn retired_variant_names_deserialize_as_one_d() {
+        for (json, kind) in [
+            (r#""OneD""#, EmdBackendKind::OneD),
+            (r#""Transport""#, EmdBackendKind::Transport),
+            (r#""Batched""#, EmdBackendKind::OneD),
+            (r#""Kernel""#, EmdBackendKind::OneD),
+        ] {
+            assert_eq!(serde_json::from_str::<EmdBackendKind>(json).unwrap(), kind);
+        }
+        let emd: Emd = serde_json::from_str(r#"{"backend":"Kernel"}"#).unwrap();
+        assert_eq!(emd, Emd::default());
+        assert!(serde_json::from_str::<EmdBackendKind>(r#""Sideways""#).is_err());
+        // Serialization is unchanged: the derived variant name.
+        assert_eq!(serde_json::to_string(&EmdBackendKind::OneD).unwrap(), r#""OneD""#);
+    }
+}
+
+/// `emd=kernel` and the `"Kernel"` JSON variant once named a separate
+/// structure-of-arrays fold; both now resolve to the closed-form `1d`
+/// metric. These tests pin that the alias keeps the batch conventions that
+/// fold guaranteed.
+#[cfg(test)]
+mod kernel {
+    mod tests {
+        use crate::emd::{Emd, EmdBackendKind};
+        use crate::histogram::{Histogram, HistogramSpec};
+
+        fn kernel() -> Emd {
+            let emd = Emd::new(EmdBackendKind::parse("kernel").unwrap());
+            let saved: Emd = serde_json::from_str(r#"{"backend":"Kernel"}"#).unwrap();
+            assert_eq!(emd, saved);
+            emd
+        }
+
+        #[test]
+        fn kernel_batches_honor_empty_conventions() {
+            let spec = HistogramSpec::unit(10).unwrap();
+            let empty = Histogram::empty(spec);
+            let full = Histogram::from_scores(spec, [0.5]);
+            let hists = vec![empty.clone(), full, Histogram::empty(spec)];
+            let emd = kernel();
+            assert_eq!(emd.pairwise(&hists).unwrap(), vec![1.0, 0.0, 1.0]);
+            assert_eq!(
+                emd.cross(std::slice::from_ref(&empty), &hists).unwrap(),
+                vec![0.0, 1.0, 0.0]
+            );
+        }
+
+        #[test]
+        fn kernel_rejects_incompatible_specs_in_batches() {
+            let a = Histogram::empty(HistogramSpec::unit(5).unwrap());
+            let b = Histogram::empty(HistogramSpec::unit(10).unwrap());
+            let emd = kernel();
+            assert!(emd.pairwise(&[a.clone(), b.clone()]).is_err());
+            assert!(emd
+                .cross(std::slice::from_ref(&a), std::slice::from_ref(&b))
+                .is_err());
+        }
     }
 }

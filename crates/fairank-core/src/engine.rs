@@ -44,14 +44,22 @@
 //!   per content id (stride = bins) plus a lazily-filled, equally flat
 //!   normalized-mass arena. No per-id `Histogram` or boxed mass vector is
 //!   allocated on the hot path; `Histogram` values materialize only for
-//!   the transport backend and the public [`SplitEngine::histogram`].
+//!   the transport metric and the public [`SplitEngine::histogram`].
 //! * The EMD memo packs the unordered content-id pair into one `u64` key
 //!   over an open-addressed, linear-probing [`FlatMemo`] (Fibonacci
 //!   hashing) — the single hottest table of a search, probed once per
 //!   partition pair per recursion level.
 //! * All transient buffers (distance vectors, batch dedup tables, split
-//!   counting grids, SoA fold scratch) persist in a [`Scratch`] pool and
-//!   are reused across calls, so steady-state evaluation does not allocate.
+//!   counting grids) persist in a [`Scratch`] pool and are reused across
+//!   calls, so steady-state evaluation does not allocate.
+//!
+//! One aggregation (a node's pairwise or cross distances) is resolved one
+//! of two ways: small batches walk the memo pair by pair; large ones whose
+//! leaves repeat contents ([`DEDUP_MIN_PAIRS`]) deduplicate first and
+//! resolve each *distinct* pair once. Both touch the
+//! same memo entries and fold every miss the same way, so results and
+//! every counter but `emd_cache_hits` and `pairwise_batches` are identical
+//! whichever path runs.
 //!
 //! The engine mirrors [`FairnessCriterion`]'s aggregation orders exactly
 //! (pairwise `(0,1), (0,2), …` and children-outer cross products), so
@@ -145,6 +153,38 @@ const SMALL_SPACE_ATTRS: usize = 4;
 /// attribute count; a 2-attribute space with a 1000-value column would
 /// turn the linear scans quadratic and the matrix huge.
 const SMALL_SPACE_CARDINALITY: usize = 64;
+
+// ---- aggregation path ----------------------------------------------------
+
+/// Leaf-pair count from which a closed-form (`1d`) aggregation may be
+/// resolved through the deduplicated distinct×distinct table instead of
+/// the per-pair memo walk. Deduplication pays a slot-mapping pass and a
+/// `D × D` table per batch, which only a large batch with repeated contents
+/// earns back. Measured on 10k-row spaces (release, 2 cores): fine
+/// 8-attribute partitionings repeat contents heavily (leaf batches of
+/// 500–5,000 holding 90–1,250 distinct contents), and deduplicating them
+/// makes QUANTIFY ~2.5× faster; the `biased` preset's large batches (final
+/// partitionings of up to ~360 leaves) are nearly all distinct, and there
+/// the table costs ~12% over the walk — hence the repetition test in
+/// [`SplitEngine::dedups`]. With that test in place, thresholds from 16 to
+/// 2,048 time within noise on both shapes; 128 keeps the extra
+/// distinct-count pass off the small sibling sets that make up most calls.
+const DEDUP_MIN_PAIRS: usize = 128;
+
+/// How an engine resolves closed-form aggregations. Always
+/// [`Aggregation::Auto`] in production; tests force either path to pin
+/// their equivalence, like `new_with_layout` does for the cache layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Aggregation {
+    /// Deduplicate large, repetitive batches ([`SplitEngine::dedups`]).
+    #[default]
+    Auto,
+    /// Always walk the memo pair by pair.
+    PerPair,
+    /// Always deduplicate.
+    Dedup,
+}
 
 /// "No entry" marker for the trie's `u32` indices.
 const NONE32: u32 = u32::MAX;
@@ -292,9 +332,9 @@ enum ContentIndex {
 
 /// The interned-histogram arena: one flat `counts` row per content id
 /// (stride = bins), a parallel total, and a lazily-filled flat
-/// normalized-mass arena — the hoisted per-histogram work of the batched
-/// and kernel backends. `Histogram` values are materialized only on demand
-/// (transport backend, public histogram lookups); the hot path works on
+/// normalized-mass arena — the hoisted per-histogram work of the
+/// closed-form fold. `Histogram` values are materialized only on demand
+/// (transport metric, public histogram lookups); the hot path works on
 /// the raw rows.
 #[derive(Debug)]
 struct ContentTable {
@@ -711,32 +751,75 @@ struct Scratch {
     dists: Vec<f64>,
     /// Content-id lists of the partitions under evaluation.
     ids: Vec<u32>,
-    /// Distinct content ids of one batch.
-    distinct: Vec<u32>,
-    /// content id → slot in `distinct` ([`NONE32`] = unseen), reset after
-    /// every batch by walking `distinct`, so dedup is O(L + D) instead of
-    /// a per-id linear scan.
-    slot_lookup: Vec<u32>,
-    /// Slot (index into `distinct`) per batch element.
-    slots: Vec<u32>,
-    /// Second slot list for cross batches.
-    slots2: Vec<u32>,
-    /// Dense distinct×distinct distance table of one batch.
-    table: Vec<f64>,
-    /// Which cross-batch table cells have been encountered.
-    have: Vec<bool>,
-    /// Distinct slot pairs not served by the memo.
-    missing: Vec<(u32, u32)>,
-    /// Bin-major SoA mass matrix for the kernel fold.
-    soa: Vec<f64>,
-    /// Kernel fold accumulators.
-    cum: Vec<f64>,
-    total: Vec<f64>,
-    folded: Vec<f64>,
+    /// State of the deduplicated aggregation.
+    batch: DedupBatch,
     /// `counts[value * bins + bin]` grid of `best_split`'s one-pass scan.
     counts: Vec<u64>,
     /// Rows per value code in `best_split`.
     sizes: Vec<u32>,
+}
+
+/// The buffers of one deduplicated aggregation.
+#[derive(Debug, Default)]
+struct DedupBatch {
+    /// Distinct content ids of the batch, in first-appearance order.
+    distinct: Vec<u32>,
+    /// content id → slot in `distinct` ([`NONE32`] = unseen), reset after
+    /// every mapping by walking `distinct`, so dedup is O(L + D) instead of
+    /// a per-id linear scan.
+    lookup: Vec<u32>,
+    /// Slot (index into `distinct`) per leaf: a cross batch's left leaves,
+    /// then its right ones.
+    slots: Vec<u32>,
+    /// `D × D` distance table, row-major and symmetric.
+    table: Vec<f64>,
+    /// Pairwise batches: which slots repeat. Cross batches: which cells
+    /// have been encountered.
+    have: Vec<bool>,
+    /// Distinct slot pairs not served by the memo.
+    missing: Vec<(u32, u32)>,
+}
+
+impl DedupBatch {
+    /// Maps every leaf of `lists` to its content's slot.
+    fn map_slots(&mut self, lists: &[&[u32]]) {
+        self.distinct.clear();
+        self.slots.clear();
+        for &id in lists.iter().copied().flatten() {
+            let i = id as usize;
+            if i >= self.lookup.len() {
+                self.lookup.resize(i + 1, NONE32);
+            }
+            if self.lookup[i] == NONE32 {
+                self.lookup[i] = self.distinct.len() as u32;
+                self.distinct.push(id);
+            }
+            self.slots.push(self.lookup[i]);
+        }
+        for &id in &self.distinct {
+            self.lookup[id as usize] = NONE32;
+        }
+    }
+
+    /// Readies the table, the `have` flags (`have_len` of them) and the
+    /// miss list for resolving the mapped batch. The table is not cleared:
+    /// every cell an aggregation reads is resolved by that batch first.
+    fn prepare(&mut self, have_len: usize) {
+        let d = self.distinct.len();
+        if self.table.len() < d * d {
+            self.table.resize(d * d, 0.0);
+        }
+        self.have.clear();
+        self.have.resize(have_len, false);
+        self.missing.clear();
+    }
+
+    /// Records the distance of slot pair `(i, j)` in both of its cells.
+    fn store(&mut self, i: u32, j: u32, v: f64) {
+        let d = self.distinct.len();
+        self.table[i as usize * d + j as usize] = v;
+        self.table[j as usize * d + i as usize] = v;
+    }
 }
 
 /// Work counters the engine maintains, surfaced through `SearchStats` and
@@ -750,9 +833,9 @@ pub struct EngineStats {
     pub emd_calls: usize,
     /// Distance lookups served from the memo table.
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations resolved as one batch by the batched or
-    /// kernel backend (each batch touches the memo once per *distinct*
-    /// histogram pair instead of once per leaf pair).
+    /// Pairwise/cross aggregations resolved through the deduplicated
+    /// table (each touches the memo once per *distinct* histogram pair
+    /// instead of once per leaf pair).
     pub pairwise_batches: usize,
     /// Distinct cached histogram contents an incremental (delta) run
     /// consulted that were built by an earlier generation — the measure of
@@ -832,6 +915,7 @@ pub struct SplitEngine<'a> {
     /// this set has a bit-unchanged subtree: histograms, summaries, and
     /// every split decision beneath it.
     dirty_paths: HashSet<u32>,
+    aggregation: Aggregation,
     stats: EngineStats,
     scratch: Scratch,
     /// Strided cooperative-cancellation poll; unlimited by default, so one
@@ -884,6 +968,7 @@ impl<'a> SplitEngine<'a> {
             record_evals: false,
             generation: 0,
             dirty_paths: HashSet::new(),
+            aggregation: Aggregation::default(),
             stats: EngineStats::default(),
             scratch: Scratch::default(),
             checker: RunBudget::unlimited().checker(),
@@ -940,6 +1025,11 @@ impl<'a> SplitEngine<'a> {
             Ok(()) => Ok(()),
             Err(reason) => Err(self.cancelled(reason)),
         }
+    }
+
+    /// Forces the aggregation path (tests pin the two paths' equivalence).
+    pub(crate) fn set_aggregation(&mut self, aggregation: Aggregation) {
+        self.aggregation = aggregation;
     }
 
     /// Whether this engine runs on the compact small-input caches.
@@ -1003,11 +1093,9 @@ impl<'a> SplitEngine<'a> {
         self.contents.hist_owned(id)
     }
 
-    /// A memo miss resolved for the per-pair backends: the 1-D closed form
-    /// folds directly from the hoisted mass arena (bit-identical to
-    /// [`crate::emd::Emd::distance`]; conventions and the fold are the
-    /// backend layer's single source), the transport solver gets lazily
-    /// materialized canonical `Histogram`s.
+    /// A memo miss resolved: the 1-D closed form folds directly from the
+    /// hoisted mass arena ([`Self::fold_one_d`]), the transport solver gets
+    /// lazily materialized canonical `Histogram`s.
     fn compute_pair(&mut self, lo: u32, hi: u32) -> Result<f64> {
         // The cancellation tick lives on this miss path, not in
         // `distance` itself: memo hits are pure lookups (millions per
@@ -1023,15 +1111,22 @@ impl<'a> SplitEngine<'a> {
             self.contents.ensure_hist(hi);
             return emd.distance(self.contents.hist(lo), self.contents.hist(hi));
         }
-        self.contents.ensure_mass(lo);
-        self.contents.ensure_mass(hi);
-        Ok(crate::emd::backend::one_d_from_parts(
-            self.contents.is_empty(lo),
-            self.contents.is_empty(hi),
-            self.contents.mass(lo),
-            self.contents.mass(hi),
+        Ok(self.fold_one_d(lo, hi))
+    }
+
+    /// The 1-D closed form between two contents, folded from the hoisted
+    /// mass arena — bit-identical to [`crate::emd::Emd::distance`]
+    /// (conventions and the fold are the backend layer's single source).
+    fn fold_one_d(&mut self, a: u32, b: u32) -> f64 {
+        self.contents.ensure_mass(a);
+        self.contents.ensure_mass(b);
+        crate::emd::backend::one_d_from_parts(
+            self.contents.is_empty(a),
+            self.contents.is_empty(b),
+            self.contents.mass(a),
+            self.contents.mass(b),
             &self.criterion.hist,
-        ))
+        )
     }
 
     /// Memoized EMD between two content-identified histograms. The distance
@@ -1053,306 +1148,175 @@ impl<'a> SplitEngine<'a> {
         Ok(d)
     }
 
-    /// Appends `id` to the distinct-id list if unseen, returning its slot.
-    /// `lookup` is the dense content-id → slot table; callers reset the
-    /// touched entries (one per distinct id) when the batch ends.
-    fn slot_of(lookup: &mut Vec<u32>, distinct: &mut Vec<u32>, id: u32) -> u32 {
-        let i = id as usize;
-        if i >= lookup.len() {
-            lookup.resize(i + 1, NONE32);
-        }
-        let slot = lookup[i];
-        if slot != NONE32 {
-            return slot;
-        }
-        let slot = distinct.len() as u32;
-        distinct.push(id);
-        lookup[i] = slot;
-        slot
-    }
-
-    /// Clears the slot-lookup entries a batch touched.
-    fn reset_slots(lookup: &mut [u32], distinct: &[u32]) {
-        for &id in distinct {
-            lookup[id as usize] = NONE32;
+    /// Looks up one distinct slot pair of a batch in the memo: a hit goes
+    /// into the batch's table, a miss is queued for
+    /// [`Self::compute_missing`].
+    fn resolve_slots(&mut self, batch: &mut DedupBatch, i: u32, j: u32) {
+        let (lo, hi) = canon(batch.distinct[i as usize], batch.distinct[j as usize]);
+        if let Some(v) = self.emd_memo.get(lo, hi) {
+            self.stats.emd_cache_hits += 1;
+            batch.store(i, j, v);
+        } else {
+            batch.missing.push((i, j));
         }
     }
 
-    /// Computes every distinct slot pair of a batch the memo could not
-    /// serve, inserting each distance into the memo and mirroring it into
-    /// the batch's slot table. The batched backend folds pair by pair from
-    /// the hoisted mass arena; the kernel backend gathers the distinct
-    /// masses into one bin-major SoA matrix and folds **all** missing
-    /// pairs together, one bin level at a time. Both execute the reference
-    /// per-pair operation sequence, so the memoized bits are identical.
-    fn compute_missing(&mut self, distinct: &[u32], missing: &[(u32, u32)], table: &mut [f64]) {
-        if missing.is_empty() {
+    /// Folds every distinct slot pair of a batch the memo could not serve,
+    /// inserting each distance into the memo and the batch's table — the
+    /// same fold, and the same memo entries, as the per-pair walk's misses.
+    fn compute_missing(&mut self, batch: &mut DedupBatch) {
+        if batch.missing.is_empty() {
             return;
         }
         fault::panic_point(fault::EMD_PANIC);
-        self.stats.emd_calls += missing.len();
-        let d = distinct.len();
-        let spec = self.criterion.hist;
-        if self.criterion.emd.backend() == EmdBackendKind::Kernel {
-            for &id in distinct {
-                self.contents.ensure_mass(id);
-            }
-            let bins = self.contents.bins;
-            let mut soa = std::mem::take(&mut self.scratch.soa);
-            soa.clear();
-            soa.resize(bins * d, 0.0);
-            for (slot, &id) in distinct.iter().enumerate() {
-                for (bin, &m) in self.contents.mass(id).iter().enumerate() {
-                    soa[bin * d + slot] = m;
-                }
-            }
-            let mut cum = std::mem::take(&mut self.scratch.cum);
-            let mut total = std::mem::take(&mut self.scratch.total);
-            let mut folded = std::mem::take(&mut self.scratch.folded);
-            folded.clear();
-            crate::emd::kernel::fold_pairs(
-                &soa,
-                d,
-                bins,
-                missing,
-                spec.bin_width(),
-                &mut cum,
-                &mut total,
-                &mut folded,
-            );
-            for (p, &(i, j)) in missing.iter().enumerate() {
-                let (a, b) = (distinct[i as usize], distinct[j as usize]);
-                let mut v = folded[p];
-                if let Some(c) = crate::emd::backend::convention(
-                    self.contents.is_empty(a),
-                    self.contents.is_empty(b),
-                    &spec,
-                ) {
-                    v = c;
-                }
-                let (lo, hi) = canon(a, b);
-                self.emd_memo.insert(lo, hi, v);
-                table[i as usize * d + j as usize] = v;
-                table[j as usize * d + i as usize] = v;
-            }
-            self.scratch.soa = soa;
-            self.scratch.cum = cum;
-            self.scratch.total = total;
-            self.scratch.folded = folded;
-        } else {
-            for &(i, j) in missing {
-                let (a, b) = (distinct[i as usize], distinct[j as usize]);
-                self.contents.ensure_mass(a);
-                self.contents.ensure_mass(b);
-                let v = crate::emd::backend::one_d_from_parts(
-                    self.contents.is_empty(a),
-                    self.contents.is_empty(b),
-                    self.contents.mass(a),
-                    self.contents.mass(b),
-                    &spec,
-                );
-                let (lo, hi) = canon(a, b);
-                self.emd_memo.insert(lo, hi, v);
-                table[i as usize * d + j as usize] = v;
-                table[j as usize * d + i as usize] = v;
-            }
+        self.stats.emd_calls += batch.missing.len();
+        let missing = std::mem::take(&mut batch.missing);
+        for &(i, j) in &missing {
+            let (lo, hi) = canon(batch.distinct[i as usize], batch.distinct[j as usize]);
+            let v = self.fold_one_d(lo, hi);
+            self.emd_memo.insert(lo, hi, v);
+            batch.store(i, j, v);
         }
+        batch.missing = missing;
     }
 
-    /// The batching backends' pairwise aggregation: resolve each *distinct*
-    /// content pair once (through the memo), then aggregate the full
-    /// `C(L, 2)` sequence in the reference lexicographic order, streamed
-    /// straight out of the distinct×distinct table — the expanded vector
-    /// (millions of entries over fine partitionings) is never stored. Fine
-    /// partitionings repeat the same few score distributions constantly,
-    /// so this replaces the per-pair memo walk with `C(D, 2)` resolutions
-    /// for `D` distinct contents plus a streamed expansion.
-    fn batch_pairwise_value(&mut self, ids: &[u32]) -> f64 {
+    /// The deduplicated pairwise aggregation over the leaves
+    /// [`Self::dedups`] mapped: resolve each *distinct* content pair once
+    /// (through the memo), then aggregate the full `C(L, 2)` sequence in
+    /// the reference lexicographic order, streamed straight out of the
+    /// distinct×distinct table — the expanded vector (millions of entries
+    /// over fine partitionings) is never stored. A repeated content also
+    /// resolves its self-pair, as the per-pair walk would, so both paths
+    /// leave the memo (and `emd_calls`) in the same state.
+    fn dedup_pairwise_value(&mut self) -> f64 {
         self.stats.pairwise_batches += 1;
-        let n = ids.len();
-        if n < 2 {
-            return self.criterion.aggregator.apply(&[]);
-        }
-        let mut distinct = std::mem::take(&mut self.scratch.distinct);
-        distinct.clear();
-        let mut lookup = std::mem::take(&mut self.scratch.slot_lookup);
-        let mut slots = std::mem::take(&mut self.scratch.slots);
-        slots.clear();
-        for &id in ids {
-            slots.push(Self::slot_of(&mut lookup, &mut distinct, id));
-        }
-        Self::reset_slots(&mut lookup, &distinct);
-        let d = distinct.len();
-        // The diagonal stays 0.0 — exactly what a self-pair computes (the
-        // mass differences are exact zeros, so the fold yields +0.0).
-        let mut table = std::mem::take(&mut self.scratch.table);
-        table.clear();
-        table.resize(d * d, 0.0);
-        let mut missing = std::mem::take(&mut self.scratch.missing);
-        missing.clear();
-        for i in 0..d {
-            for j in (i + 1)..d {
-                let (lo, hi) = canon(distinct[i], distinct[j]);
-                if let Some(v) = self.emd_memo.get(lo, hi) {
-                    self.stats.emd_cache_hits += 1;
-                    table[i * d + j] = v;
-                    table[j * d + i] = v;
-                } else {
-                    missing.push((i as u32, j as u32));
-                }
+        let mut batch = std::mem::take(&mut self.scratch.batch);
+        let d = batch.distinct.len();
+        batch.prepare(d);
+        // Slots are numbered in first-appearance order, so a leaf whose
+        // slot is not the next fresh one repeats an earlier content.
+        let mut fresh = 0;
+        for &slot in &batch.slots {
+            if slot == fresh {
+                fresh += 1;
+            } else {
+                batch.have[slot as usize] = true;
             }
         }
-        self.compute_missing(&distinct, &missing, &mut table);
+        for i in 0..d as u32 {
+            let first = if batch.have[i as usize] { i } else { i + 1 };
+            for j in first..d as u32 {
+                self.resolve_slots(&mut batch, i, j);
+            }
+        }
+        self.compute_missing(&mut batch);
+        let (slots, table) = (&batch.slots, &batch.table);
         let value = self.criterion.aggregator.apply_iter(|| {
-            (0..n).flat_map(|i| {
-                let row = &table[slots[i] as usize * d..][..d];
+            slots.iter().enumerate().flat_map(|(i, &si)| {
+                let row = &table[si as usize * d..][..d];
                 slots[i + 1..].iter().map(move |&sj| row[sj as usize])
             })
         });
-        self.scratch.distinct = distinct;
-        self.scratch.slot_lookup = lookup;
-        self.scratch.slots = slots;
-        self.scratch.table = table;
-        self.scratch.missing = missing;
+        self.scratch.batch = batch;
         value
     }
 
-    /// The batching backends' cross aggregation (left outer, right inner),
-    /// resolving each distinct content pair once and streaming the
-    /// expansion into the aggregator.
-    fn batch_cross_value(&mut self, left: &[u32], right: &[u32]) -> f64 {
+    /// The deduplicated cross aggregation (left outer, right inner) over
+    /// the leaves [`Self::dedups`] mapped, the first `split` of them on the
+    /// left: each distinct content pair — self-pairs included, when a
+    /// content sits on both sides — resolves once.
+    fn dedup_cross_value(&mut self, split: usize) -> f64 {
         self.stats.pairwise_batches += 1;
-        let mut distinct = std::mem::take(&mut self.scratch.distinct);
-        distinct.clear();
-        let mut lookup = std::mem::take(&mut self.scratch.slot_lookup);
-        let mut lslots = std::mem::take(&mut self.scratch.slots);
-        lslots.clear();
-        let mut rslots = std::mem::take(&mut self.scratch.slots2);
-        rslots.clear();
-        for &id in left {
-            lslots.push(Self::slot_of(&mut lookup, &mut distinct, id));
-        }
-        for &id in right {
-            rslots.push(Self::slot_of(&mut lookup, &mut distinct, id));
-        }
-        Self::reset_slots(&mut lookup, &distinct);
-        let d = distinct.len();
-        let mut table = std::mem::take(&mut self.scratch.table);
-        table.clear();
-        table.resize(d * d, 0.0);
-        let mut have = std::mem::take(&mut self.scratch.have);
-        have.clear();
-        have.resize(d * d, false);
-        let mut missing = std::mem::take(&mut self.scratch.missing);
-        missing.clear();
-        for &ls in &lslots {
-            for &rs in &rslots {
-                if ls == rs {
-                    continue; // self-pair: exact zero, same as a fresh fold
-                }
-                let (a, b) = if ls <= rs { (ls, rs) } else { (rs, ls) };
-                let idx = a as usize * d + b as usize;
-                if have[idx] {
-                    continue;
-                }
-                have[idx] = true;
-                let (lo, hi) = canon(distinct[a as usize], distinct[b as usize]);
-                if let Some(v) = self.emd_memo.get(lo, hi) {
-                    self.stats.emd_cache_hits += 1;
-                    table[idx] = v;
-                    table[b as usize * d + a as usize] = v;
-                } else {
-                    missing.push((a, b));
+        let mut batch = std::mem::take(&mut self.scratch.batch);
+        let d = batch.distinct.len();
+        batch.prepare(d * d);
+        for l in 0..split {
+            for r in split..batch.slots.len() {
+                let (ls, rs) = (batch.slots[l], batch.slots[r]);
+                let idx = ls.min(rs) as usize * d + ls.max(rs) as usize;
+                if !batch.have[idx] {
+                    batch.have[idx] = true;
+                    self.resolve_slots(&mut batch, ls, rs);
                 }
             }
         }
-        self.compute_missing(&distinct, &missing, &mut table);
+        self.compute_missing(&mut batch);
+        let (left, right) = batch.slots.split_at(split);
+        let table = &batch.table;
         let value = self.criterion.aggregator.apply_iter(|| {
-            lslots.iter().flat_map(|&ls| {
+            left.iter().flat_map(|&ls| {
                 let row = &table[ls as usize * d..][..d];
-                rslots
-                    .iter()
-                    .map(move |&rs| if ls == rs { 0.0 } else { row[rs as usize] })
+                right.iter().map(move |&rs| row[rs as usize])
             })
         });
-        self.scratch.distinct = distinct;
-        self.scratch.slot_lookup = lookup;
-        self.scratch.slots = lslots;
-        self.scratch.slots2 = rslots;
-        self.scratch.table = table;
-        self.scratch.have = have;
-        self.scratch.missing = missing;
+        self.scratch.batch = batch;
         value
     }
 
-    /// Whether the criterion's backend resolves aggregations batch-wise.
-    fn batching(&self) -> bool {
-        matches!(
-            self.criterion.emd.backend(),
-            EmdBackendKind::Batched | EmdBackendKind::Kernel
-        )
+    /// Whether an aggregation over `pairs` leaf pairs among the id `lists`
+    /// is resolved through the deduplicated table: a closed-form batch of
+    /// at least [`DEDUP_MIN_PAIRS`] pairs in which at least half the leaves
+    /// repeat a content. The transport metric always walks per pair. A
+    /// `true` leaves the leaves mapped to slots in the batch scratch.
+    fn dedups(&mut self, pairs: usize, lists: &[&[u32]]) -> bool {
+        let forced = match self.aggregation {
+            Aggregation::Auto => false,
+            Aggregation::PerPair => return false,
+            Aggregation::Dedup => true,
+        };
+        if pairs == 0
+            || self.criterion.emd.backend() != EmdBackendKind::OneD
+            || (!forced && pairs < DEDUP_MIN_PAIRS)
+        {
+            return false;
+        }
+        let batch = &mut self.scratch.batch;
+        batch.map_slots(lists);
+        forced || 2 * batch.distinct.len() <= batch.slots.len()
     }
 
-    /// All pairwise distances over content ids in `(0,1), (0,2), …` order,
-    /// through per-pair memo lookups (the `1d`/`transport` backends; the
-    /// batching backends aggregate without materializing, via
-    /// [`Self::batch_pairwise_value`]).
-    fn pairwise_dists_into(&mut self, ids: &[u32], out: &mut Vec<f64>) -> Result<()> {
-        let n = ids.len();
-        out.reserve(n.saturating_sub(1) * n / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = self.distance(ids[i], ids[j])?;
-                out.push(d);
+    /// The per-pair memo walk: aggregates the distances of `pairs` in
+    /// order (the way every small batch, and every transport batch, is
+    /// resolved).
+    fn walk_value(&mut self, pairs: impl Iterator<Item = (u32, u32)>) -> Result<f64> {
+        let mut dists = std::mem::take(&mut self.scratch.dists);
+        dists.clear();
+        let mut walked = Ok(());
+        for (a, b) in pairs {
+            match self.distance(a, b) {
+                Ok(d) => dists.push(d),
+                Err(e) => {
+                    walked = Err(e);
+                    break;
+                }
             }
         }
-        Ok(())
-    }
-
-    /// All cross distances (left outer, right inner) over content ids,
-    /// through per-pair memo lookups.
-    fn cross_dists_into(&mut self, left: &[u32], right: &[u32], out: &mut Vec<f64>) -> Result<()> {
-        out.reserve(left.len() * right.len());
-        for &a in left {
-            for &b in right {
-                let d = self.distance(a, b)?;
-                out.push(d);
-            }
-        }
-        Ok(())
+        let result = walked.map(|()| self.criterion.aggregator.apply(&dists));
+        self.scratch.dists = dists;
+        result
     }
 
     /// Aggregated pairwise distance over content-identified histograms, in
     /// the same `(0,1), (0,2), …` order as `pairwise_distances`.
     fn pairwise_value(&mut self, ids: &[u32]) -> Result<f64> {
-        if self.batching() {
-            let n = ids.len();
-            self.tick_n(n.saturating_sub(1) * n / 2)?;
-            return Ok(self.batch_pairwise_value(ids));
+        let n = ids.len();
+        let pairs = n.saturating_sub(1) * n / 2;
+        if self.dedups(pairs, &[ids]) {
+            self.tick_n(pairs)?;
+            return Ok(self.dedup_pairwise_value());
         }
-        let mut dists = std::mem::take(&mut self.scratch.dists);
-        dists.clear();
-        let result = self
-            .pairwise_dists_into(ids, &mut dists)
-            .map(|()| self.criterion.aggregator.apply(&dists));
-        self.scratch.dists = dists;
-        result
+        self.walk_value((0..n).flat_map(|i| ids[i + 1..].iter().map(move |&b| (ids[i], b))))
     }
 
     /// Aggregated cross distance (left outer, right inner) over content
     /// ids, in the same order as `cross_distances`.
     fn cross_value(&mut self, left: &[u32], right: &[u32]) -> Result<f64> {
-        if self.batching() {
-            self.tick_n(left.len() * right.len())?;
-            return Ok(self.batch_cross_value(left, right));
+        let pairs = left.len() * right.len();
+        if self.dedups(pairs, &[left, right]) {
+            self.tick_n(pairs)?;
+            return Ok(self.dedup_cross_value(left.len()));
         }
-        let mut dists = std::mem::take(&mut self.scratch.dists);
-        dists.clear();
-        let result = self
-            .cross_dists_into(left, right, &mut dists)
-            .map(|()| self.criterion.aggregator.apply(&dists));
-        self.scratch.dists = dists;
-        result
+        self.walk_value(left.iter().flat_map(|&a| right.iter().map(move |&b| (a, b))))
     }
 
     /// `unfairness(P, f)` with cached histograms and memoized distances —
@@ -1789,6 +1753,7 @@ impl<'a> SplitEngine<'a> {
             record_evals: true,
             generation: parts.generation,
             dirty_paths: parts.dirty_paths,
+            aggregation: Aggregation::default(),
             stats: EngineStats::default(),
             scratch: Scratch::default(),
             checker: RunBudget::unlimited().checker(),
@@ -2244,14 +2209,39 @@ mod tests {
     }
 
     #[test]
+    fn batch_dedup_collapses_repeated_contents() {
+        let s = space();
+        let parts = Partition::root(&s).split(&s, 0);
+        // Four partitions but only two distinct contents: C(4,2) = 6 leaf
+        // pairs collapse to three distinct-pair resolutions — (F,M) plus
+        // the two self-pairs the per-pair walk also resolves.
+        let doubled: Vec<Partition> = parts.iter().chain(parts.iter()).cloned().collect();
+        let mut walk = SplitEngine::new(&s, FairnessCriterion::default());
+        walk.set_aggregation(Aggregation::PerPair);
+        let mut dedup = SplitEngine::new(&s, FairnessCriterion::default());
+        dedup.set_aggregation(Aggregation::Dedup);
+        let u_walk = walk.unfairness(&doubled).unwrap();
+        let u_dedup = dedup.unfairness(&doubled).unwrap();
+        assert_eq!(u_walk.to_bits(), u_dedup.to_bits());
+        let (w, d) = (walk.stats(), dedup.stats());
+        assert_eq!((w.emd_calls, w.emd_cache_hits, w.pairwise_batches), (3, 3, 0));
+        assert_eq!((d.emd_calls, d.emd_cache_hits, d.pairwise_batches), (3, 0, 1));
+    }
+
+    #[test]
     fn batched_backend_matches_per_pair_engine_bitwise() {
-        use crate::emd::{Emd, EmdBackendKind};
+        use crate::emd::Emd;
+        // `emd=batched` now names the closed-form metric; what it used to
+        // select, the deduplicated batch, is the forced `Dedup` path.
+        let batched_kind = EmdBackendKind::parse("batched").unwrap();
         let s = space();
         let mut per_pair = SplitEngine::new(&s, FairnessCriterion::default());
+        per_pair.set_aggregation(Aggregation::PerPair);
         let mut batched = SplitEngine::new(
             &s,
-            FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Batched)),
+            FairnessCriterion::default().with_emd(Emd::new(batched_kind)),
         );
+        batched.set_aggregation(Aggregation::Dedup);
         let root = Partition::root(&s);
         let parts = root.split(&s, 0);
 
@@ -2279,22 +2269,22 @@ mod tests {
 
     #[test]
     fn kernel_backend_matches_batched_engine_bitwise() {
-        use crate::emd::{Emd, EmdBackendKind};
+        use crate::emd::Emd;
+        // `emd=kernel` resolves to the default criterion, so an engine
+        // built from it is the default engine: same values and the same
+        // work counters as `1d`, and bitwise the values of the forced
+        // deduplicated path.
+        let kernel_crit = FairnessCriterion::default()
+            .with_emd(Emd::new(EmdBackendKind::parse("kernel").unwrap()));
+        assert_eq!(kernel_crit, FairnessCriterion::default());
         let s = space();
-        let mut batched = SplitEngine::new(
-            &s,
-            FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Batched)),
-        );
-        let mut kernel = SplitEngine::new(
-            &s,
-            FairnessCriterion::default().with_emd(Emd::new(EmdBackendKind::Kernel)),
-        );
+        let mut batched = SplitEngine::new(&s, FairnessCriterion::default());
+        batched.set_aggregation(Aggregation::Dedup);
+        let mut kernel = SplitEngine::new(&s, kernel_crit);
+        let mut one_d = SplitEngine::new(&s, FairnessCriterion::default());
         let root = Partition::root(&s);
         let parts = root.split(&s, 0);
-        // Same values, bit for bit — the SoA fold replays the reference
-        // per-pair operation sequence — and the same work counters: the
-        // kernel path only changes *how* a batch's misses are folded.
-        for engine in [&mut batched, &mut kernel] {
+        for engine in [&mut batched, &mut kernel, &mut one_d] {
             let _ = engine.best_split(&root, &[0, 1], 1).unwrap();
         }
         let ub = batched.unfairness(&parts).unwrap();
@@ -2305,41 +2295,54 @@ mod tests {
         assert_eq!(vb.to_bits(), vk.to_bits());
         let (cb, _) = batched.best_split(&parts[0], &[1], 1).unwrap();
         let cb = cb.expect("noise splits the F partition");
-        let hb = batched
-            .holistic_values(&parts[1..], &parts[0], &cb)
-            .unwrap();
+        let hb = batched.holistic_values(&parts[1..], &parts[0], &cb).unwrap();
         let (ck, _) = kernel.best_split(&parts[0], &[1], 1).unwrap();
         let ck = ck.expect("noise splits the F partition");
         let hk = kernel.holistic_values(&parts[1..], &parts[0], &ck).unwrap();
         assert_eq!(hb.0.to_bits(), hk.0.to_bits());
         assert_eq!(hb.1.to_bits(), hk.1.to_bits());
-        assert_eq!(batched.stats(), kernel.stats());
-        assert!(kernel.stats().pairwise_batches > 0);
+        assert!(batched.stats().pairwise_batches > 0);
+
+        let _ = one_d.unfairness(&parts).unwrap();
+        let _ = one_d.versus(&parts[0], &parts[1..]).unwrap();
+        let (c1, _) = one_d.best_split(&parts[0], &[1], 1).unwrap();
+        let _ = one_d.holistic_values(&parts[1..], &parts[0], &c1.unwrap()).unwrap();
+        assert_eq!(kernel.stats(), one_d.stats());
     }
 
     #[test]
-    fn batch_dedup_collapses_repeated_contents() {
-        use crate::emd::{Emd, EmdBackendKind};
-        for backend in [EmdBackendKind::Batched, EmdBackendKind::Kernel] {
-            let s = space();
-            let mut engine = SplitEngine::new(
-                &s,
-                FairnessCriterion::default().with_emd(Emd::new(backend)),
-            );
-            let parts = Partition::root(&s).split(&s, 0);
-            // Four partitions but only two distinct contents: C(4,2) = 6 leaf
-            // pairs collapse to a single distinct-pair resolution.
-            let doubled: Vec<Partition> =
-                parts.iter().chain(parts.iter()).cloned().collect();
-            let _ = engine.unfairness(&doubled).unwrap();
-            let stats = engine.stats();
-            assert_eq!(stats.pairwise_batches, 1, "{backend:?}");
-            assert_eq!(
-                stats.emd_calls + stats.emd_cache_hits,
-                1,
-                "{backend:?} stats: {stats:?}"
-            );
-        }
+    fn batch_size_picks_the_aggregation_path() {
+        let s = space();
+        let parts = Partition::root(&s).split(&s, 0);
+        let mut engine = SplitEngine::new(&s, FairnessCriterion::default());
+        // One pair is far below the threshold: the per-pair walk.
+        let _ = engine.unfairness(&parts).unwrap();
+        assert_eq!(engine.stats().pairwise_batches, 0);
+        // Just enough copies of the two partitions to reach the threshold.
+        let n = (2..).find(|n| n * (n - 1) / 2 >= DEDUP_MIN_PAIRS).unwrap();
+        let many: Vec<Partition> = parts.iter().cycle().take(n).cloned().collect();
+        let _ = engine.unfairness(&many).unwrap();
+        assert_eq!(engine.stats().pairwise_batches, 1);
+        // A large batch of all-distinct contents gains nothing from the
+        // table: it walks too.
+        let n = 200;
+        let labels: Vec<String> = (0..n).map(|i| format!("r{i}")).collect();
+        let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let rows = ProtectedAttribute::from_values("row", &refs);
+        let scores = (0..n).map(|i| i as f64 / n as f64).collect();
+        let distinct = RankingSpace::new(vec![rows], scores).unwrap();
+        let criterion =
+            FairnessCriterion::default().with_hist(HistogramSpec::unit(2 * n).unwrap());
+        let mut engine = SplitEngine::new(&distinct, criterion);
+        let _ = engine.unfairness(&Partition::root(&distinct).split(&distinct, 0)).unwrap();
+        assert_eq!(engine.stats().pairwise_batches, 0);
+        // Transport always walks pair by pair.
+        let transport =
+            FairnessCriterion::default().with_emd(crate::emd::Emd::new(EmdBackendKind::Transport));
+        let mut engine = SplitEngine::new(&s, transport);
+        engine.set_aggregation(Aggregation::Dedup);
+        let _ = engine.unfairness(&many).unwrap();
+        assert_eq!(engine.stats().pairwise_batches, 0);
     }
 
     #[test]

@@ -156,7 +156,9 @@ mod tests {
     use super::*;
 
     // Fault state is process-global; unit tests here run under one lock so
-    // parallel test threads don't observe each other's arming.
+    // parallel test threads don't observe each other's arming. They arm
+    // only points whose sites live outside this crate, so the crate's
+    // other tests, running concurrently, can never trip them.
     fn serialized() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -167,12 +169,12 @@ mod tests {
     fn enable_disable_roundtrip_in_debug_builds() {
         let _guard = serialized();
         assert!(armed());
-        assert!(!active(EMD_PANIC));
-        enable(EMD_PANIC);
-        assert!(active(EMD_PANIC));
-        assert!(!active(SLOW_CELL), "points arm independently");
-        disable(EMD_PANIC);
-        assert!(!active(EMD_PANIC));
+        assert!(!active(COMMIT_PANIC));
+        enable(COMMIT_PANIC);
+        assert!(active(COMMIT_PANIC));
+        assert!(!active(DROP_CONN), "points arm independently");
+        disable(COMMIT_PANIC);
+        assert!(!active(COMMIT_PANIC));
         enable(DROP_CONN);
         enable(TORN_WRITE);
         clear();
@@ -183,11 +185,11 @@ mod tests {
     #[cfg(debug_assertions)]
     fn panic_point_fires_when_armed() {
         let _guard = serialized();
-        enable(EMD_PANIC);
-        let result = std::panic::catch_unwind(|| panic_point(EMD_PANIC));
+        enable(COMMIT_PANIC);
+        let result = std::panic::catch_unwind(|| panic_point(COMMIT_PANIC));
         clear();
         assert!(result.is_err(), "armed panic point must panic");
-        panic_point(EMD_PANIC); // disarmed: must not panic
+        panic_point(COMMIT_PANIC); // disarmed: must not panic
     }
 
     /// The release contract: fault injection compiles to a no-op. CI runs

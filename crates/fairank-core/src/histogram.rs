@@ -176,8 +176,8 @@ impl Histogram {
     }
 
     /// Writes the normalized probability mass per bin into `out` without
-    /// allocating — the batch backends' fill primitive for preallocated
-    /// structure-of-arrays matrices. Produces exactly the bits of
+    /// allocating, for callers that fill preallocated buffers. Produces
+    /// exactly the bits of
     /// [`Histogram::mass`] (same `count / total` division per bin); an
     /// empty histogram writes all zeros.
     ///

@@ -34,8 +34,8 @@
 //! vectors), which the patches keep exactly equal to what a fresh build
 //! over the mutated space would intern — only the id numbering may
 //! differ, and nothing numeric depends on it. The differential proptest
-//! suite (`tests/incremental_equivalence.rs`) pins this across all four
-//! EMD backends, along with the guarantee that a delta run never computes
+//! suite (`tests/incremental_equivalence.rs`) pins this under both EMD
+//! metrics, along with the guarantee that a delta run never computes
 //! more EMDs than the full recompute it replaces.
 
 use std::time::Instant;
@@ -809,12 +809,7 @@ mod tests {
 
     #[test]
     fn churn_matches_full_recompute_across_backends() {
-        for backend in [
-            EmdBackendKind::OneD,
-            EmdBackendKind::Transport,
-            EmdBackendKind::Batched,
-            EmdBackendKind::Kernel,
-        ] {
+        for backend in EmdBackendKind::all() {
             let criterion = FairnessCriterion::new(Objective::MostUnfair, Aggregator::Mean)
                 .with_emd(Emd::new(backend));
             let search = Quantify::new(criterion);

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::cancel::RunBudget;
-use crate::engine::SplitEngine;
+use crate::engine::{Aggregation, SplitEngine};
 use crate::error::{CoreError, Result};
 use crate::fairness::FairnessCriterion;
 use crate::partition::{Partition, PartitioningTree};
@@ -68,9 +68,9 @@ pub struct SearchStats {
     /// Distance lookups served from the engine's memo table (always 0 for
     /// the naive evaluation, which has no cache).
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations the batched EMD backend resolved as one
-    /// batch (always 0 under the per-pair `1d`/`transport` backends and
-    /// the naive evaluation).
+    /// Pairwise/cross aggregations the engine resolved through its
+    /// deduplicated table rather than the per-pair memo walk (only large
+    /// `1d` batches; always 0 under `transport` and the naive evaluation).
     pub pairwise_batches: usize,
     /// Histograms served from a previous generation's caches by an
     /// incremental (delta) re-evaluation — distinct cached contents the
@@ -107,6 +107,7 @@ pub struct Quantify {
     max_depth: Option<usize>,
     naive: bool,
     budget: RunBudget,
+    aggregation: Aggregation,
 }
 
 impl Quantify {
@@ -119,6 +120,7 @@ impl Quantify {
             max_depth: None,
             naive: false,
             budget: RunBudget::unlimited(),
+            aggregation: Aggregation::default(),
         }
     }
 
@@ -179,6 +181,14 @@ impl Quantify {
         self
     }
 
+    /// Forces the engine's aggregation path (tests pin the two paths'
+    /// equivalence over whole searches).
+    #[cfg(test)]
+    pub(crate) fn with_aggregation(mut self, aggregation: Aggregation) -> Self {
+        self.aggregation = aggregation;
+        self
+    }
+
     /// Attaches a cooperative cancellation budget (deadline and/or cancel
     /// tokens). A fired budget aborts the search with
     /// [`CoreError::Cancelled`] carrying the partial [`SearchStats`].
@@ -235,6 +245,7 @@ impl Quantify {
         let mut stats = SearchStats::default();
         let mut engine = SplitEngine::new(space, self.criterion);
         engine.set_run_budget(&self.budget);
+        engine.set_aggregation(self.aggregation);
         match self.engine_search(&mut engine, &mut stats, space, start) {
             Err(CoreError::Cancelled { reason, .. }) => {
                 // The engine reports its own counters at the moment the
@@ -609,6 +620,7 @@ mod tests {
     use crate::fairness::{Aggregator, Objective};
     use crate::partition::is_full_disjoint;
     use crate::space::ProtectedAttribute;
+    use proptest::prelude::*;
 
     /// A space where gender cleanly separates scores and a second attribute
     /// (shirt color) is pure noise.
@@ -894,5 +906,104 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.partitions.len(), 2);
         assert!(outcome.unfairness > 0.5);
+    }
+
+    /// `n` rows, `attrs` attributes of `card` values each, and a 0.3 score
+    /// gap planted on value 0 of attribute 0.
+    fn planted_space(n: usize, attrs: usize, card: u32, seed: u64) -> RankingSpace {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let attributes: Vec<ProtectedAttribute> = (0..attrs)
+            .map(|a| ProtectedAttribute {
+                name: format!("a{a}"),
+                codes: (0..n).map(|_| rng.gen_range(0..card)).collect(),
+                labels: (0..card).map(|c| format!("v{c}")).collect(),
+            })
+            .collect();
+        let scores = (0..n)
+            .map(|i| {
+                let base: f64 = rng.gen_range(0.0..0.7);
+                if attributes[0].codes[i] == 0 {
+                    base
+                } else {
+                    (base + 0.3).min(1.0)
+                }
+            })
+            .collect();
+        RankingSpace::new(attributes, scores).unwrap()
+    }
+
+    /// Stats with the two counters that legitimately depend on the
+    /// aggregation path zeroed.
+    fn path_independent(mut stats: SearchStats) -> SearchStats {
+        stats.emd_cache_hits = 0;
+        stats.pairwise_batches = 0;
+        stats
+    }
+
+    #[test]
+    fn dedup_path_does_4x_fewer_pairwise_evaluations() {
+        // 2k rows over 8 three-valued attributes: fine partitionings whose
+        // leaf batches repeat the same few contents. Counts are exact, so
+        // any change to either path's memo traffic shows up here.
+        let space = planted_space(2_000, 8, 3, 7);
+        let run = |aggregation| {
+            Quantify::default()
+                .with_aggregation(aggregation)
+                .run_space(&space)
+                .unwrap()
+        };
+        let (walk, dedup) = (run(Aggregation::PerPair), run(Aggregation::Dedup));
+        assert_eq!(walk.unfairness.to_bits(), dedup.unfairness.to_bits());
+        assert_eq!(walk.partitions, dedup.partitions);
+        assert_eq!(path_independent(walk.stats), path_independent(dedup.stats));
+        let counts = |s: SearchStats| (s.emd_calls, s.emd_cache_hits, s.pairwise_batches);
+        assert_eq!(counts(walk.stats), (11_436, 314_850, 0));
+        assert_eq!(counts(dedup.stats), (11_436, 4_388, 3_028));
+        let evaluations = |s: SearchStats| s.emd_calls + s.emd_cache_hits;
+        assert!(
+            evaluations(dedup.stats) * 4 <= evaluations(walk.stats),
+            "dedup {:?} vs walk {:?}",
+            dedup.stats,
+            walk.stats
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn aggregation_paths_are_bitwise_equivalent(
+            n in 8usize..=300,
+            attrs in 2usize..=5,
+            card in 2u32..=4,
+            seed in 0u64..1_000_000,
+            bins in 1usize..=12,
+            variant in 0usize..24,
+        ) {
+            // Few bins make many leaves share a content, so self-pairs and
+            // repeated distinct pairs are common.
+            let space = planted_space(n, attrs, card, seed);
+            let aggregator = Aggregator::all()[variant % 6];
+            let objective = [Objective::MostUnfair, Objective::LeastUnfair][variant / 6 % 2];
+            let eval = [SplitEvaluation::PaperSiblings, SplitEvaluation::Holistic][variant / 12];
+            let criterion = FairnessCriterion::new(objective, aggregator)
+                .with_hist(crate::histogram::HistogramSpec::unit(bins).unwrap());
+            let run = |aggregation| {
+                Quantify::new(criterion)
+                    .with_split_evaluation(eval)
+                    .with_aggregation(aggregation)
+                    .run_space(&space)
+                    .unwrap()
+            };
+            let walk = run(Aggregation::PerPair);
+            for other in [run(Aggregation::Dedup), run(Aggregation::Auto)] {
+                prop_assert_eq!(walk.unfairness.to_bits(), other.unfairness.to_bits());
+                prop_assert_eq!(&walk.partitions, &other.partitions);
+                prop_assert_eq!(&walk.tree, &other.tree);
+                prop_assert_eq!(path_independent(walk.stats), path_independent(other.stats));
+            }
+        }
     }
 }

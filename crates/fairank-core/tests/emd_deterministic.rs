@@ -92,7 +92,6 @@ fn histogram_backends_agree_and_stay_bounded() {
     let spec = HistogramSpec::unit(10).expect("valid spec");
     let one_d_backend = Emd::new(EmdBackendKind::OneD);
     let transport_backend = Emd::new(EmdBackendKind::Transport);
-    let batched_backend = Emd::new(EmdBackendKind::Batched);
     for _ in 0..25 {
         let na = rng.gen_range(1usize..60);
         let nb = rng.gen_range(1usize..60);
@@ -100,9 +99,7 @@ fn histogram_backends_agree_and_stay_bounded() {
         let hb = Histogram::from_scores(spec, (0..nb).map(|_| rng.gen::<f64>()));
         let d1 = one_d_backend.distance(&ha, &hb).expect("computable");
         let d2 = transport_backend.distance(&ha, &hb).expect("computable");
-        let d3 = batched_backend.distance(&ha, &hb).expect("computable");
         assert!((d1 - d2).abs() < 1e-8, "{d1} vs {d2}");
-        assert_eq!(d1.to_bits(), d3.to_bits(), "{d1} vs batched {d3}");
         assert!((0.0..=1.0 + 1e-12).contains(&d1));
         assert!((emd_1d(&ha, &hb) - d1).abs() < 1e-12);
     }

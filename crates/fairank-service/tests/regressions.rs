@@ -12,6 +12,9 @@
 //! 3. The TTL sweeper (and admin `evict`) racing an in-flight request:
 //!    eviction between lease acquisition and the post-compute commit must
 //!    neither resurrect the evicted entry nor double-drop it.
+//! 4. A request line nested 50,000 levels deep recursed the JSON parser
+//!    into a stack overflow, aborting the whole server. Nesting is now
+//!    capped and refused with a structured `protocol` error.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -339,4 +342,23 @@ fn wire_evict_during_a_request_still_answers_the_request() {
         other => panic!("expected DatasetList, got {other:?}"),
     }
     handle.stop();
+}
+
+// ------------------------------------------------ 4. unbounded nesting
+
+#[test]
+fn deeply_nested_request_gets_a_protocol_error_and_the_server_lives() {
+    let handle = start_server_with(plain_config());
+    let mut client = Client::connect(&handle);
+    let line = format!("{{\"command\":{}\n", "[".repeat(50_000));
+    client.writer.write_all(line.as_bytes()).expect("send");
+    let mut reply = String::new();
+    client.reader.read_line(&mut reply).expect("server replied");
+    let reply: Reply = serde_json::from_str(reply.trim()).expect("reply parses");
+    let err = reply.into_result().expect_err("a 50k-deep line is not a request");
+    assert_eq!(err.kind, "protocol");
+    assert!(err.message.contains("nesting"), "{}", err.message);
+    // Same connection, same server: still answering.
+    let help = client.send(&Request::new("help")).expect("server still up");
+    assert!(help.into_result().is_ok());
 }

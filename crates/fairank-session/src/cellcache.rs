@@ -1,8 +1,7 @@
 //! The cross-session memoized plan-cell cache.
 //!
 //! Plan cells are deterministic functions of their compiled inputs
-//! (pinned since the plan layer landed, bit-identical across all four EMD
-//! backends), and the dataset store gives those inputs a stable content
+//! (pinned since the plan layer landed, under both EMD metrics), and the dataset store gives those inputs a stable content
 //! identity — so a cell's outcome can be memoized under its
 //! [`CellKey`] and served to every session and connection asking the same
 //! question, bitwise-identical to a fresh compute.

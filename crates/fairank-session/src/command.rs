@@ -1229,14 +1229,30 @@ mod tests {
 
     #[test]
     fn quantify_accepts_every_emd_backend_name() {
-        for kind in EmdBackendKind::all() {
-            let line = format!("quantify pop f emd={}", kind.name());
-            match Command::parse(&line).unwrap() {
+        // `batched` and `kernel` are aliases of `1d`.
+        let aliases = [("batched", EmdBackendKind::OneD), ("kernel", EmdBackendKind::OneD)];
+        for (name, kind) in EmdBackendKind::all().map(|k| (k.name(), k)).into_iter().chain(aliases) {
+            match Command::parse(&format!("quantify pop f emd={name}")).unwrap() {
                 Command::Quantify { emd, .. } => assert_eq!(emd, kind),
                 other => panic!("unexpected {other:?}"),
             }
         }
         assert!(Command::parse("quantify pop f emd=sideways").is_err());
+    }
+
+    #[test]
+    fn grid_emd_aliases_compile_to_one_cell_per_criterion() {
+        let mut s = Session::new();
+        run(&mut s, "generate pop biased n=60 seed=3");
+        run(&mut s, "define f rating*1.0");
+        let Command::RunScenario { spec } =
+            Command::parse("scenario grid pop f emd=1d,kernel,batched").unwrap()
+        else {
+            panic!("scenario grid parses to RunScenario");
+        };
+        assert_eq!(spec.criterion_grid().cardinality(), 1);
+        let plan = crate::plan::compile(&s, &spec).unwrap();
+        assert_eq!(plan.cell_count(), 1);
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl Perspective {
 }
 
 /// The cartesian grid of fairness criteria a scenario evaluates: every
-/// objective × aggregator × bin count × EMD backend.
+/// objective × aggregator × bin count × EMD metric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CriterionGrid {
     /// Objectives to evaluate.
@@ -161,7 +161,8 @@ pub struct CriterionGrid {
     pub aggregators: Vec<Aggregator>,
     /// Histogram bin counts to evaluate.
     pub bins: Vec<usize>,
-    /// EMD backends to evaluate.
+    /// EMD metrics to evaluate. Repeats count once, so `emd=1d,kernel`
+    /// (an alias of `1d`) names one metric.
     pub emds: Vec<EmdBackendKind>,
 }
 
@@ -179,7 +180,18 @@ impl Default for CriterionGrid {
 impl CriterionGrid {
     /// Number of criteria in the grid (product of the axis sizes).
     pub fn cardinality(&self) -> usize {
-        self.objectives.len() * self.aggregators.len() * self.bins.len() * self.emds.len()
+        self.objectives.len() * self.aggregators.len() * self.bins.len() * self.distinct_emds().len()
+    }
+
+    /// The EMD axis with repeats dropped, first occurrence first.
+    fn distinct_emds(&self) -> Vec<EmdBackendKind> {
+        let mut distinct = Vec::with_capacity(self.emds.len());
+        for &emd in &self.emds {
+            if !distinct.contains(&emd) {
+                distinct.push(emd);
+            }
+        }
+        distinct
     }
 
     /// Materializes the grid as `(label, criterion)` pairs in
@@ -192,11 +204,12 @@ impl CriterionGrid {
                     .into(),
             ));
         }
+        let emds = self.distinct_emds();
         let mut out = Vec::with_capacity(self.cardinality());
         for &objective in &self.objectives {
             for &aggregator in &self.aggregators {
                 for &bins in &self.bins {
-                    for &backend in &self.emds {
+                    for &backend in &emds {
                         let criterion = FairnessCriterion::new(objective, aggregator)
                             .with_hist(HistogramSpec::unit(bins)?)
                             .with_emd(Emd::new(backend));
@@ -342,8 +355,8 @@ pub struct CellStat {
     pub emd_calls: usize,
     /// Distance lookups served from the engine memo.
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations the batched EMD backend resolved as one
-    /// batch (0 under the per-pair backends).
+    /// Pairwise/cross aggregations the engine resolved through its
+    /// deduplicated table (large `1d` batches only; 0 under `transport`).
     pub pairwise_batches: usize,
     /// Histograms served from previous-generation caches by incremental
     /// (delta) re-quantification (0 for from-scratch cells).
@@ -1743,6 +1756,22 @@ mod tests {
         };
         assert_eq!(empty.cardinality(), 0);
         assert!(empty.criteria().is_err());
+    }
+
+    #[test]
+    fn scenario_json_with_retired_emd_names_loads_as_one_d() {
+        // Written while `Batched` and `Kernel` were EMD variants: both now
+        // load as `OneD`, and the grid compiles one cell per criterion.
+        let json = r#"{"perspective": {"Grid": {"datasets": ["table1"], "functions": ["paper-f"],
+            "filter": null}}, "strategy": null, "criteria": {"objectives": ["MostUnfair"],
+            "aggregators": ["Mean"], "bins": [10], "emds": ["OneD", "Batched", "Kernel", "Transport"]}}"#;
+        let spec: ScenarioSpec = serde_json::from_str(json).unwrap();
+        let grid = spec.criterion_grid();
+        let (one_d, transport) = (EmdBackendKind::OneD, EmdBackendKind::Transport);
+        assert_eq!(grid.emds, [one_d, one_d, one_d, transport]);
+        let labels: Vec<String> = grid.criteria().unwrap().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(labels, ["most-unfair mean (10 bins, 1d emd)", "most-unfair mean (10 bins, transport emd)"]);
+        assert_eq!(compile(&session(), &spec).unwrap().cell_count(), 2);
     }
 
     #[test]

@@ -27,7 +27,7 @@ FaiRank commands:
   filter <new> <src> \"<expr>\"          derive a filtered dataset
   anonymize <new> <src> k=2 [method=mondrian|datafly]
   quantify <dataset> <func> [objective=most|least] [agg=mean|max|min|variance]
-           [bins=10] [emd=1d|transport|batched|kernel] [where=\"<expr>\"] [opaque]
+           [bins=10] [emd=1d|transport] [where=\"<expr>\"] [opaque]
   subgroups <dataset> <func> [depth=2] [min=5] [top=5]
                                        most/least favored subgroups
   show <panel>                         render a panel's partitioning tree

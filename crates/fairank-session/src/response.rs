@@ -127,8 +127,8 @@ pub struct PanelView {
     pub emd_calls: usize,
     /// Distance lookups served from the engine's memo table.
     pub emd_cache_hits: usize,
-    /// Pairwise/cross aggregations the batched EMD backend resolved as one
-    /// batch (0 under the per-pair backends).
+    /// Pairwise/cross aggregations the engine resolved through its
+    /// deduplicated table (large `1d` batches only; 0 under `transport`).
     pub pairwise_batches: usize,
     /// Histograms served from a previous generation's caches by an
     /// incremental (delta) re-quantification (0 for from-scratch panels).

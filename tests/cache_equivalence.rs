@@ -1,7 +1,7 @@
 //! The correctness contract of the cross-session cell cache: a scenario
 //! cell served from the cache is *bitwise-identical* to the same cell
 //! computed fresh — same unfairness bits, same partitions, same rendered
-//! rows — under every EMD backend. The cache is pure memoization over the
+//! rows — under both EMD metrics. The cache is pure memoization over the
 //! deterministic engine; these tests freeze that claim, plus the
 //! operational edges: eviction forces a recompute that still matches, and
 //! concurrent claimants of one key coalesce into a single compute.
@@ -103,12 +103,7 @@ fn assert_bitwise_identical(fresh: &ScenarioReport, cached: &ScenarioReport) {
 
 #[test]
 fn cached_reruns_are_bitwise_identical_under_every_emd_backend() {
-    for backend in [
-        EmdBackendKind::OneD,
-        EmdBackendKind::Transport,
-        EmdBackendKind::Batched,
-        EmdBackendKind::Kernel,
-    ] {
+    for backend in EmdBackendKind::all() {
         let store = Arc::new(DatasetStore::new());
         let cache = CellCache::new(64);
         let spec = grid_spec(backend);
@@ -156,6 +151,29 @@ fn distinct_backends_occupy_distinct_cache_keys() {
         "a different EMD backend must miss, not alias the 1d entries"
     );
     assert_eq!(cache.stats().entries, 16);
+}
+
+#[test]
+fn retired_backend_names_share_the_one_d_cache_key() {
+    // `kernel` is an alias of `1d`, not a metric of its own: a cell
+    // computed under it serves the same grid spelled `emd=1d`.
+    let store = Arc::new(DatasetStore::new());
+    let cache = CellCache::new(64);
+    let mut session = seeded_session(Arc::clone(&store));
+    let grid = |emd: &str| {
+        let line = format!("scenario grid pop f emd={emd}");
+        match Command::parse(&line).unwrap() {
+            Command::RunScenario { spec } => *spec,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let first = run_cached(&mut session, &grid("kernel"), &cache);
+    assert_eq!(first.cells.len(), 1);
+    assert_eq!(first.cells[0].cache_misses, 1);
+    let second = run_cached(&mut session, &grid("1d"), &cache);
+    assert_eq!(second.cells.len(), 1);
+    assert_eq!(second.cells[0].cache_hits, 1, "emd=1d must hit the kernel-spelled entry");
+    assert_eq!(cache.stats().entries, 1);
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn quantify_most_unfair_partitioning_is_pinned_under_every_backend() {
         .map(|(label, rows)| (label.to_string(), rows.to_vec()))
         .collect();
     // The backend choice must never change the reported unfairness or the
-    // partitioning: the 1-D family (`1d`, `batched`) reproduces the golden
+    // partitioning: the 1-D closed form reproduces the golden
     // to the last bit, the transport solver to its pinned 1e-9 epsilon.
     for backend in EmdBackendKind::all() {
         let criterion = FairnessCriterion::new(Objective::MostUnfair, Aggregator::Mean)

@@ -55,7 +55,7 @@ fn scenario_spec_round_trips_every_perspective() {
             objectives: vec![Objective::MostUnfair, Objective::LeastUnfair],
             aggregators: vec![Aggregator::Mean, Aggregator::Variance],
             bins: vec![5, 10],
-            emds: vec![EmdBackendKind::OneD, EmdBackendKind::Batched],
+            emds: vec![EmdBackendKind::OneD, EmdBackendKind::Transport],
         }),
     });
     round_trip_spec(&ScenarioSpec {
@@ -169,7 +169,7 @@ proptest! {
         objective_count in 1usize..=2,
         aggregator_count in 1usize..=6,
         bins in prop::collection::vec(2usize..24, 1..4),
-        emd_count in 1usize..=3,
+        emd_count in 1usize..=2,
         dataset_copies in 1usize..4,
         function_copies in 1usize..4,
     ) {
