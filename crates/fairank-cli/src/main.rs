@@ -127,7 +127,7 @@ fn parse_duration(raw: &str) -> Option<std::time::Duration> {
 const SERVE_USAGE: &str = "usage: fairank serve [--addr host:port] [--workers n] \
 [--queue-depth n] [--session-cap n] [--session-queue-cap n] [--dispatchers n] \
 [--cell-cache-cap n] [--request-timeout dur] [--session-ttl secs] [--allow-fs] \
-[--admin] [--threaded]
+[--admin]
 
   --addr host:port     bind address (default 127.0.0.1:4915; port 0 = ephemeral)
   --workers n          worker threads for compute requests (default: host cores - 1)
@@ -140,7 +140,7 @@ const SERVE_USAGE: &str = "usage: fairank serve [--addr host:port] [--workers n]
                        bounds how far one session can crowd the backlog
                        (default: unlimited per session)
   --dispatchers n      event-loop dispatcher threads — requests concurrently in
-                       dispatch (default: workers + 2; ignored with --threaded)
+                       dispatch (default: workers + 2)
   --cell-cache-cap n   entries the shared scenario-cell cache holds before LRU
                        eviction (default: 4096; 0 = disabled)
   --request-timeout d  per-request compute deadline, e.g. 500ms or 2s (bare
@@ -148,10 +148,42 @@ const SERVE_USAGE: &str = "usage: fairank serve [--addr host:port] [--workers n]
                        structured `deadline_exceeded` error with partial stats
   --session-ttl secs   evict sessions idle longer than this
   --allow-fs           permit load/save/open/export/scenario-file from the wire
-  --admin              permit registry admin (sessions/evict) from the wire
-  --threaded           serve with the legacy thread-per-connection loop instead
-                       of the default event loop (wire-identical; kept as the
-                       comparison baseline)";
+  --admin              permit registry admin (sessions/evict) from the wire";
+
+/// The `serve` flags [`SERVE_USAGE`] documents that take a value.
+const SERVE_VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--queue-depth",
+    "--session-cap",
+    "--session-queue-cap",
+    "--dispatchers",
+    "--cell-cache-cap",
+    "--request-timeout",
+    "--session-ttl",
+];
+
+/// The `serve` flags [`SERVE_USAGE`] documents that stand alone.
+const SERVE_SWITCHES: &[&str] = &["--allow-fs", "--admin", "--help"];
+
+/// Exits 2 with the usage text on the first argument that is neither a
+/// documented `serve` flag nor the value after a value-taking one: a
+/// typo'd flag must not be silently dropped in favour of a default.
+fn check_serve_args(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let takes_value = SERVE_VALUE_FLAGS.contains(&arg.as_str());
+        if (takes_value && rest.next().is_some()) || SERVE_SWITCHES.contains(&arg.as_str()) {
+            continue;
+        }
+        if takes_value {
+            eprintln!("{arg} needs a value\n{SERVE_USAGE}");
+        } else {
+            eprintln!("unknown flag {arg}\n{SERVE_USAGE}");
+        }
+        std::process::exit(2);
+    }
+}
 
 /// `fairank serve` — the multi-session JSON-lines server. `--addr` with
 /// port 0 picks an ephemeral port; the actual address is printed as
@@ -163,6 +195,7 @@ fn serve_mode(args: &[String]) {
         println!("{SERVE_USAGE}");
         return;
     }
+    check_serve_args(args);
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:4915");
     let parse_count = |flag: &str| -> usize {
         flag_value(args, flag)
@@ -218,7 +251,6 @@ fn serve_mode(args: &[String]) {
         request_timeout,
         session_inflight_cap,
         cell_cache_cap,
-        threaded: args.iter().any(|a| a == "--threaded"),
         session_queue_cap: parse_count("--session-queue-cap"),
         dispatchers: parse_count("--dispatchers"),
     };

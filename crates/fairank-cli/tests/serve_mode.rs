@@ -138,14 +138,47 @@ fn connect_mode_renders_the_classic_transcript() {
     assert!(stdout.contains("Node [0] ALL"));
 }
 
+/// Runs `fairank serve --addr 127.0.0.1:0 <args>`, requires it to exit 2
+/// within 10 s instead of serving, and returns its stderr.
+fn serve_refusal(args: &[&str]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fairank"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("poll child").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve {args:?} started serving instead of refusing the flags");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("collect output");
+    assert_eq!(output.status.code(), Some(2), "serve {args:?} exit status");
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
 #[test]
 fn serve_mode_rejects_bad_flags() {
-    let output = Command::new(env!("CARGO_BIN_EXE_fairank"))
-        .args(["serve", "--workers", "many"])
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("--workers"));
+    assert!(serve_refusal(&["--workers", "many"]).contains("--workers"));
+    assert!(serve_refusal(&["--workers"]).contains("--workers needs a value"));
+    // Flags `serve` does not document (a removed one, a typo) are refused
+    // by name, not dropped in favour of a default.
+    for (args, flag) in [
+        (&["--threaded"][..], "--threaded"),
+        (&["--worker", "4"][..], "--worker"),
+    ] {
+        let stderr = serve_refusal(args);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "stderr for {args:?} must name {flag}: {stderr}"
+        );
+        assert!(stderr.contains("usage: fairank serve"), "{stderr}");
+    }
 }
 
 #[test]

@@ -17,7 +17,6 @@
 //! | `drop-conn`     | service reply path                | drops the socket, no reply   |
 //! | `torn-write`    | service reply path                | writes half a reply, drops   |
 //! | `commit-panic`  | `Session::commit_panel` reduce    | panics mid-commit            |
-//! | `stale-timeout` | disconnect watcher teardown       | leaves `SO_RCVTIMEO` armed   |
 
 use std::time::Duration;
 
@@ -34,10 +33,6 @@ pub const TORN_WRITE: &str = "torn-write";
 /// Panic inside the scenario reduce's panel commit, while the session
 /// lock is held (exercises poison quarantine on the scenario path).
 pub const COMMIT_PANIC: &str = "commit-panic";
-/// Make the disconnect watcher skip clearing the socket read timeout on
-/// exit (exercises the connection read loop's tolerance of a stale
-/// `SO_RCVTIMEO`).
-pub const STALE_TIMEOUT: &str = "stale-timeout";
 
 /// Every known injection point, in mask-bit order (append-only: the bit
 /// index is each point's position here).
@@ -47,7 +42,6 @@ pub const ALL_POINTS: &[&str] = &[
     DROP_CONN,
     TORN_WRITE,
     COMMIT_PANIC,
-    STALE_TIMEOUT,
 ];
 
 /// How long [`sleep_point`] stalls when its point is armed.

@@ -2,10 +2,8 @@
 //! connection through the vendored [`polling`] shim (epoll on Linux,
 //! `poll(2)` elsewhere).
 //!
-//! Where the legacy front end spends one parked thread per connection plus
-//! one watcher thread per in-flight request, this loop spends exactly one
-//! thread on IO regardless of connection count. Each connection is a small
-//! state machine:
+//! The loop spends exactly one thread on IO regardless of connection
+//! count. Each connection is a small state machine:
 //!
 //! ```text
 //! read-accumulate ──(complete line)──▶ dispatch ──(completion)──▶ write-drain
@@ -16,22 +14,22 @@
 //! * **read-accumulate** — readable sockets are drained into a per
 //!   connection buffer; a newline completes a request line. EOF or a read
 //!   error here *is* the disconnect signal: the in-flight request's cancel
-//!   token fires with [`CancelReason::Disconnected`] — no probe thread,
-//!   no shared `SO_RCVTIMEO` to corrupt.
+//!   token fires with [`CancelReason::Disconnected`].
 //! * **dispatch** — parsed requests enter a per-session fair queue (the
 //!   same [`FairQueue`] discipline the worker pool uses) drained by a
-//!   small pool of dispatcher threads calling [`dispatch_with`] — the
-//!   identical semantics the threaded front end runs, so replies are
-//!   byte-compatible. One request per connection is in flight at a time;
-//!   pipelined lines wait buffered.
+//!   small pool of dispatcher threads calling [`dispatch_with`], the whole
+//!   request semantics. One request per connection is in flight at a
+//!   time; pipelined lines wait buffered.
 //! * **write-drain** — completions (and streamed `{"chunk": ..}` lines)
 //!   come back over a channel, are serialized into the connection's write
 //!   buffer, and drain as the socket accepts them; the dispatcher wakes
 //!   the poller through its notify pipe.
 //!
-//! The loop exits when [`Server`]'s stop flag rises; a draining server
+//! The loop exits when the server's stop flag rises; a draining server
 //! refuses new connections and new requests with structured
-//! `shutting_down` replies while still flushing in-flight work.
+//! `shutting_down` replies while still flushing in-flight work. The IO
+//! thread owns every connection, so its teardown closes them all — idle
+//! ones included.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -53,7 +51,7 @@ use crate::protocol::{Frame, Reply, Request};
 use crate::registry::SessionRegistry;
 use crate::sched::{FairQueue, TryPushError};
 use crate::server::{
-    dispatch_with, send_reply, ChunkSink, DispatchPolicy, RequestContext, ServeState, Server,
+    dispatch_with, ChunkSink, DispatchPolicy, RequestContext, ServeState, Server,
     MAX_REQUEST_BYTES, RETRY_AFTER_MS,
 };
 
@@ -102,8 +100,6 @@ enum Completion {
 struct Conn {
     key: usize,
     stream: TcpStream,
-    /// Registration id in [`ServeState::conns`] (shutdown force-close).
-    state_id: Option<u64>,
     /// Bytes read but not yet consumed as request lines.
     read_buf: Vec<u8>,
     /// Serialized reply bytes not yet accepted by the socket.
@@ -125,11 +121,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(key: usize, stream: TcpStream, state_id: Option<u64>) -> Conn {
+    fn new(key: usize, stream: TcpStream) -> Conn {
         Conn {
             key,
             stream,
-            state_id,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             inflight: None,
@@ -189,6 +184,17 @@ fn flush_write(conn: &mut Conn) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Writes one reply line on a blocking socket, ignoring write failures
+/// (the connection is being refused either way).
+fn send_reply(writer: &mut TcpStream, reply: &Reply) {
+    if let Ok(text) = serde_json::to_string(reply) {
+        let _ = writer
+            .write_all(text.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .and_then(|()| writer.flush());
+    }
+}
+
 /// Extracts the next complete line (newline included) from the buffer.
 fn take_line(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
     let end = buf.iter().position(|&b| b == b'\n')?;
@@ -235,7 +241,7 @@ pub(crate) fn run(server: &Server) -> std::io::Result<()> {
         next_key: 0,
     };
     let mut events: Vec<Event> = Vec::new();
-    while !server.stop.load(Ordering::SeqCst) {
+    while !server.state.stop.load(Ordering::SeqCst) {
         let _ = poller.wait(&mut events, Some(TICK))?;
         for completion in rx.try_iter() {
             lp.apply_completion(completion);
@@ -262,9 +268,6 @@ pub(crate) fn run(server: &Server) -> std::io::Result<()> {
     }
     for (_, conn) in lp.conns.drain() {
         let _ = poller.delete(&conn.stream);
-        if let Some(id) = conn.state_id {
-            server.state.deregister_conn(id);
-        }
         if let Some(token) = conn.inflight {
             token.cancel(CancelReason::Disconnected);
         }
@@ -355,7 +358,7 @@ impl EventLoop<'_> {
         loop {
             match self.server.listener.accept() {
                 Ok((mut stream, _)) => {
-                    if self.server.stop.load(Ordering::SeqCst) {
+                    if self.server.state.stop.load(Ordering::SeqCst) {
                         return; // shutting down; the wake-up connection lands here
                     }
                     if self.server.state.draining.load(Ordering::SeqCst) {
@@ -374,8 +377,7 @@ impl EventLoop<'_> {
                     // algorithm + delayed ACK adds ~40 ms to every reply.
                     let _ = stream.set_nodelay(true);
                     let key = self.alloc_key();
-                    let state_id = self.server.state.register_conn(&stream);
-                    let mut conn = Conn::new(key, stream, state_id);
+                    let mut conn = Conn::new(key, stream);
                     match self.poller.add(&conn.stream, Event::readable(key)) {
                         Ok(()) => {
                             conn.registered = true;
@@ -437,7 +439,7 @@ impl EventLoop<'_> {
                 conn.inflight = None;
                 // Fault injection (debug builds only; `fault::active` is a
                 // constant `false` in release, so the branches compile
-                // away). Mirrors the threaded reply path exactly.
+                // away).
                 if fault::active(fault::DROP_CONN) {
                     self.drop_conn(conn); // vanish without a reply
                     return;
@@ -489,7 +491,7 @@ impl EventLoop<'_> {
                         conn.read_buf.clear();
                     } else if conn.peer_eof && !conn.read_buf.is_empty() {
                         // EOF mid-line: process the unterminated trailing
-                        // request, as the threaded reader does.
+                        // request as if the peer had terminated it.
                         let line = std::mem::take(&mut conn.read_buf);
                         self.handle_line(conn, &line);
                     }
@@ -616,13 +618,10 @@ impl EventLoop<'_> {
         self.conns.insert(conn.key, conn);
     }
 
-    /// Releases a connection: poller registration, shutdown bookkeeping,
-    /// and any in-flight compute (cancelled as disconnected).
+    /// Releases a connection: poller registration and any in-flight
+    /// compute (cancelled as disconnected).
     fn drop_conn(&mut self, conn: Conn) {
         let _ = self.poller.delete(&conn.stream);
-        if let Some(id) = conn.state_id {
-            self.server.state.deregister_conn(id);
-        }
         if let Some(token) = conn.inflight {
             token.cancel(CancelReason::Disconnected);
         }

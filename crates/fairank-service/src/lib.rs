@@ -28,17 +28,17 @@
 //!   finished cell before the final reply. Oversized request lines are
 //!   refused with the structured `request_too_large` kind before the
 //!   connection closes.
-//! * [`eventloop`] — the default TCP front end: a readiness-based event
+//! * [`eventloop`] — the TCP front end: a readiness-based event
 //!   loop (vendored `polling` shim: epoll on Linux, `poll(2)` fallback)
 //!   drives every connection's read-accumulate → dispatch → write-drain
 //!   state machine on one thread; a small dispatcher pool executes the
 //!   requests. Client disconnects are readiness events (EOF), so
-//!   abandoned compute is cancelled without a watcher thread per request.
-//! * [`server`] — configuration, dispatch semantics, and the legacy
-//!   thread-per-connection front end (`serve --threaded`), kept as the
-//!   byte-compatibility baseline the load harness diffs the event loop
-//!   against; registry admin (`sessions` / `evict`) is served at the
-//!   dispatch layer behind `serve --admin`.
+//!   abandoned compute is cancelled as soon as the peer goes.
+//! * [`server`] — configuration, the server lifecycle (spawn, stop,
+//!   graceful drain), and the dispatch semantics every request runs;
+//!   registry admin (`sessions` / `evict`) is served at the dispatch
+//!   layer behind `serve --admin`. The wire replies are pinned by the
+//!   golden transcript in `tests/wire_golden.rs`.
 //!
 //! [`Session`]: fairank_session::Session
 

@@ -1,26 +1,21 @@
-//! The serving configuration, dispatch semantics, and the legacy
-//! thread-per-connection TCP front end.
+//! The serving configuration, the server lifecycle, and the dispatch
+//! semantics.
 //!
-//! [`Server::run`] serves through the readiness-based [`crate::eventloop`]
-//! by default: one IO thread multiplexes every connection, so 1k idle
-//! clients cost 1k registered sockets instead of 1k parked threads, and a
-//! client disconnect is a readiness event instead of a per-request watcher
-//! thread. `ServerConfig { threaded: true }` (`serve --threaded`) selects
-//! the original thread-per-connection loop in this module — kept as the
-//! byte-compatibility baseline the load harness diffs the event loop
-//! against. Both front ends share [`dispatch_with`], the whole request
-//! semantics; the CPU budget is governed by the [`WorkerPool`] either way.
+//! [`Server::run`] serves through the readiness-based [`crate::eventloop`]:
+//! one IO thread multiplexes every connection, so 1k idle clients cost 1k
+//! registered sockets instead of 1k parked threads, and a client
+//! disconnect is a readiness event. [`dispatch_with`] is the whole request
+//! semantics the loop's dispatcher threads run; the CPU budget is governed
+//! by the [`WorkerPool`]. [`ServerHandle`] stops or gracefully drains a
+//! spawned server.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fairank_core::cancel::{CancelReason, CancelToken, RunBudget};
-use fairank_core::fault;
 use fairank_session::command::{apply_with_budget, Command};
 use fairank_session::{ErrorResponse, Response};
 
@@ -66,19 +61,13 @@ pub struct ServerConfig {
     /// Entries the shared plan-cell cache may hold before LRU eviction
     /// (`serve --cell-cache-cap`). 0 disables caching entirely.
     pub cell_cache_cap: usize,
-    /// Serve with the legacy thread-per-connection loop instead of the
-    /// default event loop (`serve --threaded`). Wire behavior is
-    /// identical; this exists as the baseline the load harness compares
-    /// against.
-    pub threaded: bool,
     /// Pending pool jobs one session may hold before further submissions
     /// are refused with `overloaded` (`serve --session-queue-cap`).
     /// 0 = unbounded per session (the global `queue_depth` still binds).
     pub session_queue_cap: usize,
     /// Event-loop dispatcher threads — how many requests can be *in
     /// dispatch* at once (light commands run here; heavy ones mostly wait
-    /// on the pool). 0 = size to the pool (workers + 2). Ignored under
-    /// `threaded`, where every connection thread dispatches for itself.
+    /// on the pool). 0 = size to the pool (workers + 2).
     pub dispatchers: usize,
 }
 
@@ -93,54 +82,22 @@ impl Default for ServerConfig {
             request_timeout: None,
             session_inflight_cap: 0,
             cell_cache_cap: fairank_session::CellCache::DEFAULT_CAP,
-            threaded: false,
             session_queue_cap: 0,
             dispatchers: 0,
         }
     }
 }
 
-/// Shared run-state of a serving server: the drain flag, the global
-/// shutdown cancel token every request's budget carries, the in-flight
-/// request count, and the open connection sockets (so shutdown can
-/// force-close readers blocked on quiet peers).
+/// Shared run-state of a serving server: the stop and drain flags, the
+/// global shutdown cancel token every request's budget carries, and the
+/// in-flight request count. Connections are owned by the event loop's IO
+/// thread, whose teardown closes them all.
 #[derive(Debug, Default)]
 pub(crate) struct ServeState {
+    pub(crate) stop: AtomicBool,
     pub(crate) draining: AtomicBool,
     pub(crate) shutdown_token: CancelToken,
     pub(crate) active_requests: AtomicUsize,
-    pub(crate) next_conn_id: AtomicU64,
-    pub(crate) conns: Mutex<HashMap<u64, TcpStream>>,
-}
-
-impl ServeState {
-    pub(crate) fn register_conn(&self, stream: &TcpStream) -> Option<u64> {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let clone = stream.try_clone().ok()?;
-        self.conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(id, clone);
-        Some(id)
-    }
-
-    pub(crate) fn deregister_conn(&self, id: u64) {
-        self.conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&id);
-    }
-
-    pub(crate) fn close_all_conns(&self) {
-        for (_, conn) in self
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain()
-        {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-    }
 }
 
 /// A running multi-session FaiRank server.
@@ -153,9 +110,7 @@ pub struct Server {
     session_ttl: Option<std::time::Duration>,
     pub(crate) request_timeout: Option<std::time::Duration>,
     pub(crate) session_inflight_cap: usize,
-    pub(crate) stop: Arc<AtomicBool>,
     pub(crate) state: Arc<ServeState>,
-    threaded: bool,
     pub(crate) dispatchers: usize,
     pub(crate) session_queue_cap: usize,
 }
@@ -165,7 +120,6 @@ pub struct Server {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     state: Arc<ServeState>,
     thread: Option<JoinHandle<()>>,
 }
@@ -202,9 +156,7 @@ impl Server {
             session_ttl: config.session_ttl,
             request_timeout: config.request_timeout,
             session_inflight_cap: config.session_inflight_cap,
-            stop: Arc::new(AtomicBool::new(false)),
             state: Arc::new(ServeState::default()),
-            threaded: config.threaded,
             dispatchers,
             session_queue_cap: config.session_queue_cap,
         })
@@ -220,58 +172,25 @@ impl Server {
         Arc::clone(&self.registry)
     }
 
-    /// Serves connections on the calling thread until stopped — through
-    /// the event loop by default, or thread-per-connection under
-    /// `ServerConfig { threaded: true }`.
+    /// Serves connections through the event loop on the calling thread
+    /// until stopped.
     pub fn run(self) {
         // Idle-session TTL: a dedicated sweeper thread, NOT a pass on the
         // accept loop. Sweeping only on accept meant a quiet server (no new
         // connections) never expired anything — sessions pinned their
         // memory until the next client happened to connect.
         let sweeper = self.session_ttl.map(|ttl| {
-            spawn_ttl_sweeper(Arc::clone(&self.registry), Arc::clone(&self.stop), ttl)
+            spawn_ttl_sweeper(Arc::clone(&self.registry), Arc::clone(&self.state), ttl)
         });
-        if self.threaded {
-            self.run_threaded();
-        } else if let Err(e) = crate::eventloop::run(&self) {
+        if let Err(e) = crate::eventloop::run(&self) {
             // Registration with the OS poller failed at startup; there is
             // nothing to serve with. (Mid-loop per-connection errors are
             // handled by dropping the one connection, not surfaced here.)
             eprintln!("fairank serve: event loop failed: {e}");
-            self.stop.store(true, Ordering::SeqCst);
+            self.state.stop.store(true, Ordering::SeqCst);
         }
         if let Some(thread) = sweeper {
             let _ = thread.join();
-        }
-    }
-
-    /// The legacy blocking accept loop: one thread per connection.
-    fn run_threaded(&self) {
-        let policy = self.policy;
-        let limits = ConnLimits {
-            request_timeout: self.request_timeout,
-            session_inflight_cap: self.session_inflight_cap,
-        };
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(mut stream) = stream else { continue };
-            // Request/reply lines are small; without this Nagle's
-            // algorithm + delayed ACK adds ~40 ms to every reply.
-            let _ = stream.set_nodelay(true);
-            if self.state.draining.load(Ordering::SeqCst) {
-                // A draining server refuses new connections with a
-                // structured reason instead of a silent close.
-                send_reply(&mut stream, &Reply::shutting_down());
-                continue;
-            }
-            let registry = Arc::clone(&self.registry);
-            let pool = Arc::clone(&self.pool);
-            let state = Arc::clone(&self.state);
-            std::thread::spawn(move || {
-                serve_connection(stream, &registry, &pool, policy, &state, limits)
-            });
         }
     }
 
@@ -279,14 +198,12 @@ impl Server {
     /// address and shutdown.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let stop = Arc::clone(&self.stop);
         let state = Arc::clone(&self.state);
         let thread = std::thread::Builder::new()
             .name("fairank-server".into())
             .spawn(move || self.run())?;
         Ok(ServerHandle {
             addr,
-            stop,
             state,
             thread: Some(thread),
         })
@@ -299,27 +216,18 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting new connections and joins the accept thread.
+    /// Stops accepting new connections and joins the serve thread.
     /// In-flight compute is cancelled cooperatively (clients receive the
-    /// structured `shutting_down` error) rather than drained.
-    pub fn stop(mut self) {
-        self.state.draining.store(true, Ordering::SeqCst);
-        self.state.shutdown_token.cancel(CancelReason::Shutdown);
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
+    /// structured `shutting_down` error) rather than drained. Dropping
+    /// the handle does the same.
+    pub fn stop(self) {}
 
     /// Graceful shutdown: refuse new connections and new requests, let
     /// in-flight requests finish for up to `drain`, then cancel whatever
-    /// is still running (those clients receive `shutting_down`), close
-    /// lingering connection sockets, and join the accept thread — which
-    /// transitively joins the TTL sweeper and, once the last connection
-    /// thread releases the pool, its workers.
-    pub fn shutdown(mut self, drain: Duration) {
+    /// is still running (those clients receive `shutting_down`), and join
+    /// the serve thread — whose teardown closes every connection and joins
+    /// the dispatchers and the TTL sweeper.
+    pub fn shutdown(self, drain: Duration) {
         // Phase 1: refuse new work everywhere. `draining` turns both new
         // connections (accept) and new requests on live connections
         // (dispatch) into structured `shutting_down` replies. The serve
@@ -344,26 +252,18 @@ impl ServerHandle {
         {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Phase 4: stop the serve loop, unblock connection readers parked
-        // on quiet peers so their threads exit, then join. The throwaway
-        // connection wakes both front ends (blocking accept, or listener
-        // readiness in the event loop).
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        self.state.close_all_conns();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        // Phase 4: dropping the handle stops the serve loop and joins it.
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
+        self.state.draining.store(true, Ordering::SeqCst);
+        self.state.shutdown_token.cancel(CancelReason::Shutdown);
+        self.state.stop.store(true, Ordering::SeqCst);
+        // Wake the poller with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
         if let Some(thread) = self.thread.take() {
-            self.state.draining.store(true, Ordering::SeqCst);
-            self.state.shutdown_token.cancel(CancelReason::Shutdown);
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
             let _ = thread.join();
         }
     }
@@ -381,11 +281,11 @@ pub fn sweep_interval(ttl: std::time::Duration) -> std::time::Duration {
 }
 
 /// Spawns the idle-session sweeper: wakes every [`sweep_interval`], evicts
-/// sessions idle past `ttl`, and exits promptly when `stop` is raised (it
+/// sessions idle past `ttl`, and exits promptly when the server stops (it
 /// sleeps in short ticks so server shutdown never waits a full interval).
 fn spawn_ttl_sweeper(
     registry: Arc<SessionRegistry>,
-    stop: Arc<AtomicBool>,
+    state: Arc<ServeState>,
     ttl: std::time::Duration,
 ) -> JoinHandle<()> {
     let interval = sweep_interval(ttl);
@@ -394,7 +294,7 @@ fn spawn_ttl_sweeper(
         .spawn(move || {
             let tick = interval.min(std::time::Duration::from_millis(10));
             let mut since_sweep = std::time::Duration::ZERO;
-            while !stop.load(Ordering::SeqCst) {
+            while !state.stop.load(Ordering::SeqCst) {
                 std::thread::sleep(tick);
                 since_sweep += tick;
                 if since_sweep >= interval {
@@ -568,7 +468,7 @@ pub fn dispatch_with(
         None
     };
     // Scenario plans do not occupy one worker slot for their whole run:
-    // the connection thread compiles the plan and fans the independent
+    // the dispatcher thread compiles the plan and fans the independent
     // cells across the pool, so an N-cell grid saturates all workers.
     if is_scenario {
         return match run_scenario_on_pool(
@@ -594,7 +494,7 @@ pub fn dispatch_with(
             Err(_) => Exec::Poisoned,
         }) {
             // Every worker busy and the queue full: structured
-            // backpressure instead of blocking the connection thread.
+            // backpressure instead of blocking the dispatcher thread.
             Err(PoolFull) => {
                 return Reply::overloaded(
                     "server is at capacity (all workers busy, queue full)",
@@ -669,7 +569,7 @@ enum ScenarioExec {
 /// The session lock is held only around compile and the final reduce,
 /// NEVER while waiting on the pool: a regular heavy command for the same
 /// session runs as a pool job that starts by taking this lock, so a
-/// connection thread that held it while blocking on workers would wedge
+/// dispatcher thread that held it while blocking on workers would wedge
 /// the whole pool (worker waits on the lock, lock holder waits on
 /// workers). Releasing it between the phases lets interleaved commands
 /// proceed; panel ids are assigned at reduce time against the
@@ -779,254 +679,6 @@ fn run_scenario_on_pool(
         Ok(Some(result)) => ScenarioExec::Done(result.map(Response::Scenario)),
         Ok(None) | Err(_) => ScenarioExec::Poisoned,
     }
-}
-
-/// The per-connection operational limits (copied out of the server).
-#[derive(Debug, Clone, Copy)]
-struct ConnLimits {
-    request_timeout: Option<Duration>,
-    session_inflight_cap: usize,
-}
-
-/// How often the disconnect watcher probes the peer while a request is in
-/// flight. Short enough that an abandoned search stops within tens of
-/// milliseconds of the client vanishing.
-const DISCONNECT_PROBE: Duration = Duration::from_millis(25);
-
-/// Watches the connection's read side while a request executes: a peer
-/// that closes (EOF) or errors mid-request cancels the request's token
-/// with [`CancelReason::Disconnected`], so the compute it abandoned stops
-/// burning workers. Returns the watcher thread; the caller flips `done`
-/// and joins it once the reply is decided.
-///
-/// The probe uses a socket-level read timeout, which is shared with the
-/// connection's reader (`SO_RCVTIMEO` is per socket, not per clone) — the
-/// watcher must clear it before exiting, and the caller must join the
-/// watcher before the next blocking read.
-fn spawn_disconnect_watcher(
-    stream: &TcpStream,
-    token: CancelToken,
-    done: Arc<AtomicBool>,
-) -> Option<JoinHandle<()>> {
-    let probe = stream.try_clone().ok()?;
-    std::thread::Builder::new()
-        .name("fairank-conn-watch".into())
-        .spawn(move || {
-            if probe.set_read_timeout(Some(DISCONNECT_PROBE)).is_err() {
-                return;
-            }
-            let mut byte = [0u8; 1];
-            while !done.load(Ordering::SeqCst) {
-                match probe.peek(&mut byte) {
-                    Ok(0) => {
-                        token.cancel(CancelReason::Disconnected);
-                        break;
-                    }
-                    // Bytes waiting (a pipelined request): the peer is
-                    // alive; don't spin on the instantly-ready peek.
-                    Ok(_) => std::thread::sleep(DISCONNECT_PROBE),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => {
-                        token.cancel(CancelReason::Disconnected);
-                        break;
-                    }
-                }
-            }
-            // Fault injection (debug builds only): leave the socket-level
-            // read timeout armed, exactly the teardown failure the read
-            // loop's timeout-retry path must survive.
-            if !fault::active(fault::STALE_TIMEOUT) {
-                let _ = probe.set_read_timeout(None);
-            }
-        })
-        .ok()
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    registry: &SessionRegistry,
-    pool: &WorkerPool,
-    policy: DispatchPolicy,
-    state: &ServeState,
-    limits: ConnLimits,
-) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let conn_id = state.register_conn(&stream);
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        // Read raw bytes, capped per request line: a peer streaming bytes
-        // without a newline must not grow this buffer without bound, and
-        // the size check must happen *before* UTF-8 validation so an
-        // oversized (or binary) line still gets a structured refusal
-        // instead of a silent drop.
-        let mut buf: Vec<u8> = Vec::new();
-        let mut dead = false;
-        loop {
-            let remaining = MAX_REQUEST_BYTES.saturating_sub(buf.len() as u64);
-            match (&mut reader).take(remaining).read_until(b'\n', &mut buf) {
-                // EOF between requests: the peer hung up normally.
-                Ok(0) if buf.is_empty() => {
-                    dead = true;
-                    break;
-                }
-                // EOF mid-line (process the partial line below, like the
-                // peer had sent a final unterminated request) — or the
-                // line hit the byte cap (refused below).
-                Ok(0) => break,
-                Ok(_) if buf.ends_with(b"\n") => break,
-                // Short read without EOF or newline: keep accumulating.
-                Ok(_) => {}
-                // A timeout error does NOT mean the peer is gone — it
-                // means a socket-level read timeout was armed (the
-                // disconnect watcher's probe timeout is per *socket*, not
-                // per clone, and a watcher that failed its teardown leaves
-                // it set). Treating it as fatal silently dropped live
-                // connections; instead clear the stale timeout and retry
-                // the read. Bytes already read stay in `buf` — the line
-                // reassembles across retries, still under the byte cap.
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    let _ = reader.get_ref().set_read_timeout(None);
-                }
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            break;
-        }
-        if !buf.ends_with(b"\n") && buf.len() as u64 >= MAX_REQUEST_BYTES {
-            // Oversized request: answer once, then drop the connection
-            // (the rest of the line cannot be resynchronized).
-            send_reply(&mut writer, &Reply::request_too_large(MAX_REQUEST_BYTES));
-            break;
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            send_reply(
-                &mut writer,
-                &Reply::protocol_error("request line is not valid UTF-8"),
-            );
-            break;
-        };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let reply = match serde_json::from_str::<Request>(line) {
-            Ok(request) => {
-                // Assemble the request's cancellation scope: deadline
-                // (when configured), a per-request token the disconnect
-                // watcher can fire, and the server's shutdown token.
-                let request_token = CancelToken::new();
-                let mut budget = RunBudget::unlimited()
-                    .with_token(request_token.clone())
-                    .with_token(state.shutdown_token.clone());
-                if let Some(timeout) = limits.request_timeout {
-                    budget = budget.with_timeout(timeout);
-                }
-                // Streamed scenario replies write their chunk lines
-                // through a serialized clone of this connection's write
-                // half. Cells finish on pool workers while this thread
-                // blocks inside dispatch, so every chunk is flushed
-                // before the terminal reply is written below.
-                let chunk_sink = if request.wants_stream() {
-                    writer.try_clone().ok().map(|chunk_writer| {
-                        let chunk_writer = Mutex::new(chunk_writer);
-                        ChunkSink::new(move |stat| {
-                            send_chunk(&chunk_writer, stat);
-                        })
-                    })
-                } else {
-                    None
-                };
-                let ctx = RequestContext {
-                    budget,
-                    session_inflight_cap: limits.session_inflight_cap,
-                    draining: state.draining.load(Ordering::SeqCst),
-                    chunk_sink,
-                };
-                let done = Arc::new(AtomicBool::new(false));
-                let watcher =
-                    spawn_disconnect_watcher(&writer, request_token, Arc::clone(&done));
-                state.active_requests.fetch_add(1, Ordering::SeqCst);
-                let reply = dispatch_with(registry, pool, request, policy, &ctx);
-                state.active_requests.fetch_sub(1, Ordering::SeqCst);
-                done.store(true, Ordering::SeqCst);
-                if let Some(watcher) = watcher {
-                    // Must finish before the next blocking read: the
-                    // watcher owns the socket's read timeout.
-                    let _ = watcher.join();
-                }
-                reply
-            }
-            Err(e) => Reply::protocol_error(format!("malformed request: {e}")),
-        };
-        let quit = matches!(reply, Reply::ok(Response::Quit));
-        let Ok(text) = serde_json::to_string(&reply) else {
-            break;
-        };
-        // Fault injection (debug builds only; `fault::active` is a
-        // constant `false` in release, so both branches compile away).
-        if fault::active(fault::DROP_CONN) {
-            break; // vanish without a reply
-        }
-        if fault::active(fault::TORN_WRITE) {
-            // Write half the reply and cut the connection: clients must
-            // treat the unterminated line as malformed, not parse it.
-            let half = text.len() / 2;
-            let _ = writer.write_all(&text.as_bytes()[..half]);
-            let _ = writer.flush();
-            break;
-        }
-        if writer
-            .write_all(text.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        if quit {
-            break; // `quit` ends the connection, not the server
-        }
-    }
-    if let Some(id) = conn_id {
-        state.deregister_conn(id);
-    }
-}
-
-/// Serializes and writes one reply line, ignoring write failures (the
-/// connection is ending or the peer is gone either way).
-pub(crate) fn send_reply(writer: &mut TcpStream, reply: &Reply) {
-    if let Ok(text) = serde_json::to_string(reply) {
-        let _ = writer
-            .write_all(text.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-    }
-}
-
-/// Serializes and writes one `{"chunk": CellStat}` line through the
-/// serialized writer clone, ignoring write failures (a vanished streaming
-/// client is noticed by the disconnect watcher, not here).
-fn send_chunk(writer: &Mutex<TcpStream>, stat: &fairank_session::CellStat) {
-    let Ok(text) = serde_json::to_string(&crate::protocol::Frame::chunk(stat.clone())) else {
-        return;
-    };
-    let mut writer = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _ = writer
-        .write_all(text.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush());
 }
 
 #[cfg(test)]
@@ -1271,7 +923,7 @@ mod tests {
         // Regression: the scenario path must not hold the session lock
         // while blocking on pool results. With a single worker, a heavy
         // command for the same session runs as a pool job that starts by
-        // taking that lock — if the scenario's connection thread held it,
+        // taking that lock — if the scenario's dispatcher thread held it,
         // the lone worker would block forever and the queued cells would
         // never run.
         let registry = Arc::new(SessionRegistry::new());

@@ -43,7 +43,7 @@ impl Drop for FaultScope {
 }
 
 /// A search slow enough that one quantify takes seconds compared to the
-/// cancellation latency (25 ms disconnect probe + one budget stride):
+/// cancellation latency (one event-loop wakeup + one budget stride):
 /// the transportation-solver EMD backend at a high bin count. The
 /// default 1-D backends are too fast to cancel meaningfully at any
 /// dataset size a test should generate; the profile split keeps the
@@ -240,10 +240,11 @@ fn client_disconnect_mid_request_releases_the_session_promptly() {
     let _ = doomed.writer.shutdown(std::net::Shutdown::Both);
     drop(doomed);
 
-    // The disconnect watcher cancels the orphaned search, which releases
-    // the session mutex and the worker slot. A new client touching the
-    // SAME session (a light command still needs the session lock) must be
-    // served long before the abandoned search would have finished.
+    // The event loop sees the EOF and cancels the orphaned search, which
+    // releases the session mutex and the worker slot. A new client
+    // touching the SAME session (a light command still needs the session
+    // lock) must be served long before the abandoned search would have
+    // finished.
     let start = Instant::now();
     let mut next = Client::connect(&handle);
     match next.command("abandoned", "datasets") {
@@ -295,6 +296,41 @@ fn graceful_shutdown_with_inflight_work_does_not_hang() {
         "shutdown took {elapsed:?} with one in-flight request"
     );
     reader.join().expect("in-flight client observed the shutdown");
+}
+
+#[test]
+fn shutdown_and_stop_close_idle_connections() {
+    let _guard = serialized();
+    for graceful in [true, false] {
+        let handle = start_server_with(plain_config());
+        // Two clients that each finished one request and then went quiet:
+        // nothing in flight, nothing buffered, the peer still connected.
+        let mut idle: Vec<Client> = (0..2).map(|_| Client::connect(&handle)).collect();
+        for client in &mut idle {
+            assert!(matches!(client.command("idle", "help"), Response::Help));
+            let timeout = Some(Duration::from_secs(2));
+            client.reader.get_ref().set_read_timeout(timeout).expect("set read timeout");
+        }
+        if graceful {
+            handle.shutdown(Duration::from_millis(50));
+        } else {
+            handle.stop();
+        }
+        // Once the call returns, the server has released every socket:
+        // each client reads EOF instead of waiting on a quiet connection.
+        let returned = Instant::now();
+        for (i, client) in idle.iter_mut().enumerate() {
+            let mut rest = Vec::new();
+            let read = client.reader.read_to_end(&mut rest);
+            assert!(read.is_ok() && rest.is_empty(), "client {i}: {read:?}, {rest:?}");
+        }
+        assert!(
+            returned.elapsed() < Duration::from_secs(2),
+            "idle clients saw EOF {:?} after {} returned",
+            returned.elapsed(),
+            if graceful { "shutdown" } else { "stop" }
+        );
+    }
 }
 
 #[test]

@@ -5,34 +5,21 @@
 //!    half-mutated session. The scenario path now routes through the
 //!    registry's poison quarantine: the caller gets `session_poisoned`
 //!    and the next attach gets a fresh session.
-//! 2. A disconnect watcher that failed to clear the socket read timeout
-//!    left the connection's read loop seeing `WouldBlock`/`TimedOut`,
-//!    which it treated as fatal — silently dropping a *live* connection.
-//!    The read loop now clears the stale timeout and retries.
-//! 3. The TTL sweeper (and admin `evict`) racing an in-flight request:
+//! 2. The TTL sweeper (and admin `evict`) racing an in-flight request:
 //!    eviction between lease acquisition and the post-compute commit must
 //!    neither resurrect the evicted entry nor double-drop it.
-//! 4. A request line nested 50,000 levels deep recursed the JSON parser
+//! 3. A request line nested 50,000 levels deep recursed the JSON parser
 //!    into a stack overflow, aborting the whole server. Nesting is now
 //!    capped and refused with a structured `protocol` error.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-#[cfg(debug_assertions)]
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 #[cfg(debug_assertions)]
 use fairank_core::fault;
 use fairank_service::{Reply, Request, Server, ServerConfig, ServerHandle, SessionRegistry};
 use fairank_session::Response;
-
-/// Serializes the fault-injection tests: fault points are process-global.
-#[cfg(debug_assertions)]
-fn serialized() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Disarms every fault point when dropped, so a panicking assertion in
 /// one test cannot leave the mask armed for the rest of the process.
@@ -117,7 +104,6 @@ fn plain_config() -> ServerConfig {
 #[test]
 #[cfg(debug_assertions)]
 fn scenario_commit_panic_quarantines_the_session() {
-    let _guard = serialized();
     let handle = start_server_with(plain_config());
     let mut client = Client::connect(&handle);
     client.command("audit", "generate pop biased n=80 seed=3");
@@ -162,45 +148,7 @@ fn scenario_commit_panic_quarantines_the_session() {
     handle.stop();
 }
 
-// --------------------------------------------- 2. stale socket timeout
-
-/// The per-request disconnect watcher arms a socket-level read timeout on
-/// its probe clone; `SO_RCVTIMEO` is per *socket*, so a watcher that
-/// fails its teardown leaves the connection's read half timing out. The
-/// read loop used to treat any `Err` as a dead peer and silently dropped
-/// the live connection; it must instead clear the stale timeout and
-/// retry the read.
-#[test]
-#[cfg(debug_assertions)]
-fn stale_read_timeout_does_not_drop_a_live_connection() {
-    let _guard = serialized();
-    // The watcher only exists on the thread-per-connection path — the
-    // event loop detects disconnects as readiness events instead.
-    let handle = start_server_with(ServerConfig {
-        threaded: true,
-        ..plain_config()
-    });
-    let mut client = Client::connect(&handle);
-    let _fault = FaultScope::arm(fault::STALE_TIMEOUT);
-
-    for round in 0..3 {
-        // Each request spawns a watcher that (under the fault) leaves the
-        // 25 ms probe timeout armed on the socket...
-        assert!(
-            matches!(client.command("live", "help"), Response::Help),
-            "round {round}"
-        );
-        // ...then an idle gap longer than the timeout: the server's
-        // blocking read hits `WouldBlock`/`TimedOut` while the peer is
-        // demonstrably alive. Before the fix the server closed the
-        // connection here and the next `command` died on EOF.
-        std::thread::sleep(Duration::from_millis(120));
-    }
-    assert!(matches!(client.command("live", "help"), Response::Help));
-    handle.stop();
-}
-
-// ------------------------------------------- 3. TTL-sweeper/evict race
+// ------------------------------------------- 2. TTL-sweeper/evict race
 
 /// Eviction (TTL sweep or admin `evict`) between lease acquisition and
 /// the request's post-compute use of the handle: the in-flight request
@@ -344,7 +292,7 @@ fn wire_evict_during_a_request_still_answers_the_request() {
     handle.stop();
 }
 
-// ------------------------------------------------ 4. unbounded nesting
+// ------------------------------------------------ 3. unbounded nesting
 
 #[test]
 fn deeply_nested_request_gets_a_protocol_error_and_the_server_lives() {

@@ -78,14 +78,13 @@ impl Client {
 /// A fresh server with the shared cell cache disabled, so two runs of the
 /// same grid report identical (all-zero) cache counters and the streamed
 /// vs non-streamed reports can be compared bit-for-bit.
-fn start_server(threaded: bool) -> ServerHandle {
+fn start_server() -> ServerHandle {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
             queue_depth: 8,
             cell_cache_cap: 0,
-            threaded,
             ..ServerConfig::default()
         },
     )
@@ -127,7 +126,7 @@ fn run_streamed(handle: &ServerHandle, session: &str) -> (Vec<CellStat>, Scenari
 
 #[test]
 fn streamed_grid_yields_one_chunk_per_cell_then_the_full_report() {
-    let handle = start_server(false);
+    let handle = start_server();
     let (chunks, report) = run_streamed(&handle, "stream");
 
     // 2 functions × 3 aggregators: six cells, six chunks.
@@ -150,11 +149,11 @@ fn streamed_report_is_bit_identical_to_the_unstreamed_report() {
     // Same deterministic grid against two fresh servers: the streamed
     // run's terminal report serializes byte-for-byte like the plain one
     // once wall-clock fields are zeroed.
-    let streamed_handle = start_server(false);
+    let streamed_handle = start_server();
     let (_, streamed) = run_streamed(&streamed_handle, "bitwise");
     streamed_handle.stop();
 
-    let plain_handle = start_server(false);
+    let plain_handle = start_server();
     let mut client = Client::connect(&plain_handle);
     setup_grid(&mut client, "bitwise");
     let Response::Scenario(plain) = client.command("bitwise", GRID) else {
@@ -169,26 +168,10 @@ fn streamed_report_is_bit_identical_to_the_unstreamed_report() {
 }
 
 #[test]
-fn threaded_server_streams_the_same_chunks() {
-    // The legacy thread-per-connection path shares the chunk-sink plumbing:
-    // same cells, same chunk-per-cell contract.
-    let handle = start_server(true);
-    let (chunks, report) = run_streamed(&handle, "threaded");
-    assert_eq!(report.cells.len(), 6);
-    assert_eq!(chunks.len(), 6);
-    let mut labels: Vec<&str> = chunks.iter().map(|c| c.label.as_str()).collect();
-    labels.sort_unstable();
-    let mut expected: Vec<&str> = report.cells.iter().map(|c| c.label.as_str()).collect();
-    expected.sort_unstable();
-    assert_eq!(labels, expected);
-    handle.stop();
-}
-
-#[test]
 fn stream_flag_on_plain_commands_is_harmless() {
     // `stream: true` on a command that has nothing to stream produces the
     // ordinary single terminal reply — no spurious chunk lines.
-    let handle = start_server(false);
+    let handle = start_server();
     let mut client = Client::connect(&handle);
     let (chunks, response) = client.send_collect(&Request::new("help").with_stream());
     assert!(chunks.is_empty());
@@ -198,7 +181,7 @@ fn stream_flag_on_plain_commands_is_harmless() {
 
 #[test]
 fn mid_stream_disconnect_leaves_server_and_session_healthy() {
-    let handle = start_server(false);
+    let handle = start_server();
 
     // Start a streamed grid, read at most one frame, then vanish without
     // draining the rest: the server must drop the remaining chunks (and
