@@ -10,6 +10,13 @@
 //! latencies and the delta-vs-full speedup so the trajectory is
 //! comparable across PRs.
 //!
+//! The speedup compares re-quantifies only. A churn round also pays
+//! [`DeltaEngine::apply`] (space mutation, dirty-path patching, orphan
+//! invalidation), which the full recompute's timing does not include
+//! either; each record reports it separately (`apply_p50_us`,
+//! `apply_p99_us`) and as part of the whole round (`round_p50_us`, the
+//! p50 of apply + re-quantify per round).
+//!
 //! The churn model mirrors the marketplace stream subsystem
 //! (`fairank-marketplace::stream`): each round, 1% of the catalog churns
 //! inside one randomly chosen audited segment — a burst of rating
@@ -67,6 +74,11 @@ struct BenchRecord {
     churn_per_round: u64,
     delta_p50_us: f64,
     delta_p99_us: f64,
+    /// `DeltaEngine::apply` of the round's churn batch.
+    apply_p50_us: f64,
+    apply_p99_us: f64,
+    /// p50 over rounds of apply + delta re-quantify.
+    round_p50_us: f64,
     full_p50_us: f64,
     full_p99_us: f64,
     /// `full_p50_us / delta_p50_us`.
@@ -164,12 +176,13 @@ fn main() {
         "shape: n={n} cards={cards:?} min_partition={min_part} \
          rounds={rounds} churn/round={churn} (segment-local, stream-model drift)"
     );
-    let widths = [10, 12, 12, 12, 12, 9, 9];
+    let widths = [10, 12, 12, 12, 12, 12, 9, 9];
     row(
         &[
             "backend".into(),
             "delta p50".into(),
             "delta p99".into(),
+            "apply p50".into(),
             "full p50".into(),
             "full p99".into(),
             "x p50".into(),
@@ -192,15 +205,22 @@ fn main() {
         // planted shape), so latencies are comparable.
         let mut rng = StdRng::seed_from_u64(11);
         let mut delta_us = Vec::with_capacity(rounds);
+        let mut apply_us = Vec::with_capacity(rounds);
+        let mut round_us = Vec::with_capacity(rounds);
         let mut full_us = Vec::with_capacity(rounds);
         let (mut reused, mut invalidated) = (0u64, 0u64);
         for _ in 0..rounds {
             let batch = churn_batch(&mut rng, engine.space(), &outcome.partitions, churn);
+            let t = Instant::now();
             engine.apply(&batch).expect("churn batch applies");
+            let applied = t.elapsed().as_secs_f64() * 1e6;
+            apply_us.push(applied);
 
             let t = Instant::now();
             outcome = engine.requantify().expect("delta re-quantify succeeds");
-            delta_us.push(t.elapsed().as_secs_f64() * 1e6);
+            let requantified = t.elapsed().as_secs_f64() * 1e6;
+            delta_us.push(requantified);
+            round_us.push(applied + requantified);
 
             let t = Instant::now();
             let full = search.run_space(engine.space()).expect("full recompute succeeds");
@@ -233,6 +253,9 @@ fn main() {
             churn_per_round: churn as u64,
             delta_p50_us: percentile(&delta_us, 50.0),
             delta_p99_us: percentile(&delta_us, 99.0),
+            apply_p50_us: percentile(&apply_us, 50.0),
+            apply_p99_us: percentile(&apply_us, 99.0),
+            round_p50_us: percentile(&round_us, 50.0),
             full_p50_us: percentile(&full_us, 50.0),
             full_p99_us: percentile(&full_us, 99.0),
             speedup_p50: percentile(&full_us, 50.0) / percentile(&delta_us, 50.0),
@@ -245,6 +268,7 @@ fn main() {
                 rec.backend.clone(),
                 format!("{:.0} µs", rec.delta_p50_us),
                 format!("{:.0} µs", rec.delta_p99_us),
+                format!("{:.0} µs", rec.apply_p50_us),
                 format!("{:.0} µs", rec.full_p50_us),
                 format!("{:.0} µs", rec.full_p99_us),
                 format!("{:.1}x", rec.speedup_p50),

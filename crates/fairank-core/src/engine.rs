@@ -33,7 +33,7 @@
 //!    same few score distributions constantly.
 //!
 //! The core is *data-oriented*: every cache is a flat, preallocated arena
-//! indexed by dense `u32` ids rather than a pointer-heavy map of owned
+//! indexed by small `u32` ids rather than a pointer-heavy map of owned
 //! keys.
 //!
 //! * Partition paths live in a [`PathTrie`] — parallel `Vec`s of nodes and
@@ -66,7 +66,8 @@
 //! floating-point accumulation is unchanged and search results do not move
 //! by a single bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::cancel::{BudgetChecker, CancelReason, RunBudget};
@@ -201,6 +202,11 @@ fn pack_step(attr: usize, code: u32) -> u64 {
 /// the child node, and the next edge of the same parent. Node 0 is the
 /// root (the empty path). Lookups walk words instead of hashing a
 /// `Vec<PathStep>`, and inserting a child never clones the parent path.
+///
+/// The trie also counts, per content id, how many nodes hold it. Every
+/// node assignment goes through [`Self::set_content`], so the count is
+/// exact; a content whose count drops to zero is queued in `orphans` for
+/// [`EngineParts::free_orphans`].
 #[derive(Debug)]
 struct PathTrie {
     first_edge: Vec<u32>,
@@ -208,6 +214,12 @@ struct PathTrie {
     edge_step: Vec<u64>,
     edge_child: Vec<u32>,
     edge_next: Vec<u32>,
+    /// `refs[id]`: nodes whose content is `id` (ids past the end: 0).
+    refs: Vec<u32>,
+    /// Contents whose count reached zero since the last
+    /// [`EngineParts::free_orphans`]; a later assignment may revive one,
+    /// and an id may appear more than once.
+    orphans: Vec<u32>,
 }
 
 impl PathTrie {
@@ -218,6 +230,8 @@ impl PathTrie {
             edge_step: Vec::new(),
             edge_child: Vec::new(),
             edge_next: Vec::new(),
+            refs: Vec::new(),
+            orphans: Vec::new(),
         }
     }
 
@@ -257,9 +271,31 @@ impl PathTrie {
         (id != NONE32).then_some(id)
     }
 
+    /// Points `node` at content `id`, keeping the per-content node counts
+    /// exact. Searches only fill empty nodes; [`EngineParts::apply_event`]
+    /// replaces contents, and the replaced id becomes an orphan candidate
+    /// when no other node holds it.
     #[inline]
     fn set_content(&mut self, node: u32, id: u32) {
-        self.content[node as usize] = id;
+        let i = id as usize;
+        if i >= self.refs.len() {
+            self.refs.resize(i + 1, 0);
+        }
+        self.refs[i] += 1;
+        let old = std::mem::replace(&mut self.content[node as usize], id);
+        if old != NONE32 {
+            let count = &mut self.refs[old as usize];
+            *count -= 1;
+            if *count == 0 {
+                self.orphans.push(old);
+            }
+        }
+    }
+
+    /// Nodes currently holding content `id`.
+    #[inline]
+    fn refs(&self, id: u32) -> u32 {
+        self.refs.get(id as usize).copied().unwrap_or(0)
     }
 
     /// The node for `path` without creating anything — `None` if some step
@@ -302,32 +338,36 @@ impl PathTrie {
         }
     }
 
+    #[cfg(test)]
     fn num_nodes(&self) -> usize {
         self.first_edge.len()
-    }
-
-    /// Rewrites every stored content id through `remap` after a
-    /// [`ContentTable::retain_content`] compaction. Every referenced id
-    /// must have been kept live.
-    fn remap_contents(&mut self, remap: &[u32]) {
-        for c in &mut self.content {
-            if *c != NONE32 {
-                debug_assert_ne!(remap[*c as usize], NONE32, "live content dropped");
-                *c = remap[*c as usize];
-            }
-        }
     }
 }
 
 /// How the [`ContentTable`] finds an existing id for a counts row.
 #[derive(Debug)]
 enum ContentIndex {
-    /// FxHash of the row → candidate ids (collisions resolved by comparing
-    /// the actual rows in the arena).
-    Hashed(EngineMap<u64, Vec<u32>>),
+    /// FxHash of the row → the newest id with that hash. Older ids sharing
+    /// the hash chain through `next` (collisions are resolved by comparing
+    /// the actual rows in the arena), so indexing a content allocates
+    /// nothing per id.
+    Hashed {
+        heads: EngineMap<u64, u32>,
+        /// `next[id]`: the next id in `id`'s hash chain, or [`NONE32`].
+        next: Vec<u32>,
+    },
     /// Linear scan over all rows — faster when only a handful of distinct
     /// contents exist.
     Compact,
+}
+
+impl ContentIndex {
+    fn hashed() -> Self {
+        ContentIndex::Hashed {
+            heads: EngineMap::default(),
+            next: Vec::new(),
+        }
+    }
 }
 
 /// The interned-histogram arena: one flat `counts` row per content id
@@ -357,9 +397,17 @@ struct ContentTable {
     /// Tag applied to newly interned contents.
     stamp: u32,
     index: ContentIndex,
+    /// Slots of released contents, reused by [`Self::intern`] before the
+    /// arenas grow. A free slot's row holds [`Self::FREED`] in every bin,
+    /// which no real counts row equals, so the compact scan never matches
+    /// it; the hashed index drops it on release.
+    free: Vec<u32>,
 }
 
 impl ContentTable {
+    /// Bin value of a free slot's row (real counts never reach it).
+    const FREED: u64 = u64::MAX;
+
     fn new(spec: HistogramSpec, index: ContentIndex) -> Self {
         ContentTable {
             bins: spec.bins(),
@@ -372,6 +420,7 @@ impl ContentTable {
             gen: Vec::new(),
             stamp: 0,
             index,
+            free: Vec::new(),
         }
     }
 
@@ -391,39 +440,90 @@ impl ContentTable {
     fn find(&self, row: &[u64]) -> Option<u32> {
         match &self.index {
             ContentIndex::Compact => (0..self.totals.len() as u32).find(|&id| self.row(id) == row),
-            ContentIndex::Hashed(map) => map
-                .get(&Self::hash_row(row))?
-                .iter()
-                .copied()
-                .find(|&id| self.row(id) == row),
+            ContentIndex::Hashed { heads, next } => {
+                let mut id = *heads.get(&Self::hash_row(row))?;
+                while self.row(id) != row {
+                    id = next[id as usize];
+                    if id == NONE32 {
+                        return None;
+                    }
+                }
+                Some(id)
+            }
         }
     }
 
-    /// Interns a counts row, returning a dense id such that equal rows
-    /// always map to the same id. Hits allocate nothing; a miss appends
-    /// one row to each arena.
+    /// Interns a counts row, returning a small id such that equal rows
+    /// always map to the same id. Hits allocate nothing; a miss reuses a
+    /// released slot, or appends one row to each arena.
     fn intern(&mut self, row: &[u64]) -> u32 {
         debug_assert_eq!(row.len(), self.bins, "one slot per bin");
         if let Some(id) = self.find(row) {
             return id;
         }
-        let id = self.totals.len() as u32;
-        self.counts.extend_from_slice(row);
-        self.totals.push(row.iter().sum());
-        self.masses.resize(self.masses.len() + self.bins, 0.0);
-        self.mass_ready.push(false);
-        self.hists.push(None);
-        self.gen.push(self.stamp);
-        if let ContentIndex::Hashed(map) = &mut self.index {
-            let h = Self::hash_row(row);
-            map.entry(h).or_default().push(id);
+        let total = row.iter().sum();
+        let id = match self.free.pop() {
+            Some(id) => {
+                let (i, base) = (id as usize, id as usize * self.bins);
+                self.counts[base..base + self.bins].copy_from_slice(row);
+                self.masses[base..base + self.bins].fill(0.0);
+                self.totals[i] = total;
+                self.mass_ready[i] = false;
+                self.gen[i] = self.stamp;
+                id
+            }
+            None => {
+                let id = self.totals.len() as u32;
+                self.counts.extend_from_slice(row);
+                self.totals.push(total);
+                self.masses.resize(self.masses.len() + self.bins, 0.0);
+                self.mass_ready.push(false);
+                self.hists.push(None);
+                self.gen.push(self.stamp);
+                id
+            }
+        };
+        if let ContentIndex::Hashed { heads, next } = &mut self.index {
+            if next.len() <= id as usize {
+                next.resize(id as usize + 1, NONE32);
+            }
+            next[id as usize] = heads.insert(Self::hash_row(row), id).unwrap_or(NONE32);
         }
         id
     }
 
-    /// Number of interned contents.
-    fn len(&self) -> usize {
+    /// Arena slots, free ones included.
+    #[cfg(test)]
+    fn slots(&self) -> usize {
         self.totals.len()
+    }
+
+    /// Releases content `id`: unindexes it, drops its materialized
+    /// histogram, and queues its slot for reuse.
+    fn release(&mut self, id: u32) {
+        let base = id as usize * self.bins;
+        if let ContentIndex::Hashed { heads, next } = &mut self.index {
+            let h = Self::hash_row(&self.counts[base..base + self.bins]);
+            let after = next[id as usize];
+            if let Entry::Occupied(mut head) = heads.entry(h) {
+                if *head.get() == id {
+                    if after == NONE32 {
+                        head.remove();
+                    } else {
+                        head.insert(after);
+                    }
+                } else {
+                    let mut prev = *head.get();
+                    while next[prev as usize] != id {
+                        prev = next[prev as usize];
+                    }
+                    next[prev as usize] = after;
+                }
+            }
+        }
+        self.counts[base..base + self.bins].fill(Self::FREED);
+        self.hists[id as usize] = None;
+        self.free.push(id);
     }
 
     /// Overwrites the id's generation tag (mutation layers stamp adjusted
@@ -431,53 +531,6 @@ impl ContentTable {
     #[inline]
     fn mark_generation(&mut self, id: u32, generation: u32) {
         self.gen[id as usize] = generation;
-    }
-
-    /// Drops every content whose `live` flag is false, compacting the
-    /// arenas in id order, and returns the old-id → new-id map
-    /// ([`NONE32`] marks a dropped id). The map is monotonic, so canonical
-    /// (unordered, `lo <= hi`) pair orientations survive rekeying.
-    fn retain_content(&mut self, live: &[bool]) -> Vec<u32> {
-        let n = self.totals.len();
-        debug_assert_eq!(live.len(), n, "one flag per content id");
-        let mut remap = vec![NONE32; n];
-        let mut next = 0u32;
-        for (old, &keep) in live.iter().enumerate() {
-            if !keep {
-                continue;
-            }
-            let new = next as usize;
-            next += 1;
-            remap[old] = new as u32;
-            if new != old {
-                let (ob, nb) = (old * self.bins, new * self.bins);
-                self.counts.copy_within(ob..ob + self.bins, nb);
-                self.masses.copy_within(ob..ob + self.bins, nb);
-                self.totals[new] = self.totals[old];
-                self.mass_ready[new] = self.mass_ready[old];
-                self.hists.swap(new, old);
-                self.gen[new] = self.gen[old];
-            }
-        }
-        let kept = next as usize;
-        self.counts.truncate(kept * self.bins);
-        self.masses.truncate(kept * self.bins);
-        self.totals.truncate(kept);
-        self.mass_ready.truncate(kept);
-        self.hists.truncate(kept);
-        self.gen.truncate(kept);
-        if matches!(self.index, ContentIndex::Hashed(_)) {
-            let hashes: Vec<u64> = (0..kept as u32)
-                .map(|id| Self::hash_row(self.row(id)))
-                .collect();
-            if let ContentIndex::Hashed(map) = &mut self.index {
-                map.clear();
-                for (id, h) in hashes.into_iter().enumerate() {
-                    map.entry(h).or_default().push(id as u32);
-                }
-            }
-        }
-        remap
     }
 
     #[inline]
@@ -533,7 +586,9 @@ impl ContentTable {
 /// Open-addressed, linear-probing memo from a packed unordered id pair to
 /// a distance. Fibonacci hashing over a power-of-two table, grown at 50%
 /// load — the hottest table of a search, where even an FxHash `HashMap`'s
-/// control-byte probing and tuple hashing are measurable.
+/// control-byte probing and tuple hashing are measurable. Deletion shifts
+/// the following probe run back (no tombstones), so lookups never slow
+/// down as a delta lineage churns.
 #[derive(Debug)]
 struct FlatMemo {
     /// Slot keys; [`u64::MAX`] marks an empty slot (never a real key:
@@ -541,6 +596,70 @@ struct FlatMemo {
     keys: Vec<u64>,
     vals: Vec<f64>,
     len: usize,
+    /// Per-content partner lists, kept only for delta lineages (the one
+    /// place contents are ever freed): plain searches skip the bookkeeping.
+    partners: Option<PartnerLists>,
+}
+
+/// Which memo entries touch each content id, so [`FlatMemo::forget`]
+/// deletes a freed content's entries without scanning the table.
+#[derive(Debug, Default)]
+struct PartnerLists {
+    /// `lists[id]`: the other endpoint of every entry inserted with `id`
+    /// since `id`'s slot was last freed. Freeing an id deletes its entries
+    /// but leaves its copies in its partners' lists; those are stale from
+    /// then on and are shed before a list would grow.
+    lists: Vec<Vec<Partner>>,
+    /// `incarnation[id]`: how many times `id`'s slot has been freed.
+    incarnation: Vec<u32>,
+}
+
+/// One listed memo partner. It is current — its entry is in the memo —
+/// while `incarnation` matches the partner slot's: an entry is deleted
+/// only when one of its endpoints is freed, and freeing bumps the slot's
+/// incarnation.
+#[derive(Debug, Clone, Copy)]
+struct Partner {
+    id: u32,
+    incarnation: u32,
+}
+
+impl PartnerLists {
+    fn ensure(&mut self, id: u32) {
+        let n = id as usize + 1;
+        if self.lists.len() < n {
+            self.lists.resize_with(n, Vec::new);
+            self.incarnation.resize(n, 0);
+        }
+    }
+
+    #[inline]
+    fn is_current(&self, partner: Partner) -> bool {
+        self.incarnation[partner.id as usize] == partner.incarnation
+    }
+
+    /// Records a newly inserted entry `(a, b)` under both endpoints.
+    fn record(&mut self, a: u32, b: u32) {
+        self.ensure(a.max(b));
+        self.push(a, b);
+        if a != b {
+            self.push(b, a);
+        }
+    }
+
+    fn push(&mut self, owner: u32, other: u32) {
+        let incarnation = &self.incarnation;
+        let list = &mut self.lists[owner as usize];
+        if list.len() == list.capacity() {
+            // Shed stale partners before the list grows, so a long-lived
+            // content's list tracks its live entries, not its history.
+            list.retain(|p| incarnation[p.id as usize] == p.incarnation);
+        }
+        list.push(Partner {
+            id: other,
+            incarnation: incarnation[other as usize],
+        });
+    }
 }
 
 impl FlatMemo {
@@ -551,7 +670,15 @@ impl FlatMemo {
             keys: vec![Self::EMPTY; 64],
             vals: vec![0.0; 64],
             len: 0,
+            partners: None,
         }
+    }
+
+    /// Starts the partner lists [`Self::forget`] needs. Must precede the
+    /// first insert, so every entry is listed.
+    fn track_partners(&mut self) {
+        debug_assert_eq!(self.len, 0, "partner tracking starts on an empty memo");
+        self.partners.get_or_insert_with(PartnerLists::default);
     }
 
     #[inline]
@@ -562,12 +689,18 @@ impl FlatMemo {
     }
 
     fn get(&self, key: u64) -> Option<f64> {
+        self.slot_of(key).map(|i| self.vals[i])
+    }
+
+    /// The slot holding `key`, if present.
+    #[inline]
+    fn slot_of(&self, key: u64) -> Option<usize> {
         let mask = self.keys.len() - 1;
         let mut i = self.start(key);
         loop {
             let k = self.keys[i];
             if k == key {
-                return Some(self.vals[i]);
+                return Some(i);
             }
             if k == Self::EMPTY {
                 return None;
@@ -589,6 +722,9 @@ impl FlatMemo {
                 self.keys[i] = key;
                 self.vals[i] = val;
                 self.len += 1;
+                if let Some(partners) = &mut self.partners {
+                    partners.record((key >> 32) as u32, key as u32);
+                }
                 return;
             }
             if k == key {
@@ -603,38 +739,72 @@ impl FlatMemo {
         let cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![0.0; cap]);
+        // Rehashing moves entries, it does not create them: the partner
+        // lists stay as they are.
+        let partners = self.partners.take();
         self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != Self::EMPTY {
                 self.insert(k, v);
             }
         }
+        self.partners = partners;
     }
 
-    /// Selective invalidation: rewrites every surviving entry's id pair
-    /// through `remap` (old content id → new id, [`NONE32`] = dropped) and
-    /// discards entries touching a dropped id. Returns the number of
-    /// entries dropped. A monotonic remap preserves canonical pair
-    /// orientation, so rekeyed entries stay findable under `canon`.
-    fn retain_rekey(&mut self, remap: &[u32]) -> usize {
-        let cap = self.keys.len();
-        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; cap]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0.0; cap]);
-        self.len = 0;
-        let mut dropped = 0usize;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+    /// Deletes `key`, shifting the rest of its probe run back so every
+    /// remaining key stays reachable from its home slot. Returns whether
+    /// the key was present. Only [`Self::forget`] deletes, and the slot
+    /// incarnation it bumps is what marks the key's listed partners stale.
+    fn remove(&mut self, key: u64) -> bool {
+        let Some(mut hole) = self.slot_of(key) else {
+            return false;
+        };
+        let mask = self.keys.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let k = self.keys[i];
             if k == Self::EMPTY {
-                continue;
+                break;
             }
-            let (a, b) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            let ra = remap.get(a).copied().unwrap_or(NONE32);
-            let rb = remap.get(b).copied().unwrap_or(NONE32);
-            if ra == NONE32 || rb == NONE32 {
-                dropped += 1;
-            } else {
-                self.insert(((ra as u64) << 32) | rb as u64, v);
+            // The entry at `i` may fill the hole only if its home slot
+            // does not lie cyclically after the hole.
+            if (i.wrapping_sub(self.start(k)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.keys[hole] = k;
+                self.vals[hole] = self.vals[i];
+                hole = i;
             }
         }
+        self.keys[hole] = Self::EMPTY;
+        self.len -= 1;
+        true
+    }
+
+    /// Deletes every entry touching content `id` (whose slot is being
+    /// freed) and returns how many there were. Cost is proportional to
+    /// `id`'s partner list, not to the table.
+    fn forget(&mut self, id: u32) -> usize {
+        let mut partners = self
+            .partners
+            .take()
+            .expect("partner lists are kept for every delta lineage");
+        partners.ensure(id);
+        let mut list = std::mem::take(&mut partners.lists[id as usize]);
+        let mut dropped = 0;
+        for &partner in &list {
+            // A stale partner's entry went when its slot was freed.
+            if partners.is_current(partner) {
+                let (lo, hi) = canon(id, partner.id);
+                let removed = self.remove(EmdMemo::pack(lo, hi));
+                debug_assert!(removed, "a current partner's entry is memoized");
+                dropped += usize::from(removed);
+            }
+        }
+        let incarnation = &mut partners.incarnation[id as usize];
+        *incarnation = incarnation.wrapping_add(1);
+        list.clear();
+        partners.lists[id as usize] = list;
+        self.partners = Some(partners);
         dropped
     }
 }
@@ -692,38 +862,25 @@ impl EmdMemo {
         }
     }
 
-    /// Selective invalidation over either representation: entries touching
-    /// a dropped content id ([`NONE32`] in `remap`) are discarded, the rest
-    /// rekeyed in place. Returns the number of entries dropped.
-    fn retain_rekey(&mut self, remap: &[u32]) -> usize {
+    /// Deletes every entry touching content `id` and returns how many
+    /// there were. An entry whose other endpoint was freed first is gone
+    /// already, so each entry counts once.
+    fn forget(&mut self, id: u32) -> usize {
         match self {
-            EmdMemo::Flat(memo) => memo.retain_rekey(remap),
+            EmdMemo::Flat(memo) => memo.forget(id),
             EmdMemo::Dense { stride, cells } => {
-                let s = *stride;
-                let mut kept: Vec<(usize, usize, f64)> = Vec::new();
-                let mut dropped = 0usize;
-                for a in 0..s {
-                    for b in 0..s {
-                        let v = cells[a * s + b];
-                        if v.is_nan() {
-                            continue;
-                        }
-                        let ra = remap.get(a).copied().unwrap_or(NONE32);
-                        let rb = remap.get(b).copied().unwrap_or(NONE32);
-                        if ra == NONE32 || rb == NONE32 {
+                let (s, id) = (*stride, id as usize);
+                if id >= s {
+                    return 0;
+                }
+                let mut dropped = 0;
+                for other in 0..s {
+                    for cell in [id * s + other, other * s + id] {
+                        if !cells[cell].is_nan() {
+                            cells[cell] = f64::NAN;
                             dropped += 1;
-                        } else {
-                            // Monotonic remap: ra <= a and rb <= b, so the
-                            // rekeyed cell stays inside the stride.
-                            kept.push((ra as usize, rb as usize, v));
                         }
                     }
-                }
-                for c in cells.iter_mut() {
-                    *c = f64::NAN;
-                }
-                for (a, b, v) in kept {
-                    cells[a * s + b] = v;
                 }
                 dropped
             }
@@ -842,9 +999,10 @@ pub struct EngineStats {
     /// how much of the previous search survived the mutation. Always 0 for
     /// from-scratch engines (generation 0).
     pub delta_reused_histograms: usize,
-    /// EMD memo entries dropped by targeted invalidation (compaction of
-    /// contents orphaned by space mutations). Seeded by the incremental
-    /// subsystem; always 0 for from-scratch engines.
+    /// EMD memo entries dropped by targeted invalidation: the entries
+    /// touching a content that space mutations left held by no cached
+    /// path, each counted once. Seeded by the incremental subsystem;
+    /// always 0 for from-scratch engines.
     pub delta_invalidated_emds: usize,
 }
 
@@ -865,9 +1023,10 @@ pub struct CandidateSplit {
     /// handles).
     pub(crate) child_ids: Vec<u32>,
     /// The attribute value code behind each child, parallel to
-    /// `child_ids`. Codes are stable across memo compactions (content ids
-    /// are not), so they are what the incremental layer caches to
-    /// reconstruct a clean node's winner without re-scoring anything.
+    /// `child_ids`. Codes are stable across mutation batches (a patched
+    /// node gets a new content id, and a freed id's slot may be reused),
+    /// so they are what the incremental layer caches to reconstruct a
+    /// clean node's winner without re-scoring anything.
     pub(crate) child_codes: Vec<u32>,
 }
 
@@ -914,7 +1073,7 @@ pub struct SplitEngine<'a> {
     /// visits exactly those). A partition whose trie node is absent from
     /// this set has a bit-unchanged subtree: histograms, summaries, and
     /// every split decision beneath it.
-    dirty_paths: HashSet<u32>,
+    dirty_paths: DirtySet,
     aggregation: Aggregation,
     stats: EngineStats,
     scratch: Scratch,
@@ -953,7 +1112,7 @@ impl<'a> SplitEngine<'a> {
             )
         } else {
             (
-                ContentIndex::Hashed(EngineMap::default()),
+                ContentIndex::hashed(),
                 EmdMemo::Flat(FlatMemo::new()),
             )
         };
@@ -967,7 +1126,7 @@ impl<'a> SplitEngine<'a> {
             eval_log: Vec::new(),
             record_evals: false,
             generation: 0,
-            dirty_paths: HashSet::new(),
+            dirty_paths: DirtySet::default(),
             aggregation: Aggregation::default(),
             stats: EngineStats::default(),
             scratch: Scratch::default(),
@@ -1692,14 +1851,18 @@ impl<'a> SplitEngine<'a> {
         })
     }
 
-    /// Turns on split-summary recording (the incremental layer's data
-    /// source). Off by default, so plain searches pay nothing for it.
+    /// Turns on split-summary recording and the memo's partner lists (the
+    /// incremental layer's data sources) on a fresh engine. Off by
+    /// default, so plain searches pay nothing for either.
     pub(crate) fn record_split_evals(&mut self) {
         self.record_evals = true;
+        if let EmdMemo::Flat(memo) = &mut self.emd_memo {
+            memo.track_partners();
+        }
     }
 
     /// Seeds the invalidation counter with the EMD entries the incremental
-    /// layer's compaction dropped ahead of this run.
+    /// layer's orphan freeing dropped ahead of this run.
     pub(crate) fn seed_invalidated_emds(&mut self, dropped: usize) {
         self.stats.delta_invalidated_emds = dropped;
     }
@@ -1717,6 +1880,8 @@ impl<'a> SplitEngine<'a> {
             eval_log: self.eval_log,
             generation: self.generation,
             dirty_paths: self.dirty_paths,
+            event_row: Vec::new(),
+            event_stack: Vec::new(),
         }
     }
 
@@ -1726,7 +1891,7 @@ impl<'a> SplitEngine<'a> {
     /// bit-unchanged. An unknown path is conservatively dirty.
     pub(crate) fn subtree_clean(&self, path: &[PathStep]) -> bool {
         match self.paths.lookup(path) {
-            Some(node) => !self.dirty_paths.contains(&node),
+            Some(node) => !self.dirty_paths.contains(node),
             None => false,
         }
     }
@@ -1776,11 +1941,52 @@ pub(crate) enum CacheAdjust {
     Rescore { old_bin: u32, new_bin: u32 },
 }
 
+/// Trie nodes dirtied since the last completed replay: a flag per node
+/// for the replay's O(1) probe, plus the list of set flags so clearing
+/// costs O(dirtied) rather than O(trie).
+#[derive(Debug, Default)]
+struct DirtySet {
+    /// `flags[node]`; nodes past the end are clean.
+    flags: Vec<bool>,
+    nodes: Vec<u32>,
+}
+
+impl DirtySet {
+    fn insert(&mut self, node: u32) {
+        let i = node as usize;
+        if i >= self.flags.len() {
+            self.flags.resize(i + 1, false);
+        }
+        if !self.flags[i] {
+            self.flags[i] = true;
+            self.nodes.push(node);
+        }
+    }
+
+    #[inline]
+    fn contains(&self, node: u32) -> bool {
+        self.flags.get(node as usize).copied().unwrap_or(false)
+    }
+
+    fn clear(&mut self) {
+        for &node in &self.nodes {
+            self.flags[node as usize] = false;
+        }
+        self.nodes.clear();
+    }
+}
+
 /// A [`SplitEngine`]'s caches detached from the space borrow, so the
 /// incremental layer can hold them while it mutates the space: dirty-path
-/// patches go through [`Self::apply_event`], orphaned contents and their
-/// EMD entries out through [`Self::compact`], and the whole bundle back
+/// patches go through [`Self::apply_event`], and the whole bundle goes back
 /// into a search via [`SplitEngine::resume`].
+///
+/// Content ids are stable for as long as some trie node holds them. The
+/// trie counts, per id, the nodes that do; a patch that replaces a node's
+/// content may orphan the old id, and [`Self::free_orphans`] then frees
+/// exactly those ids, their memo entries and their arena slots, which
+/// later interning reuses. Invalidation therefore costs in proportion to
+/// what changed, never to the size of the caches.
 #[derive(Debug)]
 pub(crate) struct EngineParts {
     criterion: FairnessCriterion,
@@ -1793,7 +1999,11 @@ pub(crate) struct EngineParts {
     /// Trie nodes dirtied by [`Self::apply_event`] since the last completed
     /// replay — the replay's clean-subtree skip consults this through
     /// [`SplitEngine::subtree_clean`] and clears it on success.
-    dirty_paths: HashSet<u32>,
+    dirty_paths: DirtySet,
+    /// [`Self::apply_event`]'s counts row and trie-walk stack, reused
+    /// across events.
+    event_row: Vec<u64>,
+    event_stack: Vec<u32>,
 }
 
 impl EngineParts {
@@ -1856,8 +2066,9 @@ impl EngineParts {
         let membership = !matches!(adjust, CacheAdjust::Rescore { .. });
         let generation = self.generation;
         let mut touched = 0usize;
-        let mut row: Vec<u64> = Vec::new();
-        let mut stack: Vec<u32> = vec![0];
+        let mut row = std::mem::take(&mut self.event_row);
+        let mut stack = std::mem::take(&mut self.event_stack);
+        stack.push(0);
         while let Some(node) = stack.pop() {
             self.dirty_paths.insert(node);
             if let Some(id) = self.paths.content(node) {
@@ -1877,7 +2088,8 @@ impl EngineParts {
                 }
                 // Interning may rediscover an existing content (a
                 // canceling event restores the original id, keeping its
-                // memoized distances warm); stamping marks it as a
+                // memoized distances warm: an orphaned id stays interned
+                // until the end of the batch); stamping marks it as a
                 // this-generation rebuild either way.
                 let new_id = self.contents.intern(&row);
                 self.contents.mark_generation(new_id, generation);
@@ -1920,37 +2132,184 @@ impl EngineParts {
                 }
             });
         }
+        self.event_row = row;
+        self.event_stack = stack;
         touched
     }
 
-    /// Targeted invalidation: drops every content no longer referenced by
-    /// any cached path (orphaned by [`Self::apply_event`] re-interning)
-    /// together with exactly the EMD memo entries that touch one, rekeys
-    /// the survivors, and returns the number of memo entries dropped.
-    /// Distances between untouched distinct pairs survive across
-    /// generations.
-    pub(crate) fn compact(&mut self) -> usize {
-        let mut live = vec![false; self.contents.len()];
-        for node in 0..self.paths.num_nodes() as u32 {
-            if let Some(id) = self.paths.content(node) {
-                live[id as usize] = true;
+    /// Targeted invalidation, run once per mutation batch: frees every
+    /// orphan candidate no trie node holds any more (a canceling event
+    /// later in the batch may have revived it), deleting exactly the EMD
+    /// memo entries that touch one and returning their number. Freed
+    /// slots are reused by later interning. Distances between surviving
+    /// contents stay memoized across generations.
+    pub(crate) fn free_orphans(&mut self) -> usize {
+        let mut orphans = std::mem::take(&mut self.paths.orphans);
+        orphans.sort_unstable();
+        orphans.dedup();
+        let mut dropped = 0;
+        for &id in &orphans {
+            if self.paths.refs(id) == 0 {
+                dropped += self.emd_memo.forget(id);
+                self.contents.release(id);
             }
         }
-        if live.iter().all(|&l| l) {
-            return 0;
-        }
-        let remap = self.contents.retain_content(&live);
-        let dropped = self.emd_memo.retain_rekey(&remap);
-        self.paths.remap_contents(&remap);
+        orphans.clear();
+        self.paths.orphans = orphans;
         dropped
     }
 
     /// Forgets the dirty-path set — called after a completed replay has
     /// re-validated (or structurally copied) everything beneath the dirty
-    /// paths. Trie node ids are stable across [`Self::compact`], so the
-    /// set stays valid while mutations accumulate between replays.
+    /// paths. Trie node ids are stable (nodes are never freed), so the set
+    /// stays valid while mutations accumulate between replays.
     pub(crate) fn clear_dirty(&mut self) {
         self.dirty_paths.clear();
+    }
+}
+
+/// Sizes of an [`EngineParts`]'s caches, for the bounded-memory tests.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Footprint {
+    /// Contents held by at least one trie node.
+    pub live_contents: usize,
+    /// Content arena slots, free ones included.
+    pub slots: usize,
+    /// Memo cells: table slots of the flat memo, stride² of the dense one.
+    pub memo_capacity: usize,
+    /// Total length of the memo's partner lists (stale entries included).
+    pub partner_entries: usize,
+    /// Address of the flat memo's key table (0 for the dense memo), to
+    /// detect reallocation.
+    pub memo_table: usize,
+}
+
+#[cfg(test)]
+impl EngineParts {
+    /// Panics unless the caches are mutually consistent: every content's
+    /// count equals the trie nodes holding it, no live content is
+    /// unreferenced, no indexed or memoized id is freed, every memo entry
+    /// is reachable and listed under both endpoints, and `find` never
+    /// returns a freed id for a real counts row. Meaningful after a
+    /// completed [`Self::apply_event`] batch and its [`Self::free_orphans`].
+    pub(crate) fn check_invariants(&self) {
+        assert!(
+            self.paths.orphans.is_empty(),
+            "orphan candidates left unprocessed"
+        );
+        let slots = self.contents.slots();
+        let mut freed = vec![false; slots];
+        for &id in &self.contents.free {
+            assert!(!freed[id as usize], "slot {id} is free twice");
+            freed[id as usize] = true;
+        }
+        let mut held = vec![0u32; slots];
+        for &id in &self.paths.content {
+            if id != NONE32 {
+                assert!(!freed[id as usize], "a trie node holds freed content {id}");
+                held[id as usize] += 1;
+            }
+        }
+        for id in 0..slots as u32 {
+            let i = id as usize;
+            assert_eq!(self.paths.refs(id), held[i], "node count of content {id}");
+            let row = self.contents.row(id);
+            if freed[i] {
+                // The compact scan can match a freed slot only on this
+                // sentinel row, which no real counts row equals.
+                assert!(
+                    row.iter().all(|&w| w == ContentTable::FREED),
+                    "freed {id} keeps a row"
+                );
+            } else {
+                assert!(held[i] > 0, "content {id} is live but held by no node");
+                assert!(
+                    !row.contains(&ContentTable::FREED),
+                    "live {id} holds the sentinel"
+                );
+                assert_eq!(self.contents.find(row), Some(id), "live {id} not found");
+            }
+        }
+        if let ContentIndex::Hashed { heads, next } = &self.contents.index {
+            let mut indexed = 0;
+            for &head in heads.values() {
+                let mut id = head;
+                while id != NONE32 {
+                    assert!(!freed[id as usize], "freed {id} is still indexed");
+                    indexed += 1;
+                    id = next[id as usize];
+                }
+            }
+            assert_eq!(indexed, slots - self.contents.free.len(), "index size");
+        }
+        match &self.emd_memo {
+            EmdMemo::Flat(memo) => {
+                let mut degree = vec![0u32; slots];
+                let mut entries = 0;
+                for &key in memo.keys.iter().filter(|&&k| k != FlatMemo::EMPTY) {
+                    let (a, b) = ((key >> 32) as usize, key as u32 as usize);
+                    assert!(a <= b && b < slots, "entry ({a},{b}) out of range");
+                    assert!(!freed[a] && !freed[b], "entry ({a},{b}) touches a freed id");
+                    assert!(memo.get(key).is_some(), "entry ({a},{b}) is unreachable");
+                    degree[a] += 1;
+                    if a != b {
+                        degree[b] += 1;
+                    }
+                    entries += 1;
+                    if let Some(p) = &memo.partners {
+                        let listed = |owner: usize, other: usize| {
+                            p.lists[owner]
+                                .iter()
+                                .any(|&q| q.id as usize == other && p.is_current(q))
+                        };
+                        assert!(listed(a, b), "({a},{b}) unlisted at {a}");
+                        assert!(listed(b, a), "({a},{b}) unlisted at {b}");
+                    }
+                }
+                assert_eq!(entries, memo.len, "memo length");
+                if let Some(p) = &memo.partners {
+                    // Each live entry is listed once per endpoint, current.
+                    for (id, &d) in degree.iter().enumerate() {
+                        let current = p
+                            .lists
+                            .get(id)
+                            .map_or(0, |list| list.iter().filter(|&&q| p.is_current(q)).count());
+                        assert_eq!(current, d as usize, "current partners of {id}");
+                    }
+                }
+            }
+            EmdMemo::Dense { stride, cells } => {
+                for a in 0..*stride {
+                    for b in 0..*stride {
+                        if !cells[a * stride + b].is_nan() {
+                            assert!(a <= b && b < slots, "cell ({a},{b}) out of range");
+                            assert!(!freed[a] && !freed[b], "cell ({a},{b}) touches a freed id");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub(crate) fn footprint(&self) -> Footprint {
+        let (memo_capacity, partner_entries, memo_table) = match &self.emd_memo {
+            EmdMemo::Flat(memo) => (
+                memo.keys.len(),
+                memo.partners
+                    .as_ref()
+                    .map_or(0, |p| p.lists.iter().map(Vec::len).sum()),
+                memo.keys.as_ptr() as usize,
+            ),
+            EmdMemo::Dense { cells, .. } => (cells.len(), 0, 0),
+        };
+        Footprint {
+            live_contents: self.contents.slots() - self.contents.free.len(),
+            slots: self.contents.slots(),
+            memo_capacity,
+            partner_entries,
+            memo_table,
+        }
     }
 }
 
@@ -2375,10 +2734,10 @@ mod tests {
     }
 
     #[test]
-    fn content_table_retain_content_compacts_and_reindexes() {
-        for index in [ContentIndex::Compact, ContentIndex::Hashed(EngineMap::default())] {
+    fn content_table_release_unindexes_and_reuses_slots() {
+        for index in [ContentIndex::Compact, ContentIndex::hashed()] {
             let mut table = ContentTable::new(HistogramSpec::default(), index);
-            let rows: Vec<Vec<u64>> = (0..5u64)
+            let rows: Vec<Vec<u64>> = (0..7u64)
                 .map(|i| {
                     let mut r = vec![0u64; table.bins];
                     r[0] = i + 1;
@@ -2386,24 +2745,39 @@ mod tests {
                     r
                 })
                 .collect();
-            for r in &rows {
+            for r in &rows[..5] {
                 table.intern(r);
             }
-            assert_eq!(table.len(), 5);
-            let live = [true, false, true, false, true];
-            let remap = table.retain_content(&live);
-            // Monotonic remap: survivors keep their relative order.
-            assert_eq!(remap, vec![0, NONE32, 1, NONE32, 2]);
-            assert_eq!(table.len(), 3);
-            for (old, new) in [(0u32, 0u32), (2, 1), (4, 2)] {
-                assert_eq!(table.row(new), &rows[old as usize][..]);
-                // The rebuilt index still finds survivors at their new ids
-                // (so re-interning dedups instead of duplicating) …
-                assert_eq!(table.find(&rows[old as usize]), Some(new));
-                assert_eq!(table.intern(&rows[old as usize]), new);
+            table.ensure_mass(3);
+            table.release(1);
+            table.release(3);
+            assert_eq!(table.slots(), 5);
+            // Released rows are gone from the index; survivors keep their
+            // ids and still dedup.
+            assert_eq!(table.find(&rows[1]), None);
+            assert_eq!(table.find(&rows[3]), None);
+            for id in [0u32, 2, 4] {
+                assert_eq!(table.find(&rows[id as usize]), Some(id));
+                assert_eq!(table.intern(&rows[id as usize]), id);
             }
-            // … while dropped rows intern as fresh ids.
-            assert_eq!(table.intern(&rows[1]), 3);
+            // New contents fill the free slots before the arenas grow, with
+            // fresh totals and masses.
+            let a = table.intern(&rows[5]);
+            let b = table.intern(&rows[6]);
+            assert_eq!([a.min(b), a.max(b)], [1, 3]);
+            assert_eq!(table.slots(), 5);
+            for (id, row) in [(a, &rows[5]), (b, &rows[6])] {
+                assert_eq!(table.row(id), &row[..]);
+                assert_eq!(table.find(row), Some(id));
+                table.ensure_mass(id);
+                assert_eq!(
+                    table.mass(id),
+                    Histogram::from_counts(table.spec, row.clone()).mass()
+                );
+            }
+            // A row released and interned again is a new content.
+            assert_eq!(table.intern(&rows[1]), 5);
+            assert_eq!(table.slots(), 6);
         }
     }
 
@@ -2422,51 +2796,100 @@ mod tests {
         assert_eq!(table.gen[a as usize], 0);
         table.mark_generation(a, 3);
         assert_eq!(table.gen[a as usize], 3);
-        // Compaction carries tags along with the surviving rows.
-        let remap = table.retain_content(&[false, true]);
-        assert_eq!(remap[b as usize], 0);
-        assert_eq!(table.gen[0], 3);
+        // A reused slot takes the stamp in force, not its old tag.
+        table.release(a);
+        table.stamp = 5;
+        let row_c = vec![3u64; table.bins];
+        assert_eq!(table.intern(&row_c), a);
+        assert_eq!(table.gen[a as usize], 5);
+        assert_eq!(table.gen[b as usize], 3);
     }
 
     #[test]
-    fn flat_memo_retain_rekey_drops_and_rekeys_selectively() {
+    fn flat_memo_forget_deletes_exactly_the_touching_entries() {
         let mut memo = FlatMemo::new();
+        memo.track_partners();
         for a in 0..10u32 {
             for b in a..10u32 {
                 memo.insert(EmdMemo::pack(a, b), (a * 100 + b) as f64);
             }
         }
-        // Drop ids 3 and 7; survivors compact monotonically.
-        let mut remap = Vec::new();
-        let mut next = 0u32;
-        for id in 0..10u32 {
-            if id == 3 || id == 7 {
-                remap.push(NONE32);
-            } else {
-                remap.push(next);
-                next += 1;
-            }
-        }
-        let dropped = memo.retain_rekey(&remap);
-        // Entries touching 3 or 7: 10 each, minus the shared (3,7) pair.
-        assert_eq!(dropped, 19);
+        // Entries touching 3 or 7: 10 each, the shared (3,7) counted once.
+        assert_eq!(memo.forget(3), 10);
+        assert_eq!(memo.forget(7), 9);
+        assert_eq!(memo.forget(7), 0, "nothing left to drop");
         assert_eq!(memo.len, 55 - 19);
         for a in 0..10u32 {
             for b in a..10u32 {
-                let (ra, rb) = (remap[a as usize], remap[b as usize]);
-                if ra == NONE32 || rb == NONE32 {
-                    continue;
-                }
-                // Monotonic remap keeps ra <= rb: canonical keys survive.
-                assert_eq!(memo.get(EmdMemo::pack(ra, rb)), Some((a * 100 + b) as f64));
+                let want =
+                    (![3, 7].contains(&a) && ![3, 7].contains(&b)).then_some((a * 100 + b) as f64);
+                assert_eq!(memo.get(EmdMemo::pack(a, b)), want, "({a},{b})");
             }
         }
-        // Keys beyond the surviving id range stay absent.
-        assert_eq!(memo.get(EmdMemo::pack(8, 8)), None);
+        // A reused id starts with no entries and is listed afresh.
+        memo.insert(EmdMemo::pack(3, 4), 1.5);
+        assert_eq!(memo.forget(4), 9);
+        assert_eq!(memo.get(EmdMemo::pack(3, 4)), None);
+        assert_eq!(memo.forget(3), 0);
     }
 
     #[test]
-    fn dense_memo_retain_rekey_matches_flat_semantics() {
+    fn flat_memo_remove_keeps_probe_runs_reachable() {
+        let mut memo = FlatMemo::new();
+        let key = |i: u64| EmdMemo::pack((i % 97) as u32, (i * 31 % 1009) as u32);
+        for i in 0..600 {
+            memo.insert(key(i), i as f64);
+        }
+        let cap = memo.keys.len();
+        // Delete every third key: backward shifting must leave every
+        // survivor reachable from its home slot, with no tombstones.
+        for i in (0..600).step_by(3) {
+            assert!(memo.remove(key(i)));
+            assert!(!memo.remove(key(i)), "removed twice");
+        }
+        assert_eq!(memo.len, 400);
+        assert_eq!(memo.keys.len(), cap, "deletion never reallocates");
+        for i in 0..600 {
+            let want = (i % 3 != 0).then_some(i as f64);
+            assert_eq!(memo.get(key(i)), want, "key {i}");
+        }
+        // Freed slots take new entries.
+        for i in (0..600).step_by(3) {
+            memo.insert(key(i), -(i as f64));
+        }
+        assert_eq!(memo.len, 600);
+        assert_eq!(memo.get(key(300)), Some(-300.0));
+    }
+
+    #[test]
+    fn flat_memo_partner_lists_stay_bounded_under_churn() {
+        // One long-lived hub pairs with a stream of short-lived ids whose
+        // slots are reused: the hub's list sheds its stale partners.
+        let mut memo = FlatMemo::new();
+        memo.track_partners();
+        let hub = 0u32;
+        for round in 0..2_000u32 {
+            let id = 1 + round % 8;
+            memo.insert(EmdMemo::pack(hub, id), round as f64);
+            memo.insert(EmdMemo::pack(id, id), 0.0);
+            if round >= 4 {
+                let old = 1 + (round - 4) % 8;
+                assert_eq!(memo.forget(old), 2, "round {round}");
+            }
+        }
+        let p = memo.partners.as_ref().unwrap();
+        let hub_list = &p.lists[hub as usize];
+        assert_eq!(hub_list.iter().filter(|&&q| p.is_current(q)).count(), 4);
+        assert!(
+            hub_list.len() <= 16,
+            "hub list kept {} partners",
+            hub_list.len()
+        );
+        assert_eq!(memo.len, 8);
+    }
+
+    #[test]
+    fn dense_memo_forget_matches_flat_semantics() {
         let mut memo = EmdMemo::Dense {
             stride: 0,
             cells: Vec::new(),
@@ -2476,21 +2899,18 @@ mod tests {
                 memo.insert(a, b, (a * 10 + b) as f64);
             }
         }
-        let remap = [0, NONE32, 1, 2, NONE32, 3];
-        let dropped = memo.retain_rekey(&remap);
         // Upper-triangle entries touching id 1 (six) or id 4 (six), with
         // the shared pair (1,4) counted once.
-        assert_eq!(dropped, 11);
+        assert_eq!(memo.forget(1), 6);
+        assert_eq!(memo.forget(4), 5);
+        assert_eq!(memo.forget(40), 0, "ids past the stride have no entries");
         for a in 0..6u32 {
             for b in a..6u32 {
-                let (ra, rb) = (remap[a as usize], remap[b as usize]);
-                if ra == NONE32 || rb == NONE32 {
-                    continue;
-                }
-                assert_eq!(memo.get(ra, rb), Some((a * 10 + b) as f64), "({a},{b})");
+                let want =
+                    (![1, 4].contains(&a) && ![1, 4].contains(&b)).then_some((a * 10 + b) as f64);
+                assert_eq!(memo.get(a, b), want, "({a},{b})");
             }
         }
-        assert_eq!(memo.get(0, 4), None);
     }
 
     #[test]
@@ -2511,8 +2931,30 @@ mod tests {
         let mut edges = Vec::new();
         trie.for_each_edge(0, |step, child| edges.push((step, child)));
         assert_eq!(edges, vec![(pack_step(a.attr, a.code), na)]);
-        trie.remap_contents(&[9, 9, 9, 9, 2]);
-        assert_eq!(trie.content(nab), Some(2));
+    }
+
+    #[test]
+    fn path_trie_counts_holders_and_queues_orphans() {
+        let mut trie = PathTrie::new();
+        let a = PathStep { attr: 0, code: 1 };
+        let b = PathStep { attr: 1, code: 0 };
+        let (na, nab) = (trie.node_of(&[a]), trie.node_of(&[a, b]));
+        trie.set_content(na, 4);
+        trie.set_content(nab, 4);
+        assert_eq!(trie.refs(4), 2);
+        assert_eq!(trie.refs(9), 0);
+        // Replacing one holder leaves the id alive; replacing the last
+        // queues it as an orphan.
+        trie.set_content(nab, 5);
+        assert_eq!((trie.refs(4), trie.refs(5)), (1, 1));
+        assert!(trie.orphans.is_empty());
+        trie.set_content(na, 5);
+        assert_eq!((trie.refs(4), trie.refs(5)), (0, 2));
+        assert_eq!(trie.orphans, vec![4]);
+        // Re-assigning a node its own content changes nothing.
+        trie.set_content(na, 5);
+        assert_eq!(trie.refs(5), 2);
+        assert_eq!(trie.orphans, vec![4]);
     }
 
     #[test]
@@ -2594,10 +3036,11 @@ mod tests {
         // Dirty paths with cached contents: the gender=F and noise=x
         // children (the root node exists but was never given a content).
         assert_eq!(touched, 2);
-        let dropped = parts.compact();
+        let dropped = parts.free_orphans();
         // Root and F contents were re-interned; their old ids orphaned,
         // dropping the memoized distances that touched them.
         assert!(dropped > 0, "orphaned EMD entries must be dropped");
+        parts.check_invariants();
 
         // The patched caches now agree with a fresh engine on the mutated
         // space, bit for bit.

@@ -18,9 +18,14 @@
 //!   [`EngineParts::apply_event`] walks only the matching `PathTrie`
 //!   edges and re-derives each cached `ContentTable` histogram by
 //!   adjusting one bin, never rescanning rows.
-//! * **Targeted memo invalidation** — after patching, compaction drops
-//!   exactly the `FlatMemo` EMD entries whose content ids were orphaned;
-//!   distances between untouched distinct pairs survive.
+//! * **Targeted memo invalidation** — content ids are stable and the
+//!   `PathTrie` counts the nodes holding each one. A patch that leaves an
+//!   id held by no node makes it an orphan; at the end of the batch
+//!   [`EngineParts::free_orphans`] deletes exactly the memoized EMDs that
+//!   touch an orphan (found through per-content partner lists, not a
+//!   table scan) and recycles its arena slot. The cost follows what
+//!   changed, not the size of the memo, and distances between untouched
+//!   distinct pairs survive.
 //! * **Split-summary replay** — the previous run recorded, per evaluated
 //!   node and attribute, the per-code child sizes; membership events
 //!   patch them, so `delta_best_split` reproduces `mostUnfair`'s exact
@@ -86,7 +91,7 @@ pub struct DeltaEngine {
     /// The detached caches between runs; `None` until the first
     /// [`Self::requantify`] builds them.
     parts: Option<EngineParts>,
-    /// Memo entries dropped by compaction since the last completed run,
+    /// Memo entries dropped by orphan freeing since the last completed run,
     /// surfaced as the next outcome's `delta_invalidated_emds`.
     pending_invalidated: usize,
     /// The last completed run's tree in compact form, indexed by its node
@@ -119,7 +124,7 @@ struct PrevNode {
 /// evaluation is a pure function of its (bit-unchanged) subtree contents,
 /// so the next replay reconstructs the winner from this instead of
 /// re-scoring every attribute — child codes rather than content ids
-/// because codes survive memo compaction.
+/// because a freed content id's slot may be reused by another content.
 #[derive(Debug, Clone)]
 struct PrevEval {
     scored: usize,
@@ -200,7 +205,8 @@ impl DeltaEngine {
 
     /// Applies a batch of mutations: each op updates the space (bin codes
     /// recomputed for the affected row only), patches every dirty cached
-    /// path, and finally compacts orphaned contents out of the EMD memo.
+    /// path, and finally frees the contents the batch orphaned together
+    /// with their EMD memo entries.
     /// Ops apply sequentially; if one fails (bad row index, non-finite
     /// score, emptying the space), earlier ops stay applied and the space
     /// and caches remain mutually consistent.
@@ -261,7 +267,7 @@ impl DeltaEngine {
             }
             report.events += 1;
         }
-        let dropped = parts.compact();
+        let dropped = parts.free_orphans();
         self.pending_invalidated += dropped;
         report.emd_entries_dropped = dropped;
         Ok(report)
@@ -740,8 +746,13 @@ impl DeltaEngine {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::emd::{Emd, EmdBackendKind};
+    use crate::engine::Footprint;
     use crate::fairness::{Aggregator, FairnessCriterion, Objective};
     use crate::space::ProtectedAttribute;
 
@@ -917,6 +928,186 @@ mod tests {
         let full = search.run_space(engine.space()).unwrap();
         assert_outcomes_bitwise_equal(&delta, &full);
         assert_eq!(engine.space().scores()[1], 0.99);
+        // The failed batch's orphans are freed with the next batch's.
+        let report = engine.apply(&SpaceDelta::new().rescore(2, 0.01)).unwrap();
+        engine.parts.as_ref().unwrap().check_invariants();
+        let delta = engine.requantify().unwrap();
+        assert_eq!(
+            delta.stats.delta_invalidated_emds,
+            report.emd_entries_dropped
+        );
+        assert_outcomes_bitwise_equal(&delta, &search.run_space(engine.space()).unwrap());
+    }
+
+    /// A random space with `attrs` attributes of 2–3 values each: three
+    /// attributes select the compact caches, five the hashed index and
+    /// the flat memo.
+    fn layout_space(attrs: usize, rows: usize, seed: u64) -> RankingSpace {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let attributes = (0..attrs)
+            .map(|a| {
+                let card = 2 + a as u32 % 2;
+                ProtectedAttribute {
+                    name: format!("a{a}"),
+                    codes: (0..rows).map(|_| rng.gen_range(0..card)).collect(),
+                    labels: (0..card).map(|c| format!("v{c}")).collect(),
+                }
+            })
+            .collect();
+        let scores = (0..rows).map(|_| rng.gen_range(0.0..=1.0)).collect();
+        RankingSpace::new(attributes, scores).unwrap()
+    }
+
+    /// One balanced churn round inside the segment `a0 = v0` (two
+    /// rescores, one arrival cloned from a member, one departure), so the
+    /// rest of the space keeps long-lived contents whose memo partners
+    /// churn — the case that would leak stale partners.
+    fn balanced_round(rng: &mut StdRng, space: &RankingSpace) -> SpaceDelta {
+        let n = space.num_individuals();
+        let mut member = || loop {
+            let row = rng.gen_range(0..n);
+            if space.attributes()[0].codes[row] == 0 {
+                return row;
+            }
+        };
+        let (donor, a, b, gone) = (member(), member(), member(), member());
+        let labels: Vec<String> = space
+            .attributes()
+            .iter()
+            .map(|attr| attr.labels[attr.codes[donor] as usize].clone())
+            .collect();
+        SpaceDelta::new()
+            .rescore(a as u32, rng.gen_range(0.0..=1.0))
+            .rescore(b as u32, rng.gen_range(0.0..=1.0))
+            .insert(labels, rng.gen_range(0.0..=1.0))
+            .remove(gone as u32)
+    }
+
+    fn footprint(engine: &DeltaEngine) -> Footprint {
+        engine.parts.as_ref().expect("caches are built").footprint()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Random churn on both cache layouts and both metrics: after every
+        // batch the caches satisfy every invariant of the reference
+        // counting (exact counts, nothing freed is indexed or memoized),
+        // and the re-run stays bitwise equal to a full recompute.
+        #[test]
+        fn caches_stay_consistent_under_random_churn(
+            hashed in 0usize..2,
+            transport in 0usize..2,
+            rows in 12usize..=48,
+            seed in 0u64..1_000_000,
+            batches in prop::collection::vec(
+                prop::collection::vec((0u8..3, 0u32..u32::MAX, 0.0f64..=1.0), 1..10),
+                1..7,
+            ),
+        ) {
+            let space = layout_space(if hashed == 1 { 5 } else { 3 }, rows, seed);
+            let backend = [EmdBackendKind::OneD, EmdBackendKind::Transport][transport];
+            let criterion = FairnessCriterion::default().with_emd(Emd::new(backend));
+            prop_assert_eq!(
+                SplitEngine::new(&space, criterion).uses_compact_caches(),
+                hashed == 0
+            );
+            let search = Quantify::new(criterion);
+            let mut engine = DeltaEngine::new(space, search.clone()).unwrap();
+            engine.requantify().unwrap();
+            for batch in &batches {
+                let mut delta = SpaceDelta::new();
+                let mut population = engine.space().num_individuals();
+                for &(kind, pick, score) in batch {
+                    let row = pick as usize % population;
+                    match kind {
+                        0 => delta = delta.rescore(row as u32, score),
+                        1 => {
+                            let labels: Vec<String> = engine
+                                .space()
+                                .attributes()
+                                .iter()
+                                .map(|a| a.labels[pick as usize % a.labels.len()].clone())
+                                .collect();
+                            delta = delta.insert(labels, score);
+                            population += 1;
+                        }
+                        _ if population > 1 => {
+                            delta = delta.remove(row as u32);
+                            population -= 1;
+                        }
+                        _ => {}
+                    }
+                }
+                let report = engine.apply(&delta).unwrap();
+                engine.parts.as_ref().unwrap().check_invariants();
+                let outcome = engine.requantify().unwrap();
+                prop_assert_eq!(outcome.stats.delta_invalidated_emds, report.emd_entries_dropped);
+                let full = search.run_space(engine.space()).unwrap();
+                prop_assert_eq!(outcome.unfairness.to_bits(), full.unfairness.to_bits());
+                prop_assert_eq!(&outcome.partitions, &full.partitions);
+            }
+        }
+    }
+
+    #[test]
+    fn thousand_rounds_of_balanced_churn_stay_bounded() {
+        // Freed slots and stale partners must be recycled, not leaked: over
+        // 1,000 population-neutral rounds every cache stays within a fixed
+        // multiple of its size once warm.
+        for attrs in [3, 5] {
+            let mut engine =
+                DeltaEngine::new(layout_space(attrs, 160, 5), Quantify::default()).unwrap();
+            engine.requantify().unwrap();
+            let mut rng = StdRng::seed_from_u64(attrs as u64);
+            let mut warm = None;
+            for round in 1..=1_000 {
+                let delta = balanced_round(&mut rng, engine.space());
+                engine.apply(&delta).unwrap();
+                engine.requantify().unwrap();
+                let now = footprint(&engine);
+                if round == 10 {
+                    warm = Some(now);
+                }
+                let Some(base) = warm else {
+                    continue;
+                };
+                let within = |now: usize, base: usize| now <= 4 * base.max(16);
+                let bounded = within(now.live_contents, base.live_contents)
+                    && within(now.slots, base.slots)
+                    && within(now.memo_capacity, base.memo_capacity)
+                    && within(now.partner_entries, base.partner_entries);
+                assert!(
+                    bounded,
+                    "{attrs} attributes, round {round}: {now:?} vs warm {base:?}"
+                );
+            }
+            engine.parts.as_ref().unwrap().check_invariants();
+        }
+    }
+
+    #[test]
+    fn warm_apply_never_reallocates_the_flat_memo() {
+        let space = layout_space(5, 160, 9);
+        assert!(!SplitEngine::new(&space, FairnessCriterion::default()).uses_compact_caches());
+        let mut engine = DeltaEngine::new(space, Quantify::default()).unwrap();
+        engine.requantify().unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut dropped = 0;
+        for round in 0..120 {
+            let delta = balanced_round(&mut rng, engine.space());
+            let before = footprint(&engine);
+            let report = engine.apply(&delta).unwrap();
+            let after = footprint(&engine);
+            if round >= 20 {
+                // Invalidation deletes in place: same table, same capacity.
+                assert_eq!(after.memo_table, before.memo_table, "round {round}");
+                assert_eq!(after.memo_capacity, before.memo_capacity, "round {round}");
+                dropped += report.emd_entries_dropped;
+            }
+            engine.requantify().unwrap();
+        }
+        assert!(dropped > 0, "the rounds invalidated memo entries");
     }
 
     #[test]

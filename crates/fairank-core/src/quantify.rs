@@ -77,9 +77,9 @@ pub struct SearchStats {
     /// run consulted that predate its own generation. Always 0 for
     /// from-scratch searches.
     pub delta_reused_histograms: usize,
-    /// EMD memo entries dropped by targeted invalidation (cache compaction
-    /// after space mutations) ahead of this run. Always 0 for from-scratch
-    /// searches.
+    /// EMD memo entries dropped by targeted invalidation ahead of this
+    /// run: those touching a content that space mutations left held by no
+    /// cached path. Always 0 for from-scratch searches.
     pub delta_invalidated_emds: usize,
 }
 
