@@ -1,8 +1,9 @@
 //! BENCH — the QUANTIFY perf trajectory, machine-readable.
 //!
 //! Runs the split-engine and naive evaluations head-to-head on the tracked
-//! reference configurations (population × attribute sweeps around the
-//! 10k / 8-attribute point), verifies they agree bit-for-bit, and emits
+//! reference configurations (two small interactive shapes, then population
+//! × attribute sweeps around the 10k / 8-attribute point), verifies they
+//! agree bit-for-bit, and emits
 //! `BENCH_quantify.json` with wall-clock times and `SearchStats` work
 //! counters so the perf trajectory is comparable across PRs.
 //!
@@ -93,7 +94,13 @@ fn main() {
     let configs: &[(usize, usize, u32)] = if smoke {
         &[(200, 3, 3), (500, 4, 3)]
     } else {
-        &[(1_000, 4, 3), (10_000, 4, 3), (10_000, 8, 3)]
+        &[
+            (200, 2, 3),
+            (600, 3, 4),
+            (1_000, 4, 3),
+            (10_000, 4, 3),
+            (10_000, 8, 3),
+        ]
     };
 
     header(

@@ -36,6 +36,23 @@ fn main() {
         _ => {}
     }
 
+    // REPL and script output goes through one locked handle. A reader that
+    // closes the pipe early (`fairank script.frk | head -1`) ends the run
+    // quietly instead of panicking in `println!`.
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    if let Err(e) = run_local(&args, &mut out) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("output error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The local modes (REPL, script, demo) over one in-process session,
+/// writing to `out`. Only an output error is returned; command errors are
+/// reported on stderr (script mode exits 1 on the first).
+fn run_local(args: &[String], out: &mut impl Write) -> std::io::Result<()> {
     let mut session = Session::new();
     if args.iter().any(|a| a == "demo") {
         session
@@ -44,7 +61,10 @@ fn main() {
         session
             .add_function("paper-f", fairank_data::paper::table1_scoring())
             .expect("fresh session");
-        println!("demo mode: dataset `table1` and function `paper-f` preloaded");
+        writeln!(
+            out,
+            "demo mode: dataset `table1` and function `paper-f` preloaded"
+        )?;
     }
 
     // Script mode: any non-"demo" argument is a command file, executed
@@ -64,10 +84,10 @@ fn main() {
                 if line.is_empty() || line.starts_with('#') {
                     continue;
                 }
-                println!("fairank> {line}");
+                writeln!(out, "fairank> {line}")?;
                 match Command::parse(line).and_then(|c| apply(&mut session, c)) {
-                    Ok(Response::Quit) => return,
-                    Ok(response) => println!("{}", present::render(&response)),
+                    Ok(Response::Quit) => return Ok(()),
+                    Ok(response) => writeln!(out, "{}", present::render(&response))?,
                     Err(e) => {
                         eprintln!("error: {e}");
                         std::process::exit(1);
@@ -75,14 +95,14 @@ fn main() {
                 }
             }
         }
-        return;
+        return Ok(());
     }
 
     let stdin = std::io::stdin();
-    println!("FaiRank — fairness of ranking explorer (type `help`)");
+    writeln!(out, "FaiRank — fairness of ranking explorer (type `help`)")?;
     loop {
-        print!("fairank> ");
-        std::io::stdout().flush().ok();
+        write!(out, "fairank> ")?;
+        out.flush()?;
         let mut line = String::new();
         match stdin.lock().read_line(&mut line) {
             Ok(0) => break, // EOF
@@ -98,10 +118,11 @@ fn main() {
         }
         match Command::parse(line).and_then(|c| apply(&mut session, c)) {
             Ok(Response::Quit) => break,
-            Ok(response) => println!("{}", present::render(&response)),
+            Ok(response) => writeln!(out, "{}", present::render(&response))?,
             Err(e) => eprintln!("error: {e}"),
         }
     }
+    Ok(())
 }
 
 /// Reads the value following `--<key>` in an argument list.

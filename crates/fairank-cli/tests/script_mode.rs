@@ -1,7 +1,7 @@
 //! End-to-end tests of the `fairank` binary: script mode, demo mode, and
 //! stdin-driven sessions, exercised through the real executable.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
 fn binary() -> Command {
@@ -43,6 +43,28 @@ fn script_mode_fails_fast_on_errors() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown"), "stderr: {stderr}");
+}
+
+#[test]
+fn script_mode_stops_quietly_when_stdout_closes() {
+    // Far more output than a pipe buffers, so the run is still writing
+    // when the reader goes away (`fairank script.frk | head -1`).
+    let script = tmpfile("closed_pipe", &"help\n".repeat(2_000));
+    let mut child = binary()
+        .arg(script)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read the first line");
+    assert_eq!(first, "fairank> help\n");
+    drop(stdout);
+    let output = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_ne!(output.status.code(), Some(101), "stderr: {stderr}");
 }
 
 #[test]

@@ -133,28 +133,6 @@ impl Hasher for EngineHasher {
 
 type EngineMap<K, V> = HashMap<K, V, BuildHasherDefault<EngineHasher>>;
 
-// ---- small-input bypass ---------------------------------------------------
-//
-// On small spaces even the flat tables' per-lookup overhead (hashing a
-// counts row, probing the open-addressed memo) exceeds the arithmetic it
-// saves — the ROADMAP's "slightly slower than naive on ≤1k rows" soft
-// spot. Small runs produce only a handful of distinct contents, so the
-// engine swaps the content index for a linear scan and the memo for a
-// dense id×id matrix. Caching behavior (hence stats and results) is
-// bit-for-bit the same; only the container changes.
-
-/// Row-count ceiling for the compact (bypass) caches.
-const SMALL_SPACE_ROWS: usize = 1024;
-/// Attribute-count ceiling for the compact caches (more attributes mean
-/// more distinct paths, where linear scans stop paying off).
-const SMALL_SPACE_ATTRS: usize = 4;
-/// Total-cardinality ceiling (sum over attributes of distinct values).
-/// Cache entry counts — and the dense matrix's stride — grow with the
-/// number of distinct partitions, which is driven by cardinality, not by
-/// attribute count; a 2-attribute space with a 1000-value column would
-/// turn the linear scans quadratic and the matrix huge.
-const SMALL_SPACE_CARDINALITY: usize = 64;
-
 // ---- aggregation path ----------------------------------------------------
 
 /// Leaf-pair count from which a closed-form (`1d`) aggregation may be
@@ -174,7 +152,7 @@ const DEDUP_MIN_PAIRS: usize = 128;
 
 /// How an engine resolves closed-form aggregations. Always
 /// [`Aggregation::Auto`] in production; tests force either path to pin
-/// their equivalence, like `new_with_layout` does for the cache layout.
+/// their equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) enum Aggregation {
@@ -344,38 +322,17 @@ impl PathTrie {
     }
 }
 
-/// How the [`ContentTable`] finds an existing id for a counts row.
-#[derive(Debug)]
-enum ContentIndex {
-    /// FxHash of the row → the newest id with that hash. Older ids sharing
-    /// the hash chain through `next` (collisions are resolved by comparing
-    /// the actual rows in the arena), so indexing a content allocates
-    /// nothing per id.
-    Hashed {
-        heads: EngineMap<u64, u32>,
-        /// `next[id]`: the next id in `id`'s hash chain, or [`NONE32`].
-        next: Vec<u32>,
-    },
-    /// Linear scan over all rows — faster when only a handful of distinct
-    /// contents exist.
-    Compact,
-}
-
-impl ContentIndex {
-    fn hashed() -> Self {
-        ContentIndex::Hashed {
-            heads: EngineMap::default(),
-            next: Vec::new(),
-        }
-    }
-}
-
 /// The interned-histogram arena: one flat `counts` row per content id
 /// (stride = bins), a parallel total, and a lazily-filled flat
 /// normalized-mass arena — the hoisted per-histogram work of the
 /// closed-form fold. `Histogram` values are materialized only on demand
 /// (transport metric, public histogram lookups); the hot path works on
 /// the raw rows.
+///
+/// Equal rows are found through an FxHash of the row: `heads` maps a hash
+/// to the newest id with it, and older ids sharing the hash chain through
+/// `next` (collisions are resolved by comparing the actual rows in the
+/// arena), so indexing a content allocates nothing per id.
 #[derive(Debug)]
 struct ContentTable {
     spec: HistogramSpec,
@@ -396,19 +353,17 @@ struct ContentTable {
     gen: Vec<u32>,
     /// Tag applied to newly interned contents.
     stamp: u32,
-    index: ContentIndex,
+    /// Row hash → the newest id with that hash.
+    heads: EngineMap<u64, u32>,
+    /// `next[id]`: the next id in `id`'s hash chain, or [`NONE32`].
+    next: Vec<u32>,
     /// Slots of released contents, reused by [`Self::intern`] before the
-    /// arenas grow. A free slot's row holds [`Self::FREED`] in every bin,
-    /// which no real counts row equals, so the compact scan never matches
-    /// it; the hashed index drops it on release.
+    /// arenas grow. Release unchains a slot, so `find` never returns one.
     free: Vec<u32>,
 }
 
 impl ContentTable {
-    /// Bin value of a free slot's row (real counts never reach it).
-    const FREED: u64 = u64::MAX;
-
-    fn new(spec: HistogramSpec, index: ContentIndex) -> Self {
+    fn new(spec: HistogramSpec) -> Self {
         ContentTable {
             bins: spec.bins(),
             spec,
@@ -419,7 +374,8 @@ impl ContentTable {
             hists: Vec::new(),
             gen: Vec::new(),
             stamp: 0,
-            index,
+            heads: EngineMap::default(),
+            next: Vec::new(),
             free: Vec::new(),
         }
     }
@@ -438,19 +394,14 @@ impl ContentTable {
     }
 
     fn find(&self, row: &[u64]) -> Option<u32> {
-        match &self.index {
-            ContentIndex::Compact => (0..self.totals.len() as u32).find(|&id| self.row(id) == row),
-            ContentIndex::Hashed { heads, next } => {
-                let mut id = *heads.get(&Self::hash_row(row))?;
-                while self.row(id) != row {
-                    id = next[id as usize];
-                    if id == NONE32 {
-                        return None;
-                    }
-                }
-                Some(id)
+        let mut id = *self.heads.get(&Self::hash_row(row))?;
+        while self.row(id) != row {
+            id = self.next[id as usize];
+            if id == NONE32 {
+                return None;
             }
         }
+        Some(id)
     }
 
     /// Interns a counts row, returning a small id such that equal rows
@@ -483,12 +434,10 @@ impl ContentTable {
                 id
             }
         };
-        if let ContentIndex::Hashed { heads, next } = &mut self.index {
-            if next.len() <= id as usize {
-                next.resize(id as usize + 1, NONE32);
-            }
-            next[id as usize] = heads.insert(Self::hash_row(row), id).unwrap_or(NONE32);
+        if self.next.len() <= id as usize {
+            self.next.resize(id as usize + 1, NONE32);
         }
+        self.next[id as usize] = self.heads.insert(Self::hash_row(row), id).unwrap_or(NONE32);
         id
     }
 
@@ -501,27 +450,24 @@ impl ContentTable {
     /// Releases content `id`: unindexes it, drops its materialized
     /// histogram, and queues its slot for reuse.
     fn release(&mut self, id: u32) {
-        let base = id as usize * self.bins;
-        if let ContentIndex::Hashed { heads, next } = &mut self.index {
-            let h = Self::hash_row(&self.counts[base..base + self.bins]);
-            let after = next[id as usize];
-            if let Entry::Occupied(mut head) = heads.entry(h) {
-                if *head.get() == id {
-                    if after == NONE32 {
-                        head.remove();
-                    } else {
-                        head.insert(after);
-                    }
+        let h = Self::hash_row(self.row(id));
+        let next = &mut self.next;
+        let after = next[id as usize];
+        if let Entry::Occupied(mut head) = self.heads.entry(h) {
+            if *head.get() == id {
+                if after == NONE32 {
+                    head.remove();
                 } else {
-                    let mut prev = *head.get();
-                    while next[prev as usize] != id {
-                        prev = next[prev as usize];
-                    }
-                    next[prev as usize] = after;
+                    head.insert(after);
                 }
+            } else {
+                let mut prev = *head.get();
+                while next[prev as usize] != id {
+                    prev = next[prev as usize];
+                }
+                next[prev as usize] = after;
             }
         }
-        self.counts[base..base + self.bins].fill(Self::FREED);
         self.hists[id as usize] = None;
         self.free.push(id);
     }
@@ -795,7 +741,7 @@ impl FlatMemo {
             // A stale partner's entry went when its slot was freed.
             if partners.is_current(partner) {
                 let (lo, hi) = canon(id, partner.id);
-                let removed = self.remove(EmdMemo::pack(lo, hi));
+                let removed = self.remove(pack_pair(lo, hi));
                 debug_assert!(removed, "a current partner's entry is memoized");
                 dropped += usize::from(removed);
             }
@@ -809,85 +755,6 @@ impl FlatMemo {
     }
 }
 
-/// EMD memo keyed by the (canonical) pair of content ids. The compact form
-/// is a dense stride×stride matrix: content ids are small and dense, so a
-/// direct index beats any probing on the memo's very hot lookup path. The
-/// general form is the open-addressed [`FlatMemo`]. Empty dense cells hold
-/// NaN — a value no (validated) distance ever takes.
-#[derive(Debug)]
-enum EmdMemo {
-    Flat(FlatMemo),
-    Dense { stride: usize, cells: Vec<f64> },
-}
-
-impl EmdMemo {
-    #[inline]
-    fn pack(a: u32, b: u32) -> u64 {
-        ((a as u64) << 32) | b as u64
-    }
-
-    fn get(&self, a: u32, b: u32) -> Option<f64> {
-        match self {
-            EmdMemo::Flat(memo) => memo.get(Self::pack(a, b)),
-            EmdMemo::Dense { stride, cells } => {
-                let (a, b) = (a as usize, b as usize);
-                if a < *stride && b < *stride {
-                    let v = cells[a * stride + b];
-                    (!v.is_nan()).then_some(v)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn insert(&mut self, a: u32, b: u32, d: f64) {
-        match self {
-            EmdMemo::Flat(memo) => memo.insert(Self::pack(a, b), d),
-            EmdMemo::Dense { stride, cells } => {
-                let needed = (a.max(b) as usize) + 1;
-                if needed > *stride {
-                    let new_stride = needed.next_power_of_two().max(8);
-                    let mut grown = vec![f64::NAN; new_stride * new_stride];
-                    for row in 0..*stride {
-                        for col in 0..*stride {
-                            grown[row * new_stride + col] = cells[row * *stride + col];
-                        }
-                    }
-                    *cells = grown;
-                    *stride = new_stride;
-                }
-                cells[(a as usize) * *stride + (b as usize)] = d;
-            }
-        }
-    }
-
-    /// Deletes every entry touching content `id` and returns how many
-    /// there were. An entry whose other endpoint was freed first is gone
-    /// already, so each entry counts once.
-    fn forget(&mut self, id: u32) -> usize {
-        match self {
-            EmdMemo::Flat(memo) => memo.forget(id),
-            EmdMemo::Dense { stride, cells } => {
-                let (s, id) = (*stride, id as usize);
-                if id >= s {
-                    return 0;
-                }
-                let mut dropped = 0;
-                for other in 0..s {
-                    for cell in [id * s + other, other * s + id] {
-                        if !cells[cell].is_nan() {
-                            cells[cell] = f64::NAN;
-                            dropped += 1;
-                        }
-                    }
-                }
-                dropped
-            }
-        }
-    }
-}
-
 /// Canonical (unordered) orientation of a content-id pair.
 #[inline]
 fn canon(a: u32, b: u32) -> (u32, u32) {
@@ -896,6 +763,12 @@ fn canon(a: u32, b: u32) -> (u32, u32) {
     } else {
         (b, a)
     }
+}
+
+/// Packs a canonical content-id pair into one [`FlatMemo`] key.
+#[inline]
+fn pack_pair(a: u32, b: u32) -> u64 {
+    ((a as u64) << 32) | b as u64
 }
 
 /// Reusable buffers for the engine's transient per-call state. Taken with
@@ -1059,7 +932,7 @@ pub struct SplitEngine<'a> {
     /// content → id index.
     contents: ContentTable,
     /// EMD memo keyed by the unordered (canonical) pair of content ids.
-    emd_memo: EmdMemo,
+    emd_memo: FlatMemo,
     /// Per-trie-node split summaries ([`AttrEval`]), populated only when
     /// `record_evals` is on (the incremental layer's summary source).
     eval_log: Vec<Vec<AttrEval>>,
@@ -1084,45 +957,14 @@ pub struct SplitEngine<'a> {
 
 impl<'a> SplitEngine<'a> {
     /// An engine for one run of a search under `criterion` on `space`.
-    /// Small spaces (≤ [`SMALL_SPACE_ROWS`] rows, ≤ [`SMALL_SPACE_ATTRS`]
-    /// attributes, ≤ [`SMALL_SPACE_CARDINALITY`] total distinct values)
-    /// get the compact caches — identical semantics, no hashing overhead.
     pub fn new(space: &'a RankingSpace, criterion: FairnessCriterion) -> Self {
-        let total_cardinality: usize = space
-            .attributes()
-            .iter()
-            .map(|a| a.cardinality())
-            .sum();
-        let compact = space.num_individuals() <= SMALL_SPACE_ROWS
-            && space.attributes().len() <= SMALL_SPACE_ATTRS
-            && total_cardinality <= SMALL_SPACE_CARDINALITY;
-        Self::new_with_layout(space, criterion, compact)
-    }
-
-    /// An engine with the cache layout chosen explicitly (`new` picks it
-    /// from the space's size; tests force both to pin their equivalence).
-    fn new_with_layout(space: &'a RankingSpace, criterion: FairnessCriterion, compact: bool) -> Self {
-        let (index, emd_memo) = if compact {
-            (
-                ContentIndex::Compact,
-                EmdMemo::Dense {
-                    stride: 0,
-                    cells: Vec::new(),
-                },
-            )
-        } else {
-            (
-                ContentIndex::hashed(),
-                EmdMemo::Flat(FlatMemo::new()),
-            )
-        };
         SplitEngine {
             bin_codes: space.bin_codes(&criterion.hist),
             space,
-            contents: ContentTable::new(criterion.hist, index),
+            contents: ContentTable::new(criterion.hist),
             criterion,
             paths: PathTrie::new(),
-            emd_memo,
+            emd_memo: FlatMemo::new(),
             eval_log: Vec::new(),
             record_evals: false,
             generation: 0,
@@ -1189,11 +1031,6 @@ impl<'a> SplitEngine<'a> {
     /// Forces the aggregation path (tests pin the two paths' equivalence).
     pub(crate) fn set_aggregation(&mut self, aggregation: Aggregation) {
         self.aggregation = aggregation;
-    }
-
-    /// Whether this engine runs on the compact small-input caches.
-    pub fn uses_compact_caches(&self) -> bool {
-        matches!(self.emd_memo, EmdMemo::Dense { .. })
     }
 
     /// The space this engine evaluates over.
@@ -1297,13 +1134,13 @@ impl<'a> SplitEngine<'a> {
     /// unordered pair and one computation serves both directions.
     fn distance(&mut self, id_a: u32, id_b: u32) -> Result<f64> {
         let (lo, hi) = canon(id_a, id_b);
-        if let Some(d) = self.emd_memo.get(lo, hi) {
+        if let Some(d) = self.emd_memo.get(pack_pair(lo, hi)) {
             self.stats.emd_cache_hits += 1;
             return Ok(d);
         }
         self.stats.emd_calls += 1;
         let d = self.compute_pair(lo, hi)?;
-        self.emd_memo.insert(lo, hi, d);
+        self.emd_memo.insert(pack_pair(lo, hi), d);
         Ok(d)
     }
 
@@ -1312,7 +1149,7 @@ impl<'a> SplitEngine<'a> {
     /// [`Self::compute_missing`].
     fn resolve_slots(&mut self, batch: &mut DedupBatch, i: u32, j: u32) {
         let (lo, hi) = canon(batch.distinct[i as usize], batch.distinct[j as usize]);
-        if let Some(v) = self.emd_memo.get(lo, hi) {
+        if let Some(v) = self.emd_memo.get(pack_pair(lo, hi)) {
             self.stats.emd_cache_hits += 1;
             batch.store(i, j, v);
         } else {
@@ -1333,7 +1170,7 @@ impl<'a> SplitEngine<'a> {
         for &(i, j) in &missing {
             let (lo, hi) = canon(batch.distinct[i as usize], batch.distinct[j as usize]);
             let v = self.fold_one_d(lo, hi);
-            self.emd_memo.insert(lo, hi, v);
+            self.emd_memo.insert(pack_pair(lo, hi), v);
             batch.store(i, j, v);
         }
         batch.missing = missing;
@@ -1856,9 +1693,7 @@ impl<'a> SplitEngine<'a> {
     /// default, so plain searches pay nothing for either.
     pub(crate) fn record_split_evals(&mut self) {
         self.record_evals = true;
-        if let EmdMemo::Flat(memo) = &mut self.emd_memo {
-            memo.track_partners();
-        }
+        self.emd_memo.track_partners();
     }
 
     /// Seeds the invalidation counter with the EMD entries the incremental
@@ -1993,7 +1828,7 @@ pub(crate) struct EngineParts {
     bin_codes: Vec<u32>,
     paths: PathTrie,
     contents: ContentTable,
-    emd_memo: EmdMemo,
+    emd_memo: FlatMemo,
     eval_log: Vec<Vec<AttrEval>>,
     generation: u32,
     /// Trie nodes dirtied by [`Self::apply_event`] since the last completed
@@ -2176,12 +2011,11 @@ pub(crate) struct Footprint {
     pub live_contents: usize,
     /// Content arena slots, free ones included.
     pub slots: usize,
-    /// Memo cells: table slots of the flat memo, stride² of the dense one.
+    /// Table slots of the memo.
     pub memo_capacity: usize,
     /// Total length of the memo's partner lists (stale entries included).
     pub partner_entries: usize,
-    /// Address of the flat memo's key table (0 for the dense memo), to
-    /// detect reallocation.
+    /// Address of the memo's key table, to detect reallocation.
     pub memo_table: usize,
 }
 
@@ -2190,8 +2024,8 @@ impl EngineParts {
     /// Panics unless the caches are mutually consistent: every content's
     /// count equals the trie nodes holding it, no live content is
     /// unreferenced, no indexed or memoized id is freed, every memo entry
-    /// is reachable and listed under both endpoints, and `find` never
-    /// returns a freed id for a real counts row. Meaningful after a
+    /// is reachable and listed under both endpoints, and `find` returns
+    /// every live content for its own row. Meaningful after a
     /// completed [`Self::apply_event`] batch and its [`Self::free_orphans`].
     pub(crate) fn check_invariants(&self) {
         assert!(
@@ -2214,101 +2048,69 @@ impl EngineParts {
         for id in 0..slots as u32 {
             let i = id as usize;
             assert_eq!(self.paths.refs(id), held[i], "node count of content {id}");
-            let row = self.contents.row(id);
-            if freed[i] {
-                // The compact scan can match a freed slot only on this
-                // sentinel row, which no real counts row equals.
-                assert!(
-                    row.iter().all(|&w| w == ContentTable::FREED),
-                    "freed {id} keeps a row"
-                );
-            } else {
+            if !freed[i] {
                 assert!(held[i] > 0, "content {id} is live but held by no node");
-                assert!(
-                    !row.contains(&ContentTable::FREED),
-                    "live {id} holds the sentinel"
-                );
+                let row = self.contents.row(id);
                 assert_eq!(self.contents.find(row), Some(id), "live {id} not found");
             }
         }
-        if let ContentIndex::Hashed { heads, next } = &self.contents.index {
-            let mut indexed = 0;
-            for &head in heads.values() {
-                let mut id = head;
-                while id != NONE32 {
-                    assert!(!freed[id as usize], "freed {id} is still indexed");
-                    indexed += 1;
-                    id = next[id as usize];
-                }
+        let mut indexed = 0;
+        for &head in self.contents.heads.values() {
+            let mut id = head;
+            while id != NONE32 {
+                assert!(!freed[id as usize], "freed {id} is still indexed");
+                indexed += 1;
+                id = self.contents.next[id as usize];
             }
-            assert_eq!(indexed, slots - self.contents.free.len(), "index size");
         }
-        match &self.emd_memo {
-            EmdMemo::Flat(memo) => {
-                let mut degree = vec![0u32; slots];
-                let mut entries = 0;
-                for &key in memo.keys.iter().filter(|&&k| k != FlatMemo::EMPTY) {
-                    let (a, b) = ((key >> 32) as usize, key as u32 as usize);
-                    assert!(a <= b && b < slots, "entry ({a},{b}) out of range");
-                    assert!(!freed[a] && !freed[b], "entry ({a},{b}) touches a freed id");
-                    assert!(memo.get(key).is_some(), "entry ({a},{b}) is unreachable");
-                    degree[a] += 1;
-                    if a != b {
-                        degree[b] += 1;
-                    }
-                    entries += 1;
-                    if let Some(p) = &memo.partners {
-                        let listed = |owner: usize, other: usize| {
-                            p.lists[owner]
-                                .iter()
-                                .any(|&q| q.id as usize == other && p.is_current(q))
-                        };
-                        assert!(listed(a, b), "({a},{b}) unlisted at {a}");
-                        assert!(listed(b, a), "({a},{b}) unlisted at {b}");
-                    }
-                }
-                assert_eq!(entries, memo.len, "memo length");
-                if let Some(p) = &memo.partners {
-                    // Each live entry is listed once per endpoint, current.
-                    for (id, &d) in degree.iter().enumerate() {
-                        let current = p
-                            .lists
-                            .get(id)
-                            .map_or(0, |list| list.iter().filter(|&&q| p.is_current(q)).count());
-                        assert_eq!(current, d as usize, "current partners of {id}");
-                    }
-                }
+        assert_eq!(indexed, slots - self.contents.free.len(), "index size");
+        let memo = &self.emd_memo;
+        let mut degree = vec![0u32; slots];
+        let mut entries = 0;
+        for &key in memo.keys.iter().filter(|&&k| k != FlatMemo::EMPTY) {
+            let (a, b) = ((key >> 32) as usize, key as u32 as usize);
+            assert!(a <= b && b < slots, "entry ({a},{b}) out of range");
+            assert!(!freed[a] && !freed[b], "entry ({a},{b}) touches a freed id");
+            assert!(memo.get(key).is_some(), "entry ({a},{b}) is unreachable");
+            degree[a] += 1;
+            if a != b {
+                degree[b] += 1;
             }
-            EmdMemo::Dense { stride, cells } => {
-                for a in 0..*stride {
-                    for b in 0..*stride {
-                        if !cells[a * stride + b].is_nan() {
-                            assert!(a <= b && b < slots, "cell ({a},{b}) out of range");
-                            assert!(!freed[a] && !freed[b], "cell ({a},{b}) touches a freed id");
-                        }
-                    }
-                }
+            entries += 1;
+            if let Some(p) = &memo.partners {
+                let listed = |owner: usize, other: usize| {
+                    p.lists[owner]
+                        .iter()
+                        .any(|&q| q.id as usize == other && p.is_current(q))
+                };
+                assert!(listed(a, b), "({a},{b}) unlisted at {a}");
+                assert!(listed(b, a), "({a},{b}) unlisted at {b}");
+            }
+        }
+        assert_eq!(entries, memo.len, "memo length");
+        if let Some(p) = &memo.partners {
+            // Each live entry is listed once per endpoint, current.
+            for (id, &d) in degree.iter().enumerate() {
+                let current = p
+                    .lists
+                    .get(id)
+                    .map_or(0, |list| list.iter().filter(|&&q| p.is_current(q)).count());
+                assert_eq!(current, d as usize, "current partners of {id}");
             }
         }
     }
 
     pub(crate) fn footprint(&self) -> Footprint {
-        let (memo_capacity, partner_entries, memo_table) = match &self.emd_memo {
-            EmdMemo::Flat(memo) => (
-                memo.keys.len(),
-                memo.partners
-                    .as_ref()
-                    .map_or(0, |p| p.lists.iter().map(Vec::len).sum()),
-                memo.keys.as_ptr() as usize,
-            ),
-            EmdMemo::Dense { cells, .. } => (cells.len(), 0, 0),
-        };
+        let memo = &self.emd_memo;
         Footprint {
             live_contents: self.contents.slots() - self.contents.free.len(),
             slots: self.contents.slots(),
-            memo_capacity,
-            partner_entries,
-            memo_table,
+            memo_capacity: memo.keys.len(),
+            partner_entries: memo
+                .partners
+                .as_ref()
+                .map_or(0, |p| p.lists.iter().map(Vec::len).sum()),
+            memo_table: memo.keys.as_ptr() as usize,
         }
     }
 }
@@ -2428,119 +2230,29 @@ mod tests {
     }
 
     #[test]
-    fn small_spaces_select_the_compact_caches() {
-        let s = space(); // 8 rows, 2 attributes
-        let engine = SplitEngine::new(&s, FairnessCriterion::default());
-        assert!(engine.uses_compact_caches());
-
-        // Too many rows → hashed.
-        let n = SMALL_SPACE_ROWS + 1;
-        let labels: Vec<String> = (0..n).map(|i| format!("v{}", i % 2)).collect();
-        let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let attr = ProtectedAttribute::from_values("g", &refs);
-        let scores: Vec<f64> = (0..n).map(|i| (i % 10) as f64 / 10.0).collect();
-        let big = RankingSpace::new(vec![attr], scores).unwrap();
-        let engine = SplitEngine::new(&big, FairnessCriterion::default());
-        assert!(!engine.uses_compact_caches());
-
-        // Too many attributes → hashed even when rows are few.
-        let attrs: Vec<ProtectedAttribute> = (0..SMALL_SPACE_ATTRS + 1)
-            .map(|a| {
-                ProtectedAttribute::from_values(
-                    format!("a{a}"),
-                    &["x", "y", "x", "y", "x", "y", "x", "y"],
-                )
-            })
-            .collect();
-        let wide = RankingSpace::new(
-            attrs,
-            vec![0.1, 0.9, 0.2, 0.8, 0.15, 0.85, 0.12, 0.88],
-        )
-        .unwrap();
-        let engine = SplitEngine::new(&wide, FairnessCriterion::default());
-        assert!(!engine.uses_compact_caches());
-
-        // High total cardinality → hashed even with few rows/attributes:
-        // linear scans and the dense matrix scale with distinct values.
-        let n = 800;
-        let ids: Vec<String> = (0..n).map(|i| format!("id{i}")).collect();
-        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-        let high_card = ProtectedAttribute::from_values("worker_id", &refs);
-        let scores: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 7.0).collect();
-        let carded = RankingSpace::new(vec![high_card], scores).unwrap();
-        let engine = SplitEngine::new(&carded, FairnessCriterion::default());
-        assert!(!engine.uses_compact_caches());
-    }
-
-    #[test]
-    fn compact_and_hashed_caches_are_bitwise_equivalent() {
-        // The same tiny space forced through both cache families must do
-        // the same work and produce the same bits everywhere.
-        let s = space();
-        let crit = FairnessCriterion::default();
-        let mut compact = SplitEngine::new(&s, crit);
-        assert!(compact.uses_compact_caches());
-        let mut hashed = SplitEngine::new_with_layout(&s, crit, false);
-        assert!(!hashed.uses_compact_caches());
-
-        let root = Partition::root(&s);
-        let parts = root.split(&s, 0);
-        for engine in [&mut compact, &mut hashed] {
-            let _ = engine.best_split(&root, &[0, 1], 1).unwrap();
-        }
-        assert_eq!(
-            compact.unfairness(&parts).unwrap(),
-            hashed.unfairness(&parts).unwrap()
-        );
-        assert_eq!(
-            compact.versus(&parts[0], &parts[1..]).unwrap(),
-            hashed.versus(&parts[0], &parts[1..]).unwrap()
-        );
-        assert_eq!(compact.stats(), hashed.stats());
-        assert!(compact.stats().emd_cache_hits > 0);
-    }
-
-    #[test]
-    fn dense_memo_grows_and_keeps_entries() {
-        let mut memo = EmdMemo::Dense {
-            stride: 0,
-            cells: Vec::new(),
-        };
-        assert_eq!(memo.get(0, 0), None);
-        memo.insert(0, 1, 0.5);
-        assert_eq!(memo.get(0, 1), Some(0.5));
-        assert_eq!(memo.get(1, 0), None);
-        // Growth past the stride keeps earlier cells.
-        memo.insert(40, 3, 0.25);
-        assert_eq!(memo.get(0, 1), Some(0.5));
-        assert_eq!(memo.get(40, 3), Some(0.25));
-        assert_eq!(memo.get(3, 40), None);
-    }
-
-    #[test]
     fn flat_memo_grows_and_keeps_entries() {
         let mut memo = FlatMemo::new();
         // Push well past the initial 64-slot capacity (50% load → several
         // doublings) and verify nothing is lost or corrupted.
         for a in 0..40u32 {
             for b in a..40u32 {
-                memo.insert(EmdMemo::pack(a, b), (a * 100 + b) as f64);
+                memo.insert(pack_pair(a, b), (a * 100 + b) as f64);
             }
         }
         for a in 0..40u32 {
             for b in a..40u32 {
                 assert_eq!(
-                    memo.get(EmdMemo::pack(a, b)),
+                    memo.get(pack_pair(a, b)),
                     Some((a * 100 + b) as f64),
                     "({a},{b})"
                 );
             }
         }
-        assert_eq!(memo.get(EmdMemo::pack(41, 41)), None);
+        assert_eq!(memo.get(pack_pair(41, 41)), None);
         // Overwrites update in place, not duplicate.
         let len = memo.len;
-        memo.insert(EmdMemo::pack(0, 0), 9.0);
-        assert_eq!(memo.get(EmdMemo::pack(0, 0)), Some(9.0));
+        memo.insert(pack_pair(0, 0), 9.0);
+        assert_eq!(memo.get(pack_pair(0, 0)), Some(9.0));
         assert_eq!(memo.len, len);
     }
 
@@ -2735,55 +2447,53 @@ mod tests {
 
     #[test]
     fn content_table_release_unindexes_and_reuses_slots() {
-        for index in [ContentIndex::Compact, ContentIndex::hashed()] {
-            let mut table = ContentTable::new(HistogramSpec::default(), index);
-            let rows: Vec<Vec<u64>> = (0..7u64)
-                .map(|i| {
-                    let mut r = vec![0u64; table.bins];
-                    r[0] = i + 1;
-                    r[1] = 2 * i;
-                    r
-                })
-                .collect();
-            for r in &rows[..5] {
-                table.intern(r);
-            }
-            table.ensure_mass(3);
-            table.release(1);
-            table.release(3);
-            assert_eq!(table.slots(), 5);
-            // Released rows are gone from the index; survivors keep their
-            // ids and still dedup.
-            assert_eq!(table.find(&rows[1]), None);
-            assert_eq!(table.find(&rows[3]), None);
-            for id in [0u32, 2, 4] {
-                assert_eq!(table.find(&rows[id as usize]), Some(id));
-                assert_eq!(table.intern(&rows[id as usize]), id);
-            }
-            // New contents fill the free slots before the arenas grow, with
-            // fresh totals and masses.
-            let a = table.intern(&rows[5]);
-            let b = table.intern(&rows[6]);
-            assert_eq!([a.min(b), a.max(b)], [1, 3]);
-            assert_eq!(table.slots(), 5);
-            for (id, row) in [(a, &rows[5]), (b, &rows[6])] {
-                assert_eq!(table.row(id), &row[..]);
-                assert_eq!(table.find(row), Some(id));
-                table.ensure_mass(id);
-                assert_eq!(
-                    table.mass(id),
-                    Histogram::from_counts(table.spec, row.clone()).mass()
-                );
-            }
-            // A row released and interned again is a new content.
-            assert_eq!(table.intern(&rows[1]), 5);
-            assert_eq!(table.slots(), 6);
+        let mut table = ContentTable::new(HistogramSpec::default());
+        let rows: Vec<Vec<u64>> = (0..7u64)
+            .map(|i| {
+                let mut r = vec![0u64; table.bins];
+                r[0] = i + 1;
+                r[1] = 2 * i;
+                r
+            })
+            .collect();
+        for r in &rows[..5] {
+            table.intern(r);
         }
+        table.ensure_mass(3);
+        table.release(1);
+        table.release(3);
+        assert_eq!(table.slots(), 5);
+        // Released rows are gone from the index; survivors keep their
+        // ids and still dedup.
+        assert_eq!(table.find(&rows[1]), None);
+        assert_eq!(table.find(&rows[3]), None);
+        for id in [0u32, 2, 4] {
+            assert_eq!(table.find(&rows[id as usize]), Some(id));
+            assert_eq!(table.intern(&rows[id as usize]), id);
+        }
+        // New contents fill the free slots before the arenas grow, with
+        // fresh totals and masses.
+        let a = table.intern(&rows[5]);
+        let b = table.intern(&rows[6]);
+        assert_eq!([a.min(b), a.max(b)], [1, 3]);
+        assert_eq!(table.slots(), 5);
+        for (id, row) in [(a, &rows[5]), (b, &rows[6])] {
+            assert_eq!(table.row(id), &row[..]);
+            assert_eq!(table.find(row), Some(id));
+            table.ensure_mass(id);
+            assert_eq!(
+                table.mass(id),
+                Histogram::from_counts(table.spec, row.clone()).mass()
+            );
+        }
+        // A row released and interned again is a new content.
+        assert_eq!(table.intern(&rows[1]), 5);
+        assert_eq!(table.slots(), 6);
     }
 
     #[test]
     fn content_table_generation_tags_follow_the_stamp() {
-        let mut table = ContentTable::new(HistogramSpec::default(), ContentIndex::Compact);
+        let mut table = ContentTable::new(HistogramSpec::default());
         let row_a = vec![1u64; table.bins];
         let a = table.intern(&row_a);
         assert_eq!(table.gen[a as usize], 0);
@@ -2811,7 +2521,7 @@ mod tests {
         memo.track_partners();
         for a in 0..10u32 {
             for b in a..10u32 {
-                memo.insert(EmdMemo::pack(a, b), (a * 100 + b) as f64);
+                memo.insert(pack_pair(a, b), (a * 100 + b) as f64);
             }
         }
         // Entries touching 3 or 7: 10 each, the shared (3,7) counted once.
@@ -2823,20 +2533,20 @@ mod tests {
             for b in a..10u32 {
                 let want =
                     (![3, 7].contains(&a) && ![3, 7].contains(&b)).then_some((a * 100 + b) as f64);
-                assert_eq!(memo.get(EmdMemo::pack(a, b)), want, "({a},{b})");
+                assert_eq!(memo.get(pack_pair(a, b)), want, "({a},{b})");
             }
         }
         // A reused id starts with no entries and is listed afresh.
-        memo.insert(EmdMemo::pack(3, 4), 1.5);
+        memo.insert(pack_pair(3, 4), 1.5);
         assert_eq!(memo.forget(4), 9);
-        assert_eq!(memo.get(EmdMemo::pack(3, 4)), None);
+        assert_eq!(memo.get(pack_pair(3, 4)), None);
         assert_eq!(memo.forget(3), 0);
     }
 
     #[test]
     fn flat_memo_remove_keeps_probe_runs_reachable() {
         let mut memo = FlatMemo::new();
-        let key = |i: u64| EmdMemo::pack((i % 97) as u32, (i * 31 % 1009) as u32);
+        let key = |i: u64| pack_pair((i % 97) as u32, (i * 31 % 1009) as u32);
         for i in 0..600 {
             memo.insert(key(i), i as f64);
         }
@@ -2870,8 +2580,8 @@ mod tests {
         let hub = 0u32;
         for round in 0..2_000u32 {
             let id = 1 + round % 8;
-            memo.insert(EmdMemo::pack(hub, id), round as f64);
-            memo.insert(EmdMemo::pack(id, id), 0.0);
+            memo.insert(pack_pair(hub, id), round as f64);
+            memo.insert(pack_pair(id, id), 0.0);
             if round >= 4 {
                 let old = 1 + (round - 4) % 8;
                 assert_eq!(memo.forget(old), 2, "round {round}");
@@ -2886,31 +2596,6 @@ mod tests {
             hub_list.len()
         );
         assert_eq!(memo.len, 8);
-    }
-
-    #[test]
-    fn dense_memo_forget_matches_flat_semantics() {
-        let mut memo = EmdMemo::Dense {
-            stride: 0,
-            cells: Vec::new(),
-        };
-        for a in 0..6u32 {
-            for b in a..6u32 {
-                memo.insert(a, b, (a * 10 + b) as f64);
-            }
-        }
-        // Upper-triangle entries touching id 1 (six) or id 4 (six), with
-        // the shared pair (1,4) counted once.
-        assert_eq!(memo.forget(1), 6);
-        assert_eq!(memo.forget(4), 5);
-        assert_eq!(memo.forget(40), 0, "ids past the stride have no entries");
-        for a in 0..6u32 {
-            for b in a..6u32 {
-                let want =
-                    (![1, 4].contains(&a) && ![1, 4].contains(&b)).then_some((a * 10 + b) as f64);
-                assert_eq!(memo.get(a, b), want, "({a},{b})");
-            }
-        }
     }
 
     #[test]

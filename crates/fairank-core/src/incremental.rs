@@ -939,10 +939,8 @@ mod tests {
         assert_outcomes_bitwise_equal(&delta, &search.run_space(engine.space()).unwrap());
     }
 
-    /// A random space with `attrs` attributes of 2–3 values each: three
-    /// attributes select the compact caches, five the hashed index and
-    /// the flat memo.
-    fn layout_space(attrs: usize, rows: usize, seed: u64) -> RankingSpace {
+    /// A random space with `attrs` attributes of 2–3 values each.
+    fn random_space(attrs: usize, rows: usize, seed: u64) -> RankingSpace {
         let mut rng = StdRng::seed_from_u64(seed);
         let attributes = (0..attrs)
             .map(|a| {
@@ -990,13 +988,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // Random churn on both cache layouts and both metrics: after every
-        // batch the caches satisfy every invariant of the reference
-        // counting (exact counts, nothing freed is indexed or memoized),
-        // and the re-run stays bitwise equal to a full recompute.
+        // Random churn on 3- and 5-attribute spaces under both metrics:
+        // after every batch the caches satisfy every invariant of the
+        // reference counting (exact counts, nothing freed is indexed or
+        // memoized), and the re-run stays bitwise equal to a full
+        // recompute.
         #[test]
         fn caches_stay_consistent_under_random_churn(
-            hashed in 0usize..2,
+            wide in 0usize..2,
             transport in 0usize..2,
             rows in 12usize..=48,
             seed in 0u64..1_000_000,
@@ -1005,13 +1004,9 @@ mod tests {
                 1..7,
             ),
         ) {
-            let space = layout_space(if hashed == 1 { 5 } else { 3 }, rows, seed);
+            let space = random_space(if wide == 1 { 5 } else { 3 }, rows, seed);
             let backend = [EmdBackendKind::OneD, EmdBackendKind::Transport][transport];
             let criterion = FairnessCriterion::default().with_emd(Emd::new(backend));
-            prop_assert_eq!(
-                SplitEngine::new(&space, criterion).uses_compact_caches(),
-                hashed == 0
-            );
             let search = Quantify::new(criterion);
             let mut engine = DeltaEngine::new(space, search.clone()).unwrap();
             engine.requantify().unwrap();
@@ -1057,7 +1052,7 @@ mod tests {
         // multiple of its size once warm.
         for attrs in [3, 5] {
             let mut engine =
-                DeltaEngine::new(layout_space(attrs, 160, 5), Quantify::default()).unwrap();
+                DeltaEngine::new(random_space(attrs, 160, 5), Quantify::default()).unwrap();
             engine.requantify().unwrap();
             let mut rng = StdRng::seed_from_u64(attrs as u64);
             let mut warm = None;
@@ -1088,8 +1083,7 @@ mod tests {
 
     #[test]
     fn warm_apply_never_reallocates_the_flat_memo() {
-        let space = layout_space(5, 160, 9);
-        assert!(!SplitEngine::new(&space, FairnessCriterion::default()).uses_compact_caches());
+        let space = random_space(5, 160, 9);
         let mut engine = DeltaEngine::new(space, Quantify::default()).unwrap();
         engine.requantify().unwrap();
         let mut rng = StdRng::seed_from_u64(3);

@@ -5,11 +5,11 @@
 //! `delta_reused_histograms`, `delta_invalidated_emds`, `emd_calls`).
 //! Only the wall-clock `requantify_us` is left out.
 //!
-//! Two marketplace sizes cover both cache layouts of the split engine: 600
-//! workers select the compact caches (linear content scan, dense EMD
-//! matrix), 1,500 the hashed index and the open-addressed memo. A change
-//! to how the delta engine patches or invalidates its caches must leave
-//! every line unchanged.
+//! Two marketplace sizes, 600 and 1,500 workers, pin the trajectory on a
+//! small and a larger space; both run the split engine's one cache layout
+//! (hashed content index, open-addressed EMD memo). A change to how the
+//! delta engine patches or invalidates its caches must leave every line
+//! unchanged.
 //!
 //! On a mismatch the actual trajectory is written under the cargo target
 //! tmpdir and the test fails naming the first differing round. The
@@ -19,7 +19,6 @@
 use std::path::PathBuf;
 
 use fairank_core::emd::{Emd, EmdBackendKind};
-use fairank_core::engine::SplitEngine;
 use fairank_core::fairness::FairnessCriterion;
 use fairank_marketplace::platform::Transparency;
 use fairank_marketplace::scenario::taskrabbit_like;
@@ -50,9 +49,8 @@ fn line(r: &RoundAudit) -> String {
 }
 
 /// Runs the scenario and checks it against `golden` (the committed file's
-/// contents, named `name`). `compact` is the cache layout the size must
-/// select, asserted so the two files keep covering both layouts.
-fn check(size: usize, backend: EmdBackendKind, compact: bool, name: &str, golden: &str) {
+/// contents, named `name`).
+fn check(size: usize, backend: EmdBackendKind, name: &str, golden: &str) {
     let market = taskrabbit_like(size, 3).expect("the taskrabbit preset builds");
     let criterion = FairnessCriterion::default().with_emd(Emd::new(backend));
     let scenario = StreamScenario::new(
@@ -68,9 +66,9 @@ fn check(size: usize, backend: EmdBackendKind, compact: bool, name: &str, golden
     )
     .expect("the stream scenario builds");
     assert_eq!(
-        SplitEngine::new(scenario.space(), criterion).uses_compact_caches(),
-        compact,
-        "{name}: {size} workers no longer select the intended cache layout"
+        scenario.space().num_individuals(),
+        size,
+        "{name}: the preset no longer builds {size} workers"
     );
     let outcome = scenario.run().expect("the stream runs");
     let actual: Vec<String> = outcome.rounds.iter().map(line).collect();
@@ -102,22 +100,20 @@ fn check(size: usize, backend: EmdBackendKind, compact: bool, name: &str, golden
 }
 
 #[test]
-fn compact_caches_one_d_trajectory_is_unchanged() {
+fn stream_600_one_d_trajectory_is_unchanged() {
     check(
         600,
         EmdBackendKind::OneD,
-        true,
         "stream_600_1d.jsonl",
         include_str!("golden/stream_600_1d.jsonl"),
     );
 }
 
 #[test]
-fn compact_caches_transport_trajectory_is_unchanged() {
+fn stream_600_transport_trajectory_is_unchanged() {
     check(
         600,
         EmdBackendKind::Transport,
-        true,
         "stream_600_transport.jsonl",
         include_str!("golden/stream_600_transport.jsonl"),
     );
@@ -128,7 +124,6 @@ fn hashed_caches_one_d_trajectory_is_unchanged() {
     check(
         1500,
         EmdBackendKind::OneD,
-        false,
         "stream_1500_1d.jsonl",
         include_str!("golden/stream_1500_1d.jsonl"),
     );
@@ -139,7 +134,6 @@ fn hashed_caches_transport_trajectory_is_unchanged() {
     check(
         1500,
         EmdBackendKind::Transport,
-        false,
         "stream_1500_transport.jsonl",
         include_str!("golden/stream_1500_transport.jsonl"),
     );

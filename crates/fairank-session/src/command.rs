@@ -368,8 +368,11 @@ fn parse_search_strategy(tokens: &[String]) -> Result<Option<SearchStrategy>> {
             max_depth,
             min_partition: opt_parse(tokens, PLAN_OPTS, "min", 1)?,
         })),
+        // `BeamSearch` clamps the width to at least 1; clamping here too
+        // keeps the reported strategy (and the cell-cache key) that of the
+        // search that runs.
         "beam" => Ok(Some(SearchStrategy::Beam {
-            width: opt_parse(tokens, PLAN_OPTS, "width", 4)?,
+            width: opt_parse(tokens, PLAN_OPTS, "width", 4)?.max(1),
         })),
         "exhaustive" => Ok(Some(SearchStrategy::Exhaustive {
             budget: opt_parse(
@@ -1402,6 +1405,22 @@ mod tests {
         assert!(out.contains("cell stats:"));
         // quantify strategy commits one panel per cell, in grid order.
         assert_eq!(s.panels().len(), 4);
+    }
+
+    #[test]
+    fn beam_width_zero_reports_the_clamped_width() {
+        let cmd = Command::parse("scenario grid pop f strategy=beam width=0").unwrap();
+        let Command::RunScenario { spec } = &cmd else {
+            panic!("expected RunScenario, got {cmd:?}");
+        };
+        assert_eq!(spec.strategy(), SearchStrategy::Beam { width: 1 });
+
+        let mut s = Session::new();
+        run(&mut s, "generate pop biased n=80 seed=2");
+        run(&mut s, "define f rating*1.0");
+        let out = run(&mut s, "scenario grid pop f strategy=beam width=0");
+        assert!(out.contains("beam(width=1)"), "{out}");
+        assert!(!out.contains("beam(width=0)"), "{out}");
     }
 
     #[test]
