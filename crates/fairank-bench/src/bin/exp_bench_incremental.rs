@@ -38,6 +38,17 @@
 //! speedup — the p99 ratio is a tail-vs-tail quotient and swings ±40%
 //! run to run, too wide for a tight relative gate).
 //!
+//! A second section, the top-level `stream` object, measures one `stream`
+//! re-audit at the wire benchmark's shape (`taskrabbit`, 3,000 workers,
+//! 200 rounds; 12 streams over the six jobs and market seeds 11 and 12)
+//! layer by layer, as per-stream p50s: the marketplace lookup cold (a
+//! memo miss that generates the market) and cached (a memo hit), the
+//! churn (`next_round` minus its re-quantify), the re-quantify, and the
+//! re-quantify's final leaf fold. It also records exact sums of the
+//! streams' `emd_calls`, `delta_reused_histograms` and
+//! `delta_invalidated_emds`, which are deterministic. The section is not a
+//! `records` entry, so the CI gate over `records` does not read it.
+//!
 //! The ratio scales with how much surviving structure each round reuses:
 //! coarser audits (higher `min_partition_size`, fewer segments to
 //! rebuild) widen it, finer ones narrow it — at min_partition 250 on
@@ -52,6 +63,10 @@ use fairank_core::incremental::DeltaEngine;
 use fairank_core::partition::Partition;
 use fairank_core::quantify::Quantify;
 use fairank_core::space::{RankingSpace, SpaceDelta};
+use fairank_marketplace::scenario::taskrabbit_like;
+use fairank_marketplace::stream::{StreamConfig, StreamScenario};
+use fairank_marketplace::Transparency;
+use fairank_session::MarketCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -90,12 +105,126 @@ struct BenchRecord {
     invalidated_emds: u64,
 }
 
+/// One `stream` re-audit, layer by layer (every `_us` field is a p50
+/// over streams of that layer's per-stream total).
+#[derive(Debug, Serialize)]
+struct StreamBench {
+    preset: String,
+    n: u64,
+    rounds: u64,
+    streams: u64,
+    /// Marketplace lookup that misses the memo and generates the market.
+    market_cold_p50_us: f64,
+    /// Marketplace lookup served from the memo.
+    market_cached_p50_us: f64,
+    /// Σ over rounds of `next_round` minus its re-quantify: building the
+    /// round's events and `DeltaEngine::apply`.
+    churn_p50_us: f64,
+    /// Σ over rounds (round 0 included) of the re-quantify.
+    reaudit_p50_us: f64,
+    /// Σ over rounds of the re-quantify's final leaf fold.
+    fold_p50_us: f64,
+    /// Exact sums over every round of every stream.
+    emd_calls: u64,
+    delta_reused_histograms: u64,
+    delta_invalidated_emds: u64,
+}
+
 /// The emitted report.
 #[derive(Debug, Serialize)]
 struct BenchReport {
     experiment: String,
     smoke: bool,
     records: Vec<BenchRecord>,
+    stream: StreamBench,
+}
+
+/// The jobs of the `taskrabbit` preset.
+const STREAM_JOBS: [&str; 6] = [
+    "wood-panels",
+    "furniture",
+    "deep-clean",
+    "moving-help",
+    "errands",
+    "rated-anything",
+];
+
+fn micros(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// Runs the `stream` section: `streams` re-audits of `rounds` rounds on
+/// `n`-worker `taskrabbit` markets.
+fn stream_bench(n: usize, rounds: usize, streams: usize) -> StreamBench {
+    let (mut cold, mut cached) = (Vec::new(), Vec::new());
+    let (mut churn, mut reaudit, mut fold) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut emd_calls, mut reused, mut invalidated) = (0u64, 0u64, 0u64);
+    for i in 0..streams {
+        let seed = 11 + (i % 2) as u64;
+        let markets = MarketCache::new();
+        let lookup = || {
+            markets
+                .get_or_build("taskrabbit", n, seed, || Ok(taskrabbit_like(n, seed)?))
+                .expect("the taskrabbit preset builds")
+        };
+        let t = Instant::now();
+        lookup();
+        cold.push(micros(t.elapsed()));
+        let t = Instant::now();
+        let market = lookup();
+        cached.push(micros(t.elapsed()));
+
+        let config = StreamConfig {
+            rounds,
+            seed: Some(100 + i as u64),
+            ..StreamConfig::default()
+        };
+        let mut scenario = StreamScenario::new(
+            &market,
+            STREAM_JOBS[i % STREAM_JOBS.len()],
+            &Transparency::full(),
+            &FairnessCriterion::default(),
+            config,
+        )
+        .expect("the stream scenario builds");
+        let (mut churn_us, mut reaudit_us, mut fold_us) = (0.0, 0.0, 0.0);
+        for round in 0..=rounds {
+            let t = Instant::now();
+            let audit = if round == 0 {
+                scenario.first_audit()
+            } else {
+                scenario.next_round()
+            }
+            .expect("the stream round runs");
+            let total = micros(t.elapsed());
+            let run = scenario.last_run().expect("a round re-quantifies");
+            if round > 0 {
+                churn_us += total - micros(run.elapsed);
+            }
+            reaudit_us += micros(run.elapsed);
+            fold_us += micros(run.fold_elapsed);
+            emd_calls += audit.emd_calls as u64;
+            reused += audit.delta_reused_histograms as u64;
+            invalidated += audit.delta_invalidated_emds as u64;
+        }
+        churn.push(churn_us);
+        reaudit.push(reaudit_us);
+        fold.push(fold_us);
+    }
+    StreamBench {
+        preset: "taskrabbit".to_string(),
+        n: n as u64,
+        rounds: rounds as u64,
+        streams: streams as u64,
+        market_cold_p50_us: percentile(&cold, 50.0),
+        market_cached_p50_us: percentile(&cached, 50.0),
+        churn_p50_us: percentile(&churn, 50.0),
+        reaudit_p50_us: percentile(&reaudit, 50.0),
+        fold_p50_us: percentile(&fold, 50.0),
+        emd_calls,
+        delta_reused_histograms: reused,
+        delta_invalidated_emds: invalidated,
+    }
 }
 
 /// Nearest-rank percentile over an unsorted sample.
@@ -295,10 +424,24 @@ fn main() {
         );
     }
 
+    let (stream_n, stream_rounds, streams) = if smoke { (300, 10, 4) } else { (3_000, 200, 12) };
+    let stream = stream_bench(stream_n, stream_rounds, streams);
+    println!(
+        "\nstream re-audit (taskrabbit n={stream_n}, {stream_rounds} rounds, {streams} streams), \
+         per-stream p50: market cold {:.0} µs, cached {:.1} µs; churn {:.0} µs; \
+         re-audit {:.0} µs, of which leaf fold {:.0} µs",
+        stream.market_cold_p50_us,
+        stream.market_cached_p50_us,
+        stream.churn_p50_us,
+        stream.reaudit_p50_us,
+        stream.fold_p50_us
+    );
+
     let report = BenchReport {
         experiment: "bench_incremental".to_string(),
         smoke,
         records,
+        stream,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json).expect("report is writable");

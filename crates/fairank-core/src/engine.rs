@@ -278,6 +278,7 @@ impl PathTrie {
 
     /// The node for `path` without creating anything — `None` if some step
     /// was never inserted.
+    #[cfg(test)]
     fn lookup(&self, path: &[PathStep]) -> Option<u32> {
         let mut node = 0u32;
         for step in path {
@@ -1576,15 +1577,16 @@ impl<'a> SplitEngine<'a> {
     /// [`Self::best_split`], which re-records and thereby self-heals the
     /// log. Every pairwise value is a pure function of content rows, so
     /// the winner (and its score bits) cannot differ from a fresh run.
+    ///
+    /// The node is named by its trie node id, so the replay never needs
+    /// the node's rows unless the summaries cannot answer: `Ok(None)` asks
+    /// the caller to materialize the rows and run [`Self::best_split`].
     pub(crate) fn delta_best_split(
         &mut self,
-        current: &Partition,
+        node: u32,
         avail: &[usize],
         min_partition_size: usize,
-    ) -> Result<(Option<CandidateSplit>, usize)> {
-        let Some(node) = self.paths.lookup(&current.path) else {
-            return self.best_split(current, avail, min_partition_size);
-        };
+    ) -> Result<Option<(Option<CandidateSplit>, usize)>> {
         let summaries_ok = avail.iter().all(|&attr| {
             self.space.attribute(attr).is_none()
                 || self
@@ -1593,7 +1595,7 @@ impl<'a> SplitEngine<'a> {
                     .is_some_and(|evals| evals.iter().any(|e| e.attr == attr))
         });
         if !summaries_ok {
-            return self.best_split(current, avail, min_partition_size);
+            return Ok(None);
         }
         let mut best: Option<CandidateSplit> = None;
         let mut scored = 0usize;
@@ -1635,7 +1637,7 @@ impl<'a> SplitEngine<'a> {
             if incomplete {
                 // The partial work above only probed (or warmed) pure
                 // caches, so redoing the node from rows is still exact.
-                return self.best_split(current, avail, min_partition_size);
+                return Ok(None);
             }
             for &id in &child_ids {
                 self.note_reuse(id);
@@ -1655,7 +1657,7 @@ impl<'a> SplitEngine<'a> {
                 });
             }
         }
-        Ok((best, scored))
+        Ok(Some((best, scored)))
     }
 
     /// Reconstructs a *clean* node's winning candidate from its cached
@@ -1667,12 +1669,11 @@ impl<'a> SplitEngine<'a> {
     /// any probe misses (the caller falls back to a real evaluation).
     pub(crate) fn rebuild_candidate(
         &mut self,
-        current: &Partition,
+        node: u32,
         attr: usize,
         value: f64,
         child_codes: &[u32],
     ) -> Option<CandidateSplit> {
-        let node = self.paths.lookup(&current.path)?;
         let mut child_ids = Vec::with_capacity(child_codes.len());
         for &code in child_codes {
             child_ids.push(self.paths.child_content(node, pack_step(attr, code))?);
@@ -1721,14 +1722,97 @@ impl<'a> SplitEngine<'a> {
     }
 
     /// True when no mutation since the last completed replay touched any
-    /// row of the partition at `path`: its entire subtree — histograms,
-    /// split summaries, and every decision derived from them — is
-    /// bit-unchanged. An unknown path is conservatively dirty.
-    pub(crate) fn subtree_clean(&self, path: &[PathStep]) -> bool {
-        match self.paths.lookup(path) {
-            Some(node) => !self.dirty_paths.contains(node),
-            None => false,
+    /// row of the partition at trie node `node`: its entire subtree —
+    /// histograms, split summaries, and every decision derived from them —
+    /// is bit-unchanged.
+    pub(crate) fn subtree_clean(&self, node: u32) -> bool {
+        !self.dirty_paths.contains(node)
+    }
+
+    /// The trie node of `node`'s child along `(attr, code)`. Every child of
+    /// a candidate split has one: scoring the split created or probed it.
+    pub(crate) fn child_node(&self, node: u32, attr: usize, code: u32) -> u32 {
+        self.paths
+            .lookup_child(node, pack_step(attr, code))
+            .expect("a candidate's children are in the trie")
+    }
+
+    /// The content id cached at trie node `node`. Only asked of nodes a
+    /// completed run gave a content and no mutation has touched since.
+    pub(crate) fn content_at(&self, node: u32) -> u32 {
+        self.paths
+            .content(node)
+            .expect("a clean tree node keeps its content")
+    }
+
+    /// `unfairness` over the final leaves of a delta replay, given as
+    /// `(trie node, content id)` in leaf order — the drop-in for
+    /// [`Self::unfairness`] over the leaf partitions, minus the partitions.
+    /// `table` holds the previous completed replay's leaves and their
+    /// pairwise distances: a pair of leaves whose trie nodes were both
+    /// leaves then and are clean now pairs two unchanged contents, so its
+    /// distance is the table's (the memo hit it replaces is counted as
+    /// one). Every other pair goes through [`Self::distance`]. The pairs
+    /// aggregate in the reference `(0,1), (0,2), …` order, so the bits are
+    /// those of the partition form. Large repetitive batches take the
+    /// deduplicated path exactly as [`Self::pairwise_value`] would, and
+    /// leave the table empty.
+    pub(crate) fn fold_leaves(
+        &mut self,
+        leaves: &[(u32, u32)],
+        table: &mut LeafTable,
+    ) -> Result<f64> {
+        let mut ids = std::mem::take(&mut self.scratch.ids);
+        ids.clear();
+        ids.extend(leaves.iter().map(|&(_, id)| id));
+        for &id in &ids {
+            self.note_reuse(id);
         }
+        let n = ids.len();
+        let pairs = n.saturating_sub(1) * n / 2;
+        if self.dedups(pairs, &[&ids]) {
+            self.scratch.ids = ids;
+            table.clear();
+            self.tick_n(pairs)?;
+            return Ok(self.dedup_pairwise_value());
+        }
+        let pos: Vec<u32> = leaves
+            .iter()
+            .map(|&(node, _)| {
+                if self.dirty_paths.contains(node) {
+                    NONE32
+                } else {
+                    table.position(node)
+                }
+            })
+            .collect();
+        let mut dists = Vec::with_capacity(pairs);
+        let old_n = table.nodes.len();
+        let mut walked = Ok(());
+        'walk: for i in 0..n {
+            let pi = pos[i];
+            for j in i + 1..n {
+                let pj = pos[j];
+                let d = if pi != NONE32 && pj != NONE32 {
+                    self.stats.emd_cache_hits += 1;
+                    table.dists[tri_index(old_n, pi.min(pj), pi.max(pj))]
+                } else {
+                    match self.distance(ids[i], ids[j]) {
+                        Ok(d) => d,
+                        Err(e) => {
+                            walked = Err(e);
+                            break 'walk;
+                        }
+                    }
+                };
+                dists.push(d);
+            }
+        }
+        self.scratch.ids = ids;
+        walked?;
+        let value = self.criterion.aggregator.apply(&dists);
+        table.replace(leaves, dists);
+        Ok(value)
     }
 
     /// Rehydrates an engine over `space` from detached caches: no bin-code
@@ -1774,6 +1858,63 @@ pub(crate) enum CacheAdjust {
     /// A row's score moved between bins. Same-bin rescores change no
     /// histogram and need no cache work at all.
     Rescore { old_bin: u32, new_bin: u32 },
+}
+
+/// Index of pair `(i, j)`, `i < j`, in the row-major upper triangle of an
+/// `n × n` matrix — the reference `(0,1), (0,2), …` pair order.
+#[inline]
+fn tri_index(n: usize, i: u32, j: u32) -> usize {
+    let (i, j) = (i as usize, j as usize);
+    i * (2 * n - i - 1) / 2 + (j - i - 1)
+}
+
+/// The last completed delta replay's final leaves and their pairwise
+/// distances, kept for the next replay's [`SplitEngine::fold_leaves`].
+/// Leaves are named by trie node, whose ids are stable across rounds
+/// (trie nodes are never freed); `dists` is the fold's distance sequence
+/// itself, the upper triangle in reference order. Whether a leaf's content
+/// is unchanged is decided by the dirty set, never by content id: a freed
+/// slot may be re-interned at the same node with different content.
+#[derive(Debug, Default)]
+pub(crate) struct LeafTable {
+    /// Trie node of each leaf, in leaf order.
+    nodes: Vec<u32>,
+    dists: Vec<f64>,
+    /// `slot[trie node]`: the node's leaf position ([`NONE32`] if none).
+    slot: Vec<u32>,
+}
+
+impl LeafTable {
+    /// The leaf position of trie node `node` in the kept replay, or
+    /// [`NONE32`].
+    #[inline]
+    fn position(&self, node: u32) -> u32 {
+        self.slot.get(node as usize).copied().unwrap_or(NONE32)
+    }
+
+    /// Keeps `leaves` and their distance sequence.
+    fn replace(&mut self, leaves: &[(u32, u32)], dists: Vec<f64>) {
+        self.clear();
+        self.dists = dists;
+        for (i, &(node, _)) in leaves.iter().enumerate() {
+            let n = node as usize;
+            if n >= self.slot.len() {
+                self.slot.resize(n + 1, NONE32);
+            }
+            self.slot[n] = i as u32;
+            self.nodes.push(node);
+        }
+    }
+
+    /// Forgets every kept leaf (after a cancelled run, a deduplicated fold
+    /// or a single-leaf tree); the next fold computes every pair.
+    pub(crate) fn clear(&mut self) {
+        for &node in &self.nodes {
+            self.slot[node as usize] = NONE32;
+        }
+        self.nodes.clear();
+        self.dists.clear();
+    }
 }
 
 /// Trie nodes dirtied since the last completed replay: a flag per node
@@ -1832,8 +1973,8 @@ pub(crate) struct EngineParts {
     eval_log: Vec<Vec<AttrEval>>,
     generation: u32,
     /// Trie nodes dirtied by [`Self::apply_event`] since the last completed
-    /// replay — the replay's clean-subtree skip consults this through
-    /// [`SplitEngine::subtree_clean`] and clears it on success.
+    /// replay — the replay's clean-subtree skip and leaf table consult this
+    /// through [`SplitEngine::subtree_clean`] and clear it on success.
     dirty_paths: DirtySet,
     /// [`Self::apply_event`]'s counts row and trie-walk stack, reused
     /// across events.
@@ -2098,6 +2239,16 @@ impl EngineParts {
                 assert_eq!(current, d as usize, "current partners of {id}");
             }
         }
+    }
+
+    /// Whether trie node `node` was dirtied since the last completed run.
+    pub(crate) fn is_dirty(&self, node: u32) -> bool {
+        self.dirty_paths.contains(node)
+    }
+
+    /// The content id trie node `node` holds.
+    pub(crate) fn content_of(&self, node: u32) -> Option<u32> {
+        self.paths.content(node)
     }
 
     pub(crate) fn footprint(&self) -> Footprint {
@@ -2681,19 +2832,23 @@ mod tests {
         let mut parts = engine.into_parts();
         parts.begin_generation();
         let mut resumed = SplitEngine::resume(&s, parts);
-        let (delta, scored_delta) = resumed.delta_best_split(&root, &[0, 1], 1).unwrap();
+        let (delta, scored_delta) = resumed.delta_best_split(0, &[0, 1], 1).unwrap().unwrap();
         let delta = delta.unwrap();
         assert_eq!((delta.attr, scored_delta), (full.attr, scored_full));
         assert_eq!(delta.value.to_bits(), full.value.to_bits());
         assert_eq!(delta.child_ids, full.child_ids);
         assert_eq!(resumed.stats().histograms_built, 0, "all from cache");
         // The min-size skip replays from summaries too.
-        let (none, zero) = resumed.delta_best_split(&root, &[0, 1], 5).unwrap();
+        let (none, zero) = resumed.delta_best_split(0, &[0, 1], 5).unwrap().unwrap();
         assert!(none.is_none());
         assert_eq!(zero, 0);
-        // An unseen path falls back to the real scan (and records it).
+        // A node without summaries asks for its rows; the real scan over
+        // them agrees with a fresh engine (and records the summaries).
         let child = root.split(&s, 0).remove(0);
-        let (via_delta, _) = resumed.delta_best_split(&child, &[1], 1).unwrap();
+        let node = resumed.paths.lookup(&child.path).unwrap();
+        assert!(resumed.delta_best_split(node, &[1], 1).unwrap().is_none());
+        let (via_delta, _) = resumed.best_split(&child, &[1], 1).unwrap();
+        assert!(resumed.delta_best_split(node, &[1], 1).unwrap().is_some());
         let mut fresh = SplitEngine::new(&s, crit);
         let (via_full, _) = fresh.best_split(&child, &[1], 1).unwrap();
         match (via_delta, via_full) {
@@ -2734,7 +2889,7 @@ mod tests {
         let mut resumed = SplitEngine::resume(&mutated, parts);
         let mut fresh = SplitEngine::new(&mutated, crit);
         let new_root = Partition::root(&mutated);
-        let (d, sd) = resumed.delta_best_split(&new_root, &[0, 1], 1).unwrap();
+        let (d, sd) = resumed.delta_best_split(0, &[0, 1], 1).unwrap().unwrap();
         let (f, sf) = fresh.best_split(&new_root, &[0, 1], 1).unwrap();
         let (d, f) = (d.unwrap(), f.unwrap());
         assert_eq!((d.attr, sd), (f.attr, sf));

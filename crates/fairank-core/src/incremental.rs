@@ -33,6 +33,14 @@
 //!   to (and re-recording) the real counting pass wherever the caches
 //!   can't answer — e.g. a node the previous tree never evaluated or a
 //!   brand-new attribute value.
+//! * **Rows on demand** — the replay builds a compact tree of split
+//!   decisions, trie nodes and content ids, never a tree of row vectors; a
+//!   node's rows are derived from its parent's only for that fallback, and
+//!   [`DeltaEngine::requantify`] materializes the partitions in one pass
+//!   at the end ([`DeltaEngine::requantify_summary`] skips it).
+//! * **Leaf-distance table** — the final fold keeps the last completed
+//!   run's leaves (by trie node) and their pairwise distances; a pair of
+//!   leaves no event has dirtied since reuses its distance.
 //!
 //! Bitwise identity holds because every aggregated value the search
 //! compares is a pure function of interned histogram *contents* (count
@@ -43,12 +51,13 @@
 //! metrics, along with the guarantee that a delta run never computes
 //! more EMDs than the full recompute it replaces.
 
-use std::time::Instant;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use crate::cancel::RunBudget;
-use crate::engine::{CacheAdjust, CandidateSplit, EngineParts, SplitEngine};
+use crate::engine::{CacheAdjust, CandidateSplit, EngineParts, LeafTable, SplitEngine};
 use crate::error::{CoreError, Result};
-use crate::partition::{Partition, PartitioningTree};
+use crate::partition::{Partition, PartitioningTree, PathStep};
 use crate::quantify::{Quantify, QuantifyOutcome, SearchStats, SplitEvaluation};
 use crate::space::{DeltaOp, RankingSpace, SpaceDelta};
 
@@ -65,6 +74,23 @@ pub struct DeltaReport {
     /// EMD memo entries dropped by targeted invalidation (entries whose
     /// content ids were orphaned by the patches).
     pub emd_entries_dropped: usize,
+}
+
+/// One run's result without its partitions: what a re-audit round reads
+/// ([`DeltaEngine::requantify_summary`]). Every field equals the
+/// corresponding part of [`DeltaEngine::requantify`]'s outcome.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSummary {
+    /// `unfairness(P, f)` of the final partitioning.
+    pub unfairness: f64,
+    /// Partitions in the final partitioning (the tree's leaves).
+    pub num_partitions: usize,
+    /// Work counters.
+    pub stats: SearchStats,
+    /// Wall-clock time of the run.
+    pub elapsed: Duration,
+    /// Wall-clock time of the final leaf fold, part of `elapsed`.
+    pub fold_elapsed: Duration,
 }
 
 /// A `QUANTIFY` searcher that owns its ranking space and keeps the split
@@ -96,27 +122,60 @@ pub struct DeltaEngine {
     pending_invalidated: usize,
     /// The last completed run's tree in compact form, indexed by its node
     /// ids — the clean-subtree skip's source of structure and stat
-    /// contributions. Dropped on a cancelled run (the recording is
-    /// incomplete), which only costs the next run its skips.
-    prev: Option<Vec<PrevNode>>,
+    /// contributions, and the source of [`Self::requantify`]'s partitions.
+    /// Dropped on a cancelled run (the recording is incomplete), which only
+    /// costs the next run its skips.
+    prev: Option<Vec<Node>>,
+    /// The last completed run's leaves and their pairwise distances, the
+    /// next fold's source of unchanged pairs. Cleared with `prev`.
+    leaf_table: LeafTable,
 }
 
-/// One node of the last completed run's tree, in exactly the form the next
-/// replay's clean-subtree skip needs: the split decision with its child
-/// codes (to match a live split against the previous structure) and the
-/// cumulative `[nodes_evaluated, candidate_splits, splits_performed]`
-/// contributions of the recursion rooted here (so a structurally copied
-/// subtree adds stat-exact counts without re-evaluating anything).
-#[derive(Debug, Clone, Default)]
-struct PrevNode {
+/// One node of a replayed tree, in compact form: no row set, only what the
+/// replay and the next run's clean-subtree skip need. Node ids are
+/// assigned exactly as [`PartitioningTree::split_node`] would assign them
+/// (children of a split get consecutive ids, in depth-first split order),
+/// so the materialized tree has the same numbering.
+#[derive(Debug, Clone)]
+struct Node {
+    /// The parent node, `None` for the root.
+    parent: Option<usize>,
+    /// The value code of the step from the parent (on the parent's split
+    /// attribute); 0 for the root.
+    code: u32,
+    /// The engine trie node of this partition's path. Trie nodes are never
+    /// freed, so the id names the same path in every later run.
+    trie: u32,
+    /// The interned content id of the partition's histogram, taken from
+    /// the parent's winning candidate or, for a copied node, from the trie.
+    /// Unknown (and unused) for the root.
+    content: Option<u32>,
     split_attr: Option<usize>,
-    /// `(child code, node index)` per child, ascending by code — the same
-    /// order [`Partition::split`] and a candidate's `child_ids` use.
-    children: Vec<(u32, usize)>,
+    /// The children's ids, ascending by code — the order
+    /// [`Partition::split`] and a candidate's `child_ids` use.
+    children: Range<usize>,
+    /// Cumulative `[nodes_evaluated, candidate_splits, splits_performed]`
+    /// contributions of the recursion rooted here (so a structurally copied
+    /// subtree adds stat-exact counts without re-evaluating anything).
     stats: [usize; 3],
     /// The node's recorded `mostUnfair` evaluation, for candidate reuse
     /// when the node itself is clean on the next run.
     eval: Option<PrevEval>,
+}
+
+impl Node {
+    fn root() -> Node {
+        Node {
+            parent: None,
+            code: 0,
+            trie: 0,
+            content: None,
+            split_attr: None,
+            children: 0..0,
+            stats: [0; 3],
+            eval: None,
+        }
+    }
 }
 
 /// One node's recorded `mostUnfair` outcome: how many candidates scored,
@@ -131,37 +190,122 @@ struct PrevEval {
     candidate: Option<(usize, f64, Vec<u32>)>,
 }
 
-/// What one replay records about one new-tree node, keyed by node id.
-#[derive(Debug, Clone, Default)]
-struct NodeRec {
-    /// Cumulative `[nodes_evaluated, candidate_splits, splits_performed]`
-    /// of the recursion rooted here.
-    stats: [usize; 3],
-    eval: Option<PrevEval>,
+impl PrevEval {
+    fn of(candidate: Option<&CandidateSplit>, scored: usize) -> PrevEval {
+        PrevEval {
+            scored,
+            candidate: candidate.map(|c| (c.attr, c.value, c.child_codes.clone())),
+        }
+    }
 }
 
-/// Previous-run context threaded through one replay: the last completed
-/// tree (`prev`, if any) and the per-node recordings being made for the
-/// *next* run (`recs`, indexed by the new tree's node ids).
+/// One replay's state: the last completed tree (`prev`, if any), the tree
+/// being built (`nodes`), and the row sets materialized on demand (`rows`,
+/// by node id; empty = not materialized — no node is empty).
 struct Replay<'p> {
-    prev: Option<&'p [PrevNode]>,
-    recs: Vec<NodeRec>,
+    prev: Option<&'p [Node]>,
+    nodes: Vec<Node>,
+    rows: Vec<Vec<u32>>,
 }
 
 impl Replay<'_> {
-    /// The recording slot for new-tree node `id`, growing the table as
-    /// the tree grows.
-    fn rec(&mut self, id: usize) -> &mut NodeRec {
-        if self.recs.len() <= id {
-            self.recs.resize_with(id + 1, NodeRec::default);
-        }
-        &mut self.recs[id]
-    }
-
     /// The previous run's recorded evaluation for `prev_id`, if any.
     fn prev_eval(&self, prev_id: Option<usize>) -> Option<PrevEval> {
         self.prev?.get(prev_id?)?.eval.clone()
     }
+
+    /// Records a split of `node` on `attr` into one child per
+    /// `(code, trie node, content)`, returning the children's ids.
+    fn split(
+        &mut self,
+        node: usize,
+        attr: usize,
+        children: impl Iterator<Item = (u32, u32, u32)>,
+    ) -> Range<usize> {
+        let first = self.nodes.len();
+        for (code, trie, content) in children {
+            self.nodes.push(Node {
+                parent: Some(node),
+                code,
+                trie,
+                content: Some(content),
+                ..Node::root()
+            });
+        }
+        let ids = first..self.nodes.len();
+        let n = &mut self.nodes[node];
+        n.split_attr = Some(attr);
+        n.children = ids.clone();
+        ids
+    }
+
+    /// The node's partition, its rows materialized on demand: the parent's
+    /// rows split by code, exactly as [`Partition::split`] would (the root
+    /// holds every row). The rows stay cached for the rest of the replay;
+    /// hand the partition back through [`Self::restore`].
+    fn take_partition(&mut self, space: &RankingSpace, node: usize) -> Partition {
+        self.materialize(space, node);
+        let mut path = Vec::new();
+        let mut at = node;
+        while let Some(parent) = self.nodes[at].parent {
+            path.push(PathStep {
+                attr: self.nodes[parent].split_attr.expect("a parent is split"),
+                code: self.nodes[at].code,
+            });
+            at = parent;
+        }
+        path.reverse();
+        Partition {
+            rows: std::mem::take(&mut self.rows[node]),
+            path,
+        }
+    }
+
+    fn restore(&mut self, node: usize, partition: Partition) {
+        self.rows[node] = partition.rows;
+    }
+
+    fn materialize(&mut self, space: &RankingSpace, node: usize) {
+        if self.rows.len() < self.nodes.len() {
+            self.rows.resize_with(self.nodes.len(), Vec::new);
+        }
+        if !self.rows[node].is_empty() {
+            return;
+        }
+        let Some(parent) = self.nodes[node].parent else {
+            self.rows[node] = space.all_rows();
+            return;
+        };
+        self.materialize(space, parent);
+        let attr = self.nodes[parent].split_attr.expect("a parent is split");
+        let codes = &space.attributes()[attr].codes;
+        let children = self.nodes[parent].children.clone();
+        let mut child_of = vec![usize::MAX; space.attributes()[attr].cardinality()];
+        for c in children {
+            child_of[self.nodes[c].code as usize] = c;
+        }
+        let rows = std::mem::take(&mut self.rows[parent]);
+        for &row in &rows {
+            self.rows[child_of[codes[row as usize] as usize]].push(row);
+        }
+        self.rows[parent] = rows;
+    }
+}
+
+/// The compact tree's leaves as `(trie node, content id)`, left to right
+/// (the order of [`PartitioningTree::leaf_ids`]).
+fn leaves(nodes: &[Node]) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    let mut stack = vec![0];
+    while let Some(id) = stack.pop() {
+        let node = &nodes[id];
+        if node.children.is_empty() {
+            out.push((node.trie, node.content.expect("a split child has a content")));
+        } else {
+            stack.extend(node.children.clone().rev());
+        }
+    }
+    out
 }
 
 impl DeltaEngine {
@@ -177,6 +321,7 @@ impl DeltaEngine {
             parts: None,
             pending_invalidated: 0,
             prev: None,
+            leaf_table: LeafTable::default(),
         })
     }
 
@@ -208,8 +353,9 @@ impl DeltaEngine {
     /// path, and finally frees the contents the batch orphaned together
     /// with their EMD memo entries.
     /// Ops apply sequentially; if one fails (bad row index, non-finite
-    /// score, emptying the space), earlier ops stay applied and the space
-    /// and caches remain mutually consistent.
+    /// score, emptying the space), earlier ops stay applied, their orphans
+    /// are freed and counted as for a successful batch, and the space and
+    /// caches remain mutually consistent.
     pub fn apply(&mut self, delta: &SpaceDelta) -> Result<DeltaReport> {
         let mut report = DeltaReport::default();
         let Some(parts) = self.parts.as_mut() else {
@@ -220,57 +366,52 @@ impl DeltaEngine {
             return Ok(report);
         };
         parts.begin_generation();
-        for op in &delta.ops {
-            match op {
-                DeltaOp::Insert { labels, score } => {
-                    let codes = self.space.insert_row(labels, *score)?;
-                    let bin = parts.bin_of(*score);
-                    parts.push_row_bin(bin);
-                    report.histograms_rebuilt +=
-                        parts.apply_event(&codes, CacheAdjust::Insert { bin });
-                }
-                DeltaOp::Remove { row } => {
-                    let r = *row as usize;
-                    // Codes must be captured before the removal destroys
-                    // them; the space call right after validates the index
-                    // (and guards emptiness) before any cache is touched.
-                    let codes: Option<Vec<u32>> = (r < self.space.num_individuals()).then(|| {
-                        self.space
-                            .attributes()
-                            .iter()
-                            .map(|a| a.codes[r])
-                            .collect()
-                    });
-                    self.space.remove_row(r)?;
-                    let codes = codes.expect("index validated by remove_row");
-                    let bin = parts.remove_row_bin(r);
-                    report.histograms_rebuilt +=
-                        parts.apply_event(&codes, CacheAdjust::Remove { bin });
-                }
-                DeltaOp::Rescore { row, score } => {
-                    let r = *row as usize;
-                    let codes: Option<Vec<u32>> = (r < self.space.num_individuals()).then(|| {
-                        self.space
-                            .attributes()
-                            .iter()
-                            .map(|a| a.codes[r])
-                            .collect()
-                    });
-                    self.space.rescore_row(r, *score)?;
-                    let codes = codes.expect("index validated by rescore_row");
-                    let old_bin = parts.row_bin(r);
-                    let new_bin = parts.bin_of(*score);
-                    parts.set_row_bin(r, new_bin);
-                    report.histograms_rebuilt +=
-                        parts.apply_event(&codes, CacheAdjust::Rescore { old_bin, new_bin });
-                }
-            }
+        let applied = delta.ops.iter().try_for_each(|op| {
+            report.histograms_rebuilt += Self::apply_op(&mut self.space, parts, op)?;
             report.events += 1;
-        }
+            Ok(())
+        });
         let dropped = parts.free_orphans();
         self.pending_invalidated += dropped;
         report.emd_entries_dropped = dropped;
-        Ok(report)
+        applied.map(|()| report)
+    }
+
+    /// One mutation op: the space change, then the dirty-path patches.
+    /// Returns the cached histograms rebuilt.
+    fn apply_op(space: &mut RankingSpace, parts: &mut EngineParts, op: &DeltaOp) -> Result<usize> {
+        // A removal or rescore captures the row's codes before the space
+        // call, which validates the index before any cache is touched.
+        let codes_of = |space: &RankingSpace, r: usize| -> Option<Vec<u32>> {
+            (r < space.num_individuals())
+                .then(|| space.attributes().iter().map(|a| a.codes[r]).collect())
+        };
+        Ok(match op {
+            DeltaOp::Insert { labels, score } => {
+                let codes = space.insert_row(labels, *score)?;
+                let bin = parts.bin_of(*score);
+                parts.push_row_bin(bin);
+                parts.apply_event(&codes, CacheAdjust::Insert { bin })
+            }
+            DeltaOp::Remove { row } => {
+                let r = *row as usize;
+                let codes = codes_of(space, r);
+                space.remove_row(r)?;
+                let codes = codes.expect("index validated by remove_row");
+                let bin = parts.remove_row_bin(r);
+                parts.apply_event(&codes, CacheAdjust::Remove { bin })
+            }
+            DeltaOp::Rescore { row, score } => {
+                let r = *row as usize;
+                let codes = codes_of(space, r);
+                space.rescore_row(r, *score)?;
+                let codes = codes.expect("index validated by rescore_row");
+                let old_bin = parts.row_bin(r);
+                let new_bin = parts.bin_of(*score);
+                parts.set_row_bin(r, new_bin);
+                parts.apply_event(&codes, CacheAdjust::Rescore { old_bin, new_bin })
+            }
+        })
     }
 
     /// Runs `QUANTIFY` over the current space. The first call builds the
@@ -281,27 +422,51 @@ impl DeltaEngine {
     /// (`nodes_evaluated`, `splits_performed`, `candidate_splits`) — is
     /// identical to [`Quantify::run_space`] on an equal space; only the
     /// cache-level counters differ, reflecting the reuse.
+    ///
+    /// This is [`Self::requantify_summary`]'s replay plus one pass that
+    /// materializes the tree's row sets.
     pub fn requantify(&mut self) -> Result<QuantifyOutcome> {
         let start = Instant::now();
+        let run = self.run(start)?;
+        let tree = self.materialize_tree();
+        let partitions = tree.leaf_partitions();
+        Ok(QuantifyOutcome {
+            tree,
+            partitions,
+            unfairness: run.unfairness,
+            stats: run.stats,
+            elapsed: start.elapsed(),
+        })
+    }
+
+    /// [`Self::requantify`] without the partitions: the same replay, the
+    /// same unfairness bits and counters, but no row set is materialized
+    /// unless a node's split summaries cannot answer its evaluation.
+    pub fn requantify_summary(&mut self) -> Result<RunSummary> {
+        self.run(Instant::now())
+    }
+
+    /// One replay started at `start`. A completed run leaves its compact
+    /// tree in `prev` (none at depth 0, whose tree is the root alone).
+    fn run(&mut self, start: Instant) -> Result<RunSummary> {
         if self.search.max_depth() == Some(0) {
             // Depth 0 replays `run_space`'s trivial branch verbatim — no
             // engine, no caches touched.
             let root = Partition::root(&self.space);
-            let tree = PartitioningTree::new(root.clone());
-            let partitions = vec![root];
+            let fold = Instant::now();
             let unfairness = self
                 .search
                 .criterion()
-                .unfairness(&partitions, self.space.scores())?;
-            return Ok(QuantifyOutcome {
-                tree,
-                partitions,
+                .unfairness(std::slice::from_ref(&root), self.space.scores())?;
+            return Ok(RunSummary {
                 unfairness,
+                num_partitions: 1,
                 stats: SearchStats {
                     histograms_built: 1,
                     ..SearchStats::default()
                 },
                 elapsed: start.elapsed(),
+                fold_elapsed: fold.elapsed(),
             });
         }
         let mut engine = match self.parts.take() {
@@ -317,17 +482,24 @@ impl DeltaEngine {
         let prev = self.prev.take();
         let mut replay = Replay {
             prev: prev.as_deref(),
-            recs: Vec::new(),
+            nodes: Vec::new(),
+            rows: Vec::new(),
         };
-        let mut next: Option<Vec<PrevNode>> = None;
+        let mut table = std::mem::take(&mut self.leaf_table);
         let mut stats = SearchStats::default();
-        let result = match self.delta_search(&mut engine, &mut stats, start, &mut replay, &mut next)
-        {
+        let result = match self.delta_search(&mut engine, &mut stats, &mut replay, &mut table) {
+            Ok((unfairness, num_partitions, fold_elapsed)) => Ok(RunSummary {
+                unfairness,
+                num_partitions,
+                stats,
+                elapsed: start.elapsed(),
+                fold_elapsed,
+            }),
             Err(CoreError::Cancelled { reason, .. }) => {
                 Quantify::merge_engine_stats(&mut stats, &engine);
                 Err(CoreError::Cancelled { reason, stats })
             }
-            other => other,
+            Err(e) => Err(e),
         };
         // The caches stay valid even when the run was cancelled mid-way:
         // a search only ever *adds* pure entries to them.
@@ -337,111 +509,134 @@ impl DeltaEngine {
             // The completed replay re-validated (or copied) everything the
             // accumulated mutations had dirtied.
             parts.clear_dirty();
-            self.prev = next;
+            self.prev = Some(replay.nodes);
+        } else {
+            table.clear();
         }
+        self.leaf_table = table;
         self.parts = Some(parts);
         result
     }
 
+    /// The last completed run's tree with its row sets: the compact tree's
+    /// splits replayed through real [`Partition::split`]s in the replay's
+    /// own depth-first order, so node ids match.
+    fn materialize_tree(&self) -> PartitioningTree {
+        let mut tree = PartitioningTree::new(Partition::root(&self.space));
+        let Some(nodes) = self.prev.as_deref() else {
+            return tree;
+        };
+        let mut stack = vec![0];
+        while let Some(id) = stack.pop() {
+            let node = &nodes[id];
+            let Some(attr) = node.split_attr else {
+                continue;
+            };
+            let children = tree.node(id).partition.split(&self.space, attr);
+            let ids = tree.split_node(id, attr, children);
+            debug_assert_eq!(ids, node.children.clone().collect::<Vec<_>>());
+            stack.extend(node.children.clone().rev());
+        }
+        tree
+    }
+
     /// The mirror of `Quantify::engine_search`, with `delta_best_split` in
-    /// place of the counting-pass `best_split`. Everything else — real
-    /// partition splits, sibling sets, split-acceptance values, the final
+    /// place of the counting-pass `best_split`, over the compact tree.
+    /// Everything else — sibling sets, split-acceptance values, the final
     /// leaf unfairness — runs through the same engine calls in the same
     /// order, so accepted trees and every compared value reproduce the
-    /// from-scratch bits.
+    /// from-scratch bits. Returns the unfairness, the number of leaves and
+    /// the fold's wall-clock time.
     fn delta_search(
         &self,
         engine: &mut SplitEngine<'_>,
         stats: &mut SearchStats,
-        start: Instant,
         replay: &mut Replay<'_>,
-        next: &mut Option<Vec<PrevNode>>,
-    ) -> Result<QuantifyOutcome> {
-        let space = &self.space;
-        let root = Partition::root(space);
-        let mut tree = PartitioningTree::new(root.clone());
-
-        let all_attrs: Vec<usize> = (0..space.attributes().len()).collect();
+        table: &mut LeafTable,
+    ) -> Result<(f64, usize, Duration)> {
+        let all_attrs: Vec<usize> = (0..self.space.attributes().len()).collect();
         let min_size = self.search.min_partition_size();
+        replay.nodes.push(Node::root());
 
         let (candidate, scored) =
-            self.candidate_for(engine, &root, &all_attrs, min_size, replay, Some(0))?;
+            self.candidate_for(engine, replay, 0, &all_attrs, min_size, Some(0))?;
         stats.candidate_splits += scored;
-        replay.rec(tree.root()).eval = Some(PrevEval {
-            scored,
-            candidate: candidate
-                .as_ref()
-                .map(|c| (c.attr, c.value, c.child_codes.clone())),
-        });
+        replay.nodes[0].eval = Some(PrevEval::of(candidate.as_ref(), scored));
         let Some(candidate) = candidate else {
-            let partitions = vec![root];
-            let unfairness = engine.unfairness(&partitions)?;
+            let fold = Instant::now();
+            let root = Partition::root(&self.space);
+            let unfairness = engine.unfairness(std::slice::from_ref(&root))?;
             Quantify::merge_engine_stats(stats, engine);
-            *next = Some(Self::assemble_prev(&tree, &replay.recs));
-            return Ok(QuantifyOutcome {
-                tree,
-                partitions,
-                unfairness,
-                stats: *stats,
-                elapsed: start.elapsed(),
-            });
+            table.clear();
+            return Ok((unfairness, 1, fold.elapsed()));
         };
 
         let first_attr = candidate.attr;
-        let children = root.split(space, first_attr);
-        debug_assert_eq!(children.len(), candidate.child_ids.len());
-        let child_codes: Vec<u32> = children
-            .iter()
-            .map(|c| c.path.last().expect("split appends a step").code)
-            .collect();
         let remaining: Vec<usize> = all_attrs
             .iter()
             .copied()
             .filter(|&a| a != first_attr)
             .collect();
-        let ids = tree.split_node(tree.root(), first_attr, children);
+        let ids = self.split(engine, replay, 0, &candidate);
         stats.splits_performed += 1;
 
-        let prev_children = Self::match_prev(replay.prev, Some(0), first_attr, &child_codes);
-        if let (Some(pc), true) = (prev_children.as_ref(), engine.subtree_clean(&[])) {
+        let prev_children =
+            Self::match_prev(replay.prev, Some(0), first_attr, &candidate.child_codes);
+        if let (Some(pc), true) = (prev_children.as_ref(), engine.subtree_clean(0)) {
             // Zero effective churn: the whole previous tree replays
             // verbatim — copy it.
-            self.copy_group(&mut tree, &ids, replay, stats, pc);
+            self.copy_group(engine, replay, ids, stats, pc);
         } else {
-            for (i, id) in ids.iter().enumerate() {
-                let sibling_ids: Vec<u32> = candidate
-                    .child_ids
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, &c)| c)
-                    .collect();
+            for (i, id) in ids.enumerate() {
+                let sibling_ids = Self::siblings(&candidate, i);
                 self.delta_rec(
                     engine,
-                    &mut tree,
-                    *id,
+                    replay,
+                    id,
                     candidate.child_ids[i],
                     &sibling_ids,
                     &remaining,
                     1,
                     stats,
-                    replay,
                     prev_children.as_ref().map(|pc| pc[i]),
                 )?;
             }
         }
 
-        let partitions = tree.leaf_partitions();
-        let unfairness = engine.unfairness(&partitions)?;
+        let fold = Instant::now();
+        let leaves = leaves(&replay.nodes);
+        let unfairness = engine.fold_leaves(&leaves, table)?;
         Quantify::merge_engine_stats(stats, engine);
-        *next = Some(Self::assemble_prev(&tree, &replay.recs));
-        Ok(QuantifyOutcome {
-            tree,
-            partitions,
-            unfairness,
-            stats: *stats,
-            elapsed: start.elapsed(),
-        })
+        Ok((unfairness, leaves.len(), fold.elapsed()))
+    }
+
+    /// The content ids of every child of `candidate` but the `i`-th.
+    fn siblings(candidate: &CandidateSplit, i: usize) -> Vec<u32> {
+        candidate
+            .child_ids
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| *j != i)
+            .map(|(_, &c)| c)
+            .collect()
+    }
+
+    /// Records the accepted split of `node` into `candidate`'s children.
+    fn split(
+        &self,
+        engine: &SplitEngine<'_>,
+        replay: &mut Replay<'_>,
+        node: usize,
+        candidate: &CandidateSplit,
+    ) -> Range<usize> {
+        let trie = replay.nodes[node].trie;
+        let attr = candidate.attr;
+        let children = candidate
+            .child_codes
+            .iter()
+            .zip(&candidate.child_ids)
+            .map(|(&code, &id)| (code, engine.child_node(trie, attr, code), id));
+        replay.split(node, attr, children)
     }
 
     /// The node's `mostUnfair` winner: reconstructed from the previous
@@ -450,37 +645,46 @@ impl DeltaEngine {
     /// bits, and scored count are exactly what a live evaluation would
     /// produce), otherwise evaluated through [`SplitEngine::delta_best_split`].
     /// A cache miss inside the reconstruction (a probe the trie can't
-    /// answer) falls back to the live evaluation too.
+    /// answer) falls back to the live evaluation too, and a live evaluation
+    /// the split summaries can't answer materializes the node's rows for
+    /// the counting pass.
     fn candidate_for(
         &self,
         engine: &mut SplitEngine<'_>,
-        current: &Partition,
+        replay: &mut Replay<'_>,
+        node: usize,
         avail: &[usize],
         min_size: usize,
-        replay: &Replay<'_>,
         prev_id: Option<usize>,
     ) -> Result<(Option<CandidateSplit>, usize)> {
+        let trie = replay.nodes[node].trie;
         if let Some(ev) = replay.prev_eval(prev_id) {
-            if engine.subtree_clean(&current.path) {
+            if engine.subtree_clean(trie) {
                 match &ev.candidate {
                     None => return Ok((None, ev.scored)),
                     Some((attr, value, codes)) => {
-                        if let Some(c) = engine.rebuild_candidate(current, *attr, *value, codes) {
+                        if let Some(c) = engine.rebuild_candidate(trie, *attr, *value, codes) {
                             return Ok((Some(c), ev.scored));
                         }
                     }
                 }
             }
         }
-        engine.delta_best_split(current, avail, min_size)
+        if let Some(found) = engine.delta_best_split(trie, avail, min_size)? {
+            return Ok(found);
+        }
+        let partition = replay.take_partition(&self.space, node);
+        let found = engine.best_split(&partition, avail, min_size);
+        replay.restore(node, partition);
+        found
     }
 
     /// Matches a live split (attr + ascending child codes) against the
-    /// previous tree's node `prev_id`: `Some(previous child indices)` when
-    /// the previous run split this node identically, so children
-    /// correspond pairwise.
+    /// previous tree's node `prev_id`: `Some(previous child ids)` when the
+    /// previous run split this node identically, so children correspond
+    /// pairwise.
     fn match_prev(
-        prev: Option<&[PrevNode]>,
+        prev: Option<&[Node]>,
         prev_id: Option<usize>,
         attr: usize,
         child_codes: &[u32],
@@ -490,94 +694,54 @@ impl DeltaEngine {
         (p.split_attr == Some(attr)
             && p.children.len() == child_codes.len()
             && p.children
-                .iter()
+                .clone()
                 .zip(child_codes)
-                .all(|(&(code, _), &c)| code == c))
-        .then(|| p.children.iter().map(|&(_, i)| i).collect())
+                .all(|(c, &code)| nodes[c].code == code))
+        .then(|| p.children.clone().collect())
     }
 
     /// Copies every member of a clean sibling group from the previous
-    /// tree: stat contributions carry over cumulatively, structure is
-    /// rematerialized by real splits.
+    /// tree: stat contributions carry over cumulatively.
     fn copy_group(
         &self,
-        tree: &mut PartitioningTree,
-        ids: &[usize],
+        engine: &SplitEngine<'_>,
         replay: &mut Replay<'_>,
+        ids: Range<usize>,
         stats: &mut SearchStats,
         prev_children: &[usize],
     ) {
         let prev_nodes = replay.prev.expect("a matched group implies a previous run");
-        for (i, id) in ids.iter().enumerate() {
-            let ps = prev_nodes[prev_children[i]].stats;
+        for (id, &prev_id) in ids.zip(prev_children) {
+            let ps = prev_nodes[prev_id].stats;
             stats.nodes_evaluated += ps[0];
             stats.candidate_splits += ps[1];
             stats.splits_performed += ps[2];
-            self.copy_subtree(tree, *id, replay, prev_children[i]);
+            Self::copy_subtree(engine, replay, id, prev_id);
         }
     }
 
-    /// Structurally copies the previous run's subtree rooted at `prev_idx`
-    /// onto the (currently leaf) new-tree node `node_id`. The caller has
+    /// Structurally copies the previous run's subtree rooted at `prev_id`
+    /// onto the (currently leaf) new-tree node `node`. The caller has
     /// proved the subtree clean, so every split decision beneath it is
-    /// bit-unchanged; children rematerialize through real
-    /// [`Partition::split`] calls — exact row sets even after
-    /// index-shifting removals elsewhere in the space — with no candidate
-    /// re-evaluation, no trie walks, and no memo probes.
-    fn copy_subtree(
-        &self,
-        tree: &mut PartitioningTree,
-        node_id: usize,
-        replay: &mut Replay<'_>,
-        prev_idx: usize,
-    ) {
+    /// bit-unchanged and every node keeps its trie node and content: no
+    /// candidate re-evaluation, no memo probe, no row set.
+    fn copy_subtree(engine: &SplitEngine<'_>, replay: &mut Replay<'_>, node: usize, prev_id: usize) {
         let prev_nodes = replay.prev.expect("copy requires a previous run");
-        let prev = &prev_nodes[prev_idx];
-        let carried = NodeRec {
-            stats: prev.stats,
-            eval: prev.eval.clone(),
-        };
-        *replay.rec(node_id) = carried;
+        let prev = &prev_nodes[prev_id];
+        let n = &mut replay.nodes[node];
+        n.stats = prev.stats;
+        n.eval = prev.eval.clone();
         let Some(attr) = prev.split_attr else {
             return;
         };
-        let children = tree.node(node_id).partition.split(&self.space, attr);
-        debug_assert_eq!(children.len(), prev.children.len());
-        let ids = tree.split_node(node_id, attr, children);
-        for (i, id) in ids.iter().enumerate() {
-            self.copy_subtree(tree, *id, replay, prev.children[i].1);
+        let children = prev.children.clone().map(|c| {
+            let child = &prev_nodes[c];
+            (child.code, child.trie, engine.content_at(child.trie))
+        });
+        let ids = replay.split(node, attr, children);
+        for (id, prev_child) in ids.zip(prev.children.clone()) {
+            Self::copy_subtree(engine, replay, id, prev_child);
         }
-    }
-
-    /// The finished run's tree re-encoded as the next run's [`PrevNode`]
-    /// table (same node indexing as the tree).
-    fn assemble_prev(tree: &PartitioningTree, recs: &[NodeRec]) -> Vec<PrevNode> {
-        tree.nodes()
-            .iter()
-            .enumerate()
-            .map(|(id, n)| {
-                let rec = recs.get(id).cloned().unwrap_or_default();
-                PrevNode {
-                    split_attr: n.split_attr,
-                    children: n
-                        .children
-                        .iter()
-                        .map(|&c| {
-                            let code = tree
-                                .node(c)
-                                .partition
-                                .path
-                                .last()
-                                .expect("a child's path ends in its own step")
-                                .code;
-                            (code, c)
-                        })
-                        .collect(),
-                    stats: rec.stats,
-                    eval: rec.eval,
-                }
-            })
-            .collect()
     }
 
     /// The mirror of `Quantify::quantify_rec_engine` (Algorithm 1's
@@ -592,14 +756,13 @@ impl DeltaEngine {
     fn delta_rec(
         &self,
         engine: &mut SplitEngine<'_>,
-        tree: &mut PartitioningTree,
-        node_id: usize,
+        replay: &mut Replay<'_>,
+        node: usize,
         current_id: u32,
         sibling_ids: &[u32],
         avail: &[usize],
         depth: usize,
         stats: &mut SearchStats,
-        replay: &mut Replay<'_>,
         prev_id: Option<usize>,
     ) -> Result<()> {
         // Record this subtree's cumulative counter contributions so a
@@ -611,22 +774,20 @@ impl DeltaEngine {
         ];
         let result = self.delta_rec_inner(
             engine,
-            tree,
-            node_id,
+            replay,
+            node,
             current_id,
             sibling_ids,
             avail,
             depth,
             stats,
-            replay,
             prev_id,
         );
-        let contrib = [
+        replay.nodes[node].stats = [
             stats.nodes_evaluated - snap[0],
             stats.candidate_splits - snap[1],
             stats.splits_performed - snap[2],
         ];
-        replay.rec(node_id).stats = contrib;
         result
     }
 
@@ -634,14 +795,13 @@ impl DeltaEngine {
     fn delta_rec_inner(
         &self,
         engine: &mut SplitEngine<'_>,
-        tree: &mut PartitioningTree,
-        node_id: usize,
+        replay: &mut Replay<'_>,
+        node: usize,
         current_id: u32,
         sibling_ids: &[u32],
         avail: &[usize],
         depth: usize,
         stats: &mut SearchStats,
-        replay: &mut Replay<'_>,
         prev_id: Option<usize>,
     ) -> Result<()> {
         if avail.is_empty() {
@@ -655,19 +815,14 @@ impl DeltaEngine {
 
         let (candidate, scored) = self.candidate_for(
             engine,
-            &tree.node(node_id).partition,
+            replay,
+            node,
             avail,
             self.search.min_partition_size(),
-            replay,
             prev_id,
         )?;
         stats.candidate_splits += scored;
-        replay.rec(node_id).eval = Some(PrevEval {
-            scored,
-            candidate: candidate
-                .as_ref()
-                .map(|c| (c.attr, c.value, c.child_codes.clone())),
-        });
+        replay.nodes[node].eval = Some(PrevEval::of(candidate.as_ref(), scored));
         let Some(candidate) = candidate else {
             return Ok(());
         };
@@ -693,15 +848,9 @@ impl DeltaEngine {
         }
 
         let attr = candidate.attr;
-        let children = tree.node(node_id).partition.split(engine.space(), attr);
-        debug_assert!(children.len() >= 2);
-        debug_assert_eq!(children.len(), candidate.child_ids.len());
-        let child_codes: Vec<u32> = children
-            .iter()
-            .map(|c| c.path.last().expect("split appends a step").code)
-            .collect();
+        debug_assert!(candidate.child_ids.len() >= 2);
         let remaining: Vec<usize> = avail.iter().copied().filter(|&a| a != attr).collect();
-        let ids = tree.split_node(node_id, attr, children);
+        let ids = self.split(engine, replay, node, &candidate);
         stats.splits_performed += 1;
 
         // Clean-subtree skip: when no mutation touched any row of this
@@ -711,32 +860,25 @@ impl DeltaEngine {
         // child's accept decision only consults the group itself and its
         // own descendants. The previous subtrees therefore replay
         // verbatim; copy them instead.
-        let prev_children = Self::match_prev(replay.prev, prev_id, attr, &child_codes);
+        let prev_children = Self::match_prev(replay.prev, prev_id, attr, &candidate.child_codes);
         if let Some(pc) = prev_children.as_ref() {
-            if engine.subtree_clean(&tree.node(node_id).partition.path) {
-                self.copy_group(tree, &ids, replay, stats, pc);
+            if engine.subtree_clean(replay.nodes[node].trie) {
+                self.copy_group(engine, replay, ids, stats, pc);
                 return Ok(());
             }
         }
 
-        for (i, id) in ids.iter().enumerate() {
-            let new_sibling_ids: Vec<u32> = candidate
-                .child_ids
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, &c)| c)
-                .collect();
+        for (i, id) in ids.enumerate() {
+            let new_sibling_ids = Self::siblings(&candidate, i);
             self.delta_rec(
                 engine,
-                tree,
-                *id,
+                replay,
+                id,
                 candidate.child_ids[i],
                 &new_sibling_ids,
                 &remaining,
                 depth + 1,
                 stats,
-                replay,
                 prev_children.as_ref().map(|pc| pc[i]),
             )?;
         }
@@ -928,7 +1070,7 @@ mod tests {
         let full = search.run_space(engine.space()).unwrap();
         assert_outcomes_bitwise_equal(&delta, &full);
         assert_eq!(engine.space().scores()[1], 0.99);
-        // The failed batch's orphans are freed with the next batch's.
+        // The next batch's invalidations are its own.
         let report = engine.apply(&SpaceDelta::new().rescore(2, 0.01)).unwrap();
         engine.parts.as_ref().unwrap().check_invariants();
         let delta = engine.requantify().unwrap();
@@ -937,6 +1079,147 @@ mod tests {
             report.emd_entries_dropped
         );
         assert_outcomes_bitwise_equal(&delta, &search.run_space(engine.space()).unwrap());
+    }
+
+    #[test]
+    fn failed_apply_frees_and_counts_its_orphans() {
+        let search = Quantify::default();
+        let mut engine = DeltaEngine::new(churn_space(60), search.clone()).unwrap();
+        engine.requantify().unwrap();
+        // Eight rescores into the top bin orphan contents, then the batch
+        // fails on an out-of-range removal.
+        let mut bad = SpaceDelta::new();
+        for row in 0..8 {
+            bad = bad.rescore(row, 0.95);
+        }
+        assert!(engine.apply(&bad.remove(10_000)).is_err());
+        // The applied ops' orphans are freed and counted right away.
+        engine.parts.as_ref().unwrap().check_invariants();
+        let dropped = engine.pending_invalidated;
+        assert!(dropped > 0, "the rescores invalidated memo entries");
+        let delta = engine.requantify().unwrap();
+        assert_eq!(delta.stats.delta_invalidated_emds, dropped);
+        assert_outcomes_bitwise_equal(&delta, &search.run_space(engine.space()).unwrap());
+    }
+
+    /// The delta run's unfairness bits and partitions equal a full run's.
+    fn assert_matches_full(engine: &mut DeltaEngine, search: &Quantify) -> QuantifyOutcome {
+        let delta = engine.requantify().unwrap();
+        let full = search.run_space(engine.space()).unwrap();
+        assert_eq!(delta.unfairness.to_bits(), full.unfairness.to_bits());
+        assert_eq!(delta.partitions, full.partitions);
+        delta
+    }
+
+    #[test]
+    fn leaf_table_ignores_a_slot_reinterned_at_the_same_leaf() {
+        // Two batches without a run between them: the first changes a
+        // leaf's content and frees its old id, the second changes the leaf
+        // again and gets the freed id back (the free list is LIFO). The
+        // next fold sees the leaf at its old trie node with its old id but
+        // new content, and must recompute its distances. On a one-attribute
+        // space the leaves are the only contents, so this happens for
+        // every leaf; a three-attribute space adds shared ancestors.
+        let search = Quantify::default();
+        let mut reinterned = 0;
+        for space in [random_space(1, 40, 21), random_space(3, 90, 21)] {
+            let base = search.run_space(&space).unwrap();
+            for leaf in &base.partitions {
+                let low: Vec<u32> = leaf
+                    .rows
+                    .iter()
+                    .copied()
+                    .filter(|&r| space.scores()[r as usize] < 0.9)
+                    .collect();
+                let [a, .., b] = low[..] else {
+                    continue;
+                };
+                let mut engine = DeltaEngine::new(space.clone(), search.clone()).unwrap();
+                engine.requantify().unwrap();
+                let before = leaves(engine.prev.as_deref().unwrap());
+                // Both rows move into the top bin, so the leaf's final
+                // content differs from its original one.
+                engine.apply(&SpaceDelta::new().rescore(a, 0.99)).unwrap();
+                engine.apply(&SpaceDelta::new().rescore(b, 0.99)).unwrap();
+                let parts = engine.parts.as_ref().unwrap();
+                reinterned += before
+                    .iter()
+                    .filter(|&&(node, id)| {
+                        parts.is_dirty(node) && parts.content_of(node) == Some(id)
+                    })
+                    .count();
+                assert_matches_full(&mut engine, &search);
+            }
+        }
+        assert!(reinterned > 0, "no leaf got its freed slot back");
+    }
+
+    #[test]
+    fn leaf_table_maps_leaves_by_trie_node_when_the_structure_changes() {
+        // Rounds that restructure the tree while some leaves survive put
+        // surviving leaves at new positions; the fold must find their
+        // distances by trie node.
+        let search = Quantify::default();
+        let mut engine = DeltaEngine::new(random_space(4, 120, 8), search.clone()).unwrap();
+        let paths = |outcome: &QuantifyOutcome| -> Vec<Vec<crate::partition::PathStep>> {
+            outcome.partitions.iter().map(|p| p.path.clone()).collect()
+        };
+        let mut last = paths(&engine.requantify().unwrap());
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut restructured = 0;
+        for _ in 0..40 {
+            let delta = balanced_round(&mut rng, engine.space());
+            engine.apply(&delta).unwrap();
+            let now = paths(&assert_matches_full(&mut engine, &search));
+            if now != last && now.iter().any(|p| last.contains(p)) {
+                restructured += 1;
+            }
+            last = now;
+        }
+        assert!(restructured > 0, "no round restructured the tree");
+    }
+
+    #[test]
+    fn completed_run_after_a_cancelled_one_recomputes_what_changed() {
+        use crate::cancel::{CancelReason, CancelToken};
+        let search = Quantify::default();
+        let mut engine = DeltaEngine::new(random_space(4, 120, 3), search.clone()).unwrap();
+        engine.requantify().unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..3 {
+            engine.apply(&balanced_round(&mut rng, engine.space())).unwrap();
+            let token = CancelToken::new();
+            token.cancel(CancelReason::Disconnected);
+            engine.set_run_budget(RunBudget::unlimited().with_token(token));
+            assert!(matches!(
+                engine.requantify(),
+                Err(CoreError::Cancelled { .. })
+            ));
+            engine.set_run_budget(RunBudget::unlimited());
+            engine.apply(&balanced_round(&mut rng, engine.space())).unwrap();
+            assert_matches_full(&mut engine, &search);
+            engine.apply(&balanced_round(&mut rng, engine.space())).unwrap();
+            assert_matches_full(&mut engine, &search);
+        }
+    }
+
+    #[test]
+    fn summary_matches_the_full_outcome() {
+        let search = Quantify::default();
+        let space = random_space(4, 120, 12);
+        let mut full = DeltaEngine::new(space.clone(), search.clone()).unwrap();
+        let mut summary = DeltaEngine::new(space, search).unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..6 {
+            let outcome = full.requantify().unwrap();
+            let brief = summary.requantify_summary().unwrap();
+            assert_eq!(brief.unfairness.to_bits(), outcome.unfairness.to_bits());
+            assert_eq!(brief.num_partitions, outcome.partitions.len());
+            assert_eq!(brief.stats, outcome.stats);
+            let delta = balanced_round(&mut rng, full.space());
+            full.apply(&delta).unwrap();
+            summary.apply(&delta).unwrap();
+        }
     }
 
     /// A random space with `attrs` attributes of 2–3 values each.

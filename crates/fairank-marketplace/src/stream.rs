@@ -16,7 +16,7 @@
 //! runs of the same scenario produce bitwise-identical trajectories.
 
 use fairank_core::fairness::FairnessCriterion;
-use fairank_core::incremental::DeltaEngine;
+use fairank_core::incremental::{DeltaEngine, RunSummary};
 use fairank_core::quantify::Quantify;
 use fairank_core::space::{ProtectedTable, RankingSpace, SpaceDelta};
 use rand::rngs::StdRng;
@@ -132,6 +132,8 @@ pub struct StreamScenario {
     engine: DeltaEngine,
     rng: StdRng,
     round: usize,
+    /// The latest round's re-quantify, with its layer timings.
+    last_run: Option<RunSummary>,
 }
 
 impl StreamScenario {
@@ -182,6 +184,7 @@ impl StreamScenario {
             engine,
             rng,
             round: 0,
+            last_run: None,
         })
     }
 
@@ -194,6 +197,18 @@ impl StreamScenario {
     /// re-quantify polls it, so a service can deadline a whole stream.
     pub fn set_run_budget(&mut self, budget: fairank_core::cancel::RunBudget) {
         self.engine.set_run_budget(budget);
+    }
+
+    /// The latest round's re-quantify summary, including the wall-clock of
+    /// its final leaf fold (`None` before the first audit).
+    pub fn last_run(&self) -> Option<&RunSummary> {
+        self.last_run.as_ref()
+    }
+
+    /// The initial full audit (round 0, before any events); [`Self::run`]
+    /// starts with it.
+    pub fn first_audit(&mut self) -> Result<RoundAudit> {
+        self.audit(0, 0, 0)
     }
 
     /// Applies one round of events and re-quantifies incrementally.
@@ -211,7 +226,7 @@ impl StreamScenario {
     /// Runs the initial full audit plus all configured rounds.
     pub fn run(mut self) -> Result<StreamOutcome> {
         let mut rounds = Vec::with_capacity(self.config.rounds + 1);
-        rounds.push(self.audit(0, 0, 0)?);
+        rounds.push(self.first_audit()?);
         for _ in 0..self.config.rounds {
             rounds.push(self.next_round()?);
         }
@@ -268,13 +283,13 @@ impl StreamScenario {
     }
 
     fn audit(&mut self, events: usize, rebuilt: usize, dropped: usize) -> Result<RoundAudit> {
-        let outcome = self.engine.requantify()?;
+        let outcome = *self.last_run.insert(self.engine.requantify_summary()?);
         Ok(RoundAudit {
             round: self.round,
             events,
             population: self.engine.space().num_individuals(),
             unfairness: outcome.unfairness,
-            num_partitions: outcome.partitions.len(),
+            num_partitions: outcome.num_partitions,
             histograms_rebuilt: rebuilt,
             emd_entries_dropped: dropped,
             delta_reused_histograms: outcome.stats.delta_reused_histograms,

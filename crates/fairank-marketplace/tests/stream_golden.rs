@@ -5,10 +5,12 @@
 //! `delta_reused_histograms`, `delta_invalidated_emds`, `emd_calls`).
 //! Only the wall-clock `requantify_us` is left out.
 //!
-//! Two marketplace sizes, 600 and 1,500 workers, pin the trajectory on a
-//! small and a larger space; both run the split engine's one cache layout
-//! (hashed content index, open-addressed EMD memo). A change to how the
-//! delta engine patches or invalidates its caches must leave every line
+//! Three marketplace sizes pin the trajectory: 600 and 1,500 workers under
+//! both metrics, and 3,000 workers (the wire benchmark's population) under
+//! the 1-D metric. Only the 3,000-worker market grows trees of ~100 leaves,
+//! the size at which the delta replay's cross-round leaf-distance table
+//! serves most of the final fold. A change to how the delta engine patches
+//! or invalidates its caches, or folds its leaves, must leave every line
 //! unchanged.
 //!
 //! On a mismatch the actual trajectory is written under the cargo target
@@ -120,7 +122,7 @@ fn stream_600_transport_trajectory_is_unchanged() {
 }
 
 #[test]
-fn hashed_caches_one_d_trajectory_is_unchanged() {
+fn stream_1500_one_d_trajectory_is_unchanged() {
     check(
         1500,
         EmdBackendKind::OneD,
@@ -130,11 +132,21 @@ fn hashed_caches_one_d_trajectory_is_unchanged() {
 }
 
 #[test]
-fn hashed_caches_transport_trajectory_is_unchanged() {
+fn stream_1500_transport_trajectory_is_unchanged() {
     check(
         1500,
         EmdBackendKind::Transport,
         "stream_1500_transport.jsonl",
         include_str!("golden/stream_1500_transport.jsonl"),
+    );
+}
+
+#[test]
+fn stream_3000_one_d_trajectory_is_unchanged() {
+    check(
+        3000,
+        EmdBackendKind::OneD,
+        "stream_3000_1d.jsonl",
+        include_str!("golden/stream_3000_1d.jsonl"),
     );
 }

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use fairank_session::{CellCache, DatasetStore, Session};
+use fairank_session::{CellCache, DatasetStore, MarketCache, Session};
 
 /// Errors of the registry itself (distinct from session errors).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,9 +58,13 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(store: Arc<DatasetStore>) -> Arc<Entry> {
+    fn new(registry: &SessionRegistry) -> Arc<Entry> {
+        let session = Session::with_shared(
+            Arc::clone(&registry.store),
+            Arc::clone(&registry.markets),
+        );
         Arc::new(Entry {
-            handle: Arc::new(Mutex::new(Session::with_store(store))),
+            handle: Arc::new(Mutex::new(session)),
             last_used: Mutex::new(Instant::now()),
             in_flight: AtomicUsize::new(0),
         })
@@ -152,13 +156,16 @@ impl Drop for InFlightGuard {
 ///
 /// Every session created through the registry shares one
 /// [`DatasetStore`] (identical datasets loaded into different sessions
-/// are parsed once and held behind one allocation) and one [`CellCache`]
+/// are parsed once and held behind one allocation), one [`MarketCache`]
+/// (a marketplace preset generated for any session is served to the
+/// next one asking for the same `(preset, n, seed)`) and one [`CellCache`]
 /// (a scenario-grid cell computed for any session is served from cache
 /// to every later session asking for the same dataset × configuration).
 #[derive(Debug)]
 pub struct SessionRegistry {
     sessions: RwLock<HashMap<String, Arc<Entry>>>,
     store: Arc<DatasetStore>,
+    markets: Arc<MarketCache>,
     cell_cache: Arc<CellCache>,
 }
 
@@ -180,6 +187,7 @@ impl SessionRegistry {
         SessionRegistry {
             sessions: RwLock::new(HashMap::new()),
             store: Arc::new(DatasetStore::new()),
+            markets: Arc::new(MarketCache::new()),
             cell_cache: Arc::new(CellCache::new(cap)),
         }
     }
@@ -187,6 +195,12 @@ impl SessionRegistry {
     /// The dataset store shared by every session in this registry.
     pub fn store(&self) -> &Arc<DatasetStore> {
         &self.store
+    }
+
+    /// The marketplace memo shared by every session in this registry; it
+    /// outlives evicted sessions.
+    pub fn markets(&self) -> &Arc<MarketCache> {
+        &self.markets
     }
 
     /// The plan-cell cache shared by every session in this registry.
@@ -200,7 +214,7 @@ impl SessionRegistry {
         if sessions.contains_key(name) {
             return Err(RegistryError::AlreadyExists(name.to_string()));
         }
-        let entry = Entry::new(Arc::clone(&self.store));
+        let entry = Entry::new(self);
         let handle = Arc::clone(&entry.handle);
         sessions.insert(name.to_string(), entry);
         Ok(handle)
@@ -246,7 +260,7 @@ impl SessionRegistry {
             // through the read path so every caller shares one entry.
             sessions
                 .entry(name.to_string())
-                .or_insert_with(|| Entry::new(Arc::clone(&self.store)));
+                .or_insert_with(|| Entry::new(self));
         }
     }
 
@@ -259,7 +273,7 @@ impl SessionRegistry {
         let mut sessions = self.sessions.write().expect("registry lock");
         match sessions.get(name) {
             Some(entry) if entry.handle.is_poisoned() => {
-                sessions.insert(name.to_string(), Entry::new(Arc::clone(&self.store)));
+                sessions.insert(name.to_string(), Entry::new(self));
                 true
             }
             _ => false,
@@ -506,6 +520,24 @@ mod tests {
         let ha = a.lock().unwrap().dataset_handle("pop").unwrap().clone();
         let hb = b.lock().unwrap().dataset_handle("pop").unwrap().clone();
         assert!(ha.shares_storage_with(&hb));
+    }
+
+    #[test]
+    fn registry_sessions_share_one_market_memo_that_outlives_eviction() {
+        let registry = SessionRegistry::new();
+        let stream = "stream taskrabbit errands n=200 seed=4 rounds=2";
+        for name in ["a", "b"] {
+            let handle = registry.attach_or_create(name);
+            let mut session = handle.lock().unwrap();
+            apply(&mut session, Command::parse(stream).unwrap()).unwrap();
+        }
+        let stats = registry.markets().stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+        // A re-created session still finds the market.
+        registry.evict("a").unwrap();
+        let handle = registry.attach_or_create("a");
+        apply(&mut handle.lock().unwrap(), Command::parse(stream).unwrap()).unwrap();
+        assert_eq!(registry.markets().stats().hits, 2);
     }
 
     #[test]

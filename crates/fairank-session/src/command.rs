@@ -8,6 +8,8 @@
 //! Grammar: whitespace-separated tokens; `key=value` options; values with
 //! spaces are double-quoted (`where="gender=F & country=India"`).
 
+use std::sync::Arc;
+
 use fairank_core::emd::{Emd, EmdBackendKind};
 use fairank_core::fairness::{Aggregator, FairnessCriterion, Objective};
 use fairank_core::histogram::HistogramSpec;
@@ -789,7 +791,8 @@ fn generate_dataset(preset: &str, n: usize, seed: u64) -> Result<fairank_data::D
     Ok(spec.generate()?)
 }
 
-pub(crate) fn marketplace(
+/// Generates the `preset` marketplace of `n` workers from `seed`.
+pub(crate) fn build_marketplace(
     preset: &str,
     n: usize,
     seed: u64,
@@ -801,6 +804,19 @@ pub(crate) fn marketplace(
             "unknown marketplace preset {other:?} (try taskrabbit, qapa)"
         ))),
     }
+}
+
+/// The `preset` marketplace of `n` workers from `seed`, looked up in the
+/// session's marketplace memo before it is generated.
+pub(crate) fn marketplace(
+    session: &Session,
+    preset: &str,
+    n: usize,
+    seed: u64,
+) -> Result<Arc<fairank_marketplace::Marketplace>> {
+    session
+        .markets()
+        .get_or_build(preset, n, seed, || build_marketplace(preset, n, seed))
 }
 
 /// Applies a command to a session, returning the structured [`Response`].
@@ -906,8 +922,9 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
             // Load through the *current* session's store so a reopened
             // session keeps deduping against datasets the registry (or a
             // prior save in this process) already holds.
-            let loaded =
+            let mut loaded =
                 crate::persist::load_session_with_store(&dir, session.store().clone())?;
+            loaded.set_markets(Arc::clone(session.markets()));
             let datasets = loaded.dataset_names().len();
             let functions = loaded.function_names().len();
             *session = loaded;
@@ -1054,7 +1071,7 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
             k,
             ranking_only,
         } => {
-            let market = marketplace(&preset, n, seed)?;
+            let market = marketplace(session, &preset, n, seed)?;
             let transparency = plan::observation_transparency(k, ranking_only);
             let report = report::auditor_report(
                 &market,
@@ -1072,7 +1089,7 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
             n,
             seed,
         } => {
-            let market = marketplace(&preset, n, seed)?;
+            let market = marketplace(session, &preset, n, seed)?;
             let base = market.job(&job)?.scoring.clone();
             let report = report::job_owner_sweep(
                 market.workers(),
@@ -1089,7 +1106,7 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
             n,
             seed,
         } => {
-            let market = marketplace(&preset, n, seed)?;
+            let market = marketplace(session, &preset, n, seed)?;
             let filter = Filter::parse(&group)?;
             let report =
                 report::end_user_report(&market, &filter, &FairnessCriterion::default())?;
@@ -1104,7 +1121,7 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
             ranking_only,
             config,
         } => {
-            let market = marketplace(&preset, n, seed)?;
+            let market = marketplace(session, &preset, n, seed)?;
             let transparency = plan::observation_transparency(k, ranking_only);
             let outcome = run_stream(
                 &market,

@@ -23,6 +23,7 @@
 //! * [`report`] — the three §4 demonstration scenarios as reports:
 //!   auditor, job owner, end user.
 //! * [`export`] — JSON export of panels and reports.
+//! * [`market`] — the bounded memo of generated marketplace presets.
 //!
 //! The paper's web UI is substituted by this engine plus the `fairank`
 //! REPL and the `fairank-service` JSON-lines server; see DESIGN.md for the
@@ -33,6 +34,7 @@ pub mod command;
 pub mod config;
 pub mod error;
 pub mod export;
+pub mod market;
 pub mod panel;
 pub mod persist;
 pub mod plan;
@@ -47,6 +49,7 @@ pub use command::{apply, execute, Command};
 pub use config::Configuration;
 pub use fairank_data::store::{DatasetHandle, DatasetStore, StoreStats};
 pub use error::{ErrorResponse, Result, SessionError};
+pub use market::MarketCache;
 pub use panel::Panel;
 pub use plan::{CellStat, Plan, ScenarioReport, ScenarioSpec};
 pub use response::Response;

@@ -65,9 +65,10 @@ pub struct MarketSpec {
 }
 
 impl MarketSpec {
-    /// Builds the marketplace this spec describes.
-    pub fn build(&self) -> Result<Marketplace> {
-        crate::command::marketplace(&self.preset, self.n, self.seed)
+    /// The marketplace this spec describes, looked up in `session`'s
+    /// marketplace memo before it is built.
+    fn resolve(&self, session: &Session) -> Result<Arc<Marketplace>> {
+        crate::command::marketplace(session, &self.preset, self.n, self.seed)
     }
 }
 
@@ -899,7 +900,7 @@ pub fn compile(session: &Session, spec: &ScenarioSpec) -> Result<Plan> {
             subgroup_depth,
             min_subgroup,
         } => {
-            let market = market.build()?;
+            let market = market.resolve(session)?;
             let transparency = observation_transparency(*k, *ranking_only);
             Plan::for_auditor(
                 &market,
@@ -916,7 +917,7 @@ pub fn compile(session: &Session, spec: &ScenarioSpec) -> Result<Plan> {
             skill,
             weights,
         } => {
-            let market = market.build()?;
+            let market = market.resolve(session)?;
             let base = market.job(job)?.scoring.clone();
             Plan::for_job_owner(market.workers(), &base, skill, weights, &criteria, strategy)
         }
@@ -926,7 +927,7 @@ pub fn compile(session: &Session, spec: &ScenarioSpec) -> Result<Plan> {
                     "an end-user scenario needs at least one group expression".into(),
                 ));
             }
-            let market = market.build()?;
+            let market = market.resolve(session)?;
             let filters = groups
                 .iter()
                 .map(|g| Filter::parse(g))
@@ -940,7 +941,7 @@ pub fn compile(session: &Session, spec: &ScenarioSpec) -> Result<Plan> {
             ranking_only,
             config,
         } => {
-            let market = market.build()?;
+            let market = market.resolve(session)?;
             let transparency = observation_transparency(*k, *ranking_only);
             Plan::for_stream(&market, &transparency, job, &criteria, strategy, *config)
         }

@@ -21,6 +21,7 @@ use fairank_data::store::{DatasetHandle, DatasetStore};
 
 use crate::config::{Configuration, ScoringChoice};
 use crate::error::{Result, SessionError};
+use crate::market::MarketCache;
 use crate::panel::Panel;
 
 /// Which anonymization algorithm a session command uses.
@@ -50,6 +51,9 @@ pub struct Session {
     /// sessions get their own; the service registry shares one across all
     /// sessions.
     store: Arc<DatasetStore>,
+    /// The marketplace memo the preset commands look markets up in,
+    /// shared like the store.
+    markets: Arc<MarketCache>,
     /// Cooperative cancellation scope every search run by this session
     /// honors. Unlimited by default; the service installs a per-request
     /// deadline + cancel tokens before dispatching a command.
@@ -72,9 +76,31 @@ impl Session {
         }
     }
 
+    /// An empty session interning datasets into `store` and looking
+    /// marketplaces up in `markets` — how the service registry makes N
+    /// sessions share one dataset store and one marketplace memo.
+    pub fn with_shared(store: Arc<DatasetStore>, markets: Arc<MarketCache>) -> Self {
+        Session {
+            store,
+            markets,
+            ..Session::default()
+        }
+    }
+
     /// The store this session interns datasets into.
     pub fn store(&self) -> &Arc<DatasetStore> {
         &self.store
+    }
+
+    /// The marketplace memo this session looks markets up in.
+    pub fn markets(&self) -> &Arc<MarketCache> {
+        &self.markets
+    }
+
+    /// Replaces the marketplace memo (a reopened session keeps the one it
+    /// replaced).
+    pub(crate) fn set_markets(&mut self, markets: Arc<MarketCache>) {
+        self.markets = markets;
     }
 
     /// Installs the cancellation scope (deadline and/or cancel tokens)
