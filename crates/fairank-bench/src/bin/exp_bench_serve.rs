@@ -68,12 +68,11 @@ fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn start_server(workers: usize, dispatchers: usize) -> ServerHandle {
+fn start_server(workers: usize) -> ServerHandle {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
             workers,
-            dispatchers,
             ..ServerConfig::default()
         },
     )
@@ -187,7 +186,7 @@ fn main() {
     );
 
     // ---- load phase: the event loop under concurrent connections ----
-    let handle = start_server(workers, dispatchers);
+    let handle = start_server(workers);
     let per_thread = connections / client_threads;
     let mut groups: Vec<Vec<Conn>> = (0..client_threads)
         .map(|_| (0..per_thread).map(|_| Conn::open(&handle)).collect())

@@ -145,47 +145,40 @@ fn parse_duration(raw: &str) -> Option<std::time::Duration> {
     }
 }
 
-const SERVE_USAGE: &str = "usage: fairank serve [--addr host:port] [--workers n] \
-[--queue-depth n] [--session-cap n] [--session-queue-cap n] [--dispatchers n] \
-[--cell-cache-cap n] [--request-timeout dur] [--session-ttl secs] [--allow-fs] \
-[--admin]
-
-  --addr host:port     bind address (default 127.0.0.1:4915; port 0 = ephemeral)
-  --workers n          worker threads for compute requests (default: host cores - 1)
-  --queue-depth n      pending compute jobs held before new ones are refused
-                       with the structured `overloaded` error (default: 2x workers)
-  --session-cap n      max in-flight compute requests per session; extras are
-                       refused with `overloaded` (default: unlimited)
-  --session-queue-cap n  pending jobs one session may hold in the fair queues
+/// The `serve` flags: name, value name (empty for a switch) and help. The
+/// usage text and the argument check both read this list.
+#[rustfmt::skip]
+const SERVE_FLAGS: &[(&str, &str, &str)] = &[
+    ("--addr", "host:port", "bind address (default 127.0.0.1:4915; port 0 = ephemeral)"),
+    ("--workers", "n", "worker threads for compute requests (default: host cores - 1)"),
+    ("--queue-depth", "n", "pending compute jobs held before new ones are refused
+                       with the structured `overloaded` error (default: 2x workers)"),
+    ("--session-cap", "n", "max in-flight compute requests per session; extras are
+                       refused with `overloaded` (default: unlimited)"),
+    ("--session-queue-cap", "n", "pending jobs one session may hold in the fair queues
                        (dispatch + worker pool) before refusal with `overloaded`;
                        bounds how far one session can crowd the backlog
-                       (default: unlimited per session)
-  --dispatchers n      event-loop dispatcher threads — requests concurrently in
-                       dispatch (default: workers + 2)
-  --cell-cache-cap n   entries the shared scenario-cell cache holds before LRU
-                       eviction (default: 4096; 0 = disabled)
-  --request-timeout d  per-request compute deadline, e.g. 500ms or 2s (bare
+                       (default: unlimited per session)"),
+    ("--cell-cache-cap", "n", "entries the shared scenario-cell cache holds before LRU
+                       eviction (default: 4096; 0 = disabled)"),
+    ("--request-timeout", "dur", "per-request compute deadline, e.g. 500ms or 2s (bare
                        number = milliseconds); expired requests return the
-                       structured `deadline_exceeded` error with partial stats
-  --session-ttl secs   evict sessions idle longer than this
-  --allow-fs           permit load/save/open/export/scenario-file from the wire
-  --admin              permit registry admin (sessions/evict) from the wire";
-
-/// The `serve` flags [`SERVE_USAGE`] documents that take a value.
-const SERVE_VALUE_FLAGS: &[&str] = &[
-    "--addr",
-    "--workers",
-    "--queue-depth",
-    "--session-cap",
-    "--session-queue-cap",
-    "--dispatchers",
-    "--cell-cache-cap",
-    "--request-timeout",
-    "--session-ttl",
+                       structured `deadline_exceeded` error with partial stats"),
+    ("--session-ttl", "secs", "evict sessions idle longer than this"),
+    ("--allow-fs", "", "permit load/save/open/export/scenario-file from the wire"),
+    ("--admin", "", "permit registry admin (sessions/evict) from the wire"),
+    ("--help", "", "print this text"),
 ];
 
-/// The `serve` flags [`SERVE_USAGE`] documents that stand alone.
-const SERVE_SWITCHES: &[&str] = &["--allow-fs", "--admin", "--help"];
+/// The `serve` usage text: every flag of [`SERVE_FLAGS`], then the request
+/// bounds of the command table.
+fn serve_usage() -> String {
+    let mut out = String::from("usage: fairank serve [flags]\n\n");
+    for (flag, value, help) in SERVE_FLAGS {
+        out.push_str(&format!("  {:<19}  {help}\n", format!("{flag} {value}")));
+    }
+    format!("{out}\n{}", fairank_session::command::bounds_text())
+}
 
 /// Exits 2 with the usage text on the first argument that is neither a
 /// documented `serve` flag nor the value after a value-taking one: a
@@ -193,14 +186,11 @@ const SERVE_SWITCHES: &[&str] = &["--allow-fs", "--admin", "--help"];
 fn check_serve_args(args: &[String]) {
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        let takes_value = SERVE_VALUE_FLAGS.contains(&arg.as_str());
-        if (takes_value && rest.next().is_some()) || SERVE_SWITCHES.contains(&arg.as_str()) {
-            continue;
-        }
-        if takes_value {
-            eprintln!("{arg} needs a value\n{SERVE_USAGE}");
-        } else {
-            eprintln!("unknown flag {arg}\n{SERVE_USAGE}");
+        match SERVE_FLAGS.iter().find(|(flag, _, _)| flag == arg) {
+            Some((_, "", _)) => continue,
+            Some(_) if rest.next().is_some() => continue,
+            Some(_) => eprintln!("{arg} needs a value\n{}", serve_usage()),
+            None => eprintln!("unknown flag {arg}\n{}", serve_usage()),
         }
         std::process::exit(2);
     }
@@ -208,41 +198,25 @@ fn check_serve_args(args: &[String]) {
 
 /// `fairank serve` — the multi-session JSON-lines server. `--addr` with
 /// port 0 picks an ephemeral port; the actual address is printed as
-/// `listening on <addr>`. See [`SERVE_USAGE`] for the operational-limit
+/// `listening on <addr>`. See [`SERVE_FLAGS`] for the operational-limit
 /// flags (`--queue-depth`, `--session-cap`, `--request-timeout`) and the
 /// structured errors they map to.
 fn serve_mode(args: &[String]) {
     if args.iter().any(|a| a == "--help") {
-        println!("{SERVE_USAGE}");
+        print!("{}", serve_usage());
         return;
     }
     check_serve_args(args);
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:4915");
-    let parse_count = |flag: &str| -> usize {
-        flag_value(args, flag)
-            .map(|raw| match raw.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("{flag} must be a number, got {raw:?}");
-                    std::process::exit(2);
-                }
-            })
-            .unwrap_or(0)
-    };
-    let workers = parse_count("--workers");
-    let queue_depth = parse_count("--queue-depth");
-    let session_inflight_cap = parse_count("--session-cap");
-    // Unlike the counts above, 0 here is a meaningful value (cache off),
-    // so the default applies only when the flag is absent.
-    let cell_cache_cap = flag_value(args, "--cell-cache-cap")
-        .map(|raw| match raw.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--cell-cache-cap must be a number, got {raw:?}");
+    // A count flag's value, or `default` when the flag is absent.
+    let count = |flag: &str, default: usize| -> usize {
+        flag_value(args, flag).map_or(default, |raw| {
+            raw.parse().unwrap_or_else(|_| {
+                eprintln!("{flag} must be a number, got {raw:?}");
                 std::process::exit(2);
-            }
+            })
         })
-        .unwrap_or(fairank_session::CellCache::DEFAULT_CAP);
+    };
     let request_timeout = flag_value(args, "--request-timeout").map(|raw| {
         match parse_duration(raw) {
             Some(d) if !d.is_zero() => d,
@@ -264,16 +238,15 @@ fn serve_mode(args: &[String]) {
         }
     });
     let config = ServerConfig {
-        workers,
-        queue_depth,
+        workers: count("--workers", 0),
+        queue_depth: count("--queue-depth", 0),
         allow_fs_commands: args.iter().any(|a| a == "--allow-fs"),
         admin: args.iter().any(|a| a == "--admin"),
         session_ttl,
         request_timeout,
-        session_inflight_cap,
-        cell_cache_cap,
-        session_queue_cap: parse_count("--session-queue-cap"),
-        dispatchers: parse_count("--dispatchers"),
+        session_inflight_cap: count("--session-cap", 0),
+        cell_cache_cap: count("--cell-cache-cap", fairank_session::CellCache::DEFAULT_CAP),
+        session_queue_cap: count("--session-queue-cap", 0),
     };
     let server = match Server::bind(addr, config) {
         Ok(server) => server,

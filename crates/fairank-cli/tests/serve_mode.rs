@@ -103,6 +103,40 @@ fn serve_mode_answers_scripted_quantify_with_structured_response() {
     assert_eq!(reply.into_result().unwrap_err().kind, "unknown_panel");
 }
 
+/// One wire line that asks for a 40,000 × 40,000 grid (1.6 billion cells,
+/// ~180 GB of configurations) is refused with `limit_exceeded`, and the
+/// server still answers the next request.
+#[test]
+fn oversized_grid_request_is_refused_and_the_server_keeps_serving() {
+    let (_guard, addr) = spawn_server();
+    let stream = TcpStream::connect(&addr).expect("connect to served port");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let names = |prefix: &str| vec![prefix; 40_000].join(",");
+    let grid = format!("scenario grid {} {}", names("a"), names("f"));
+    for command in [grid.as_str(), "help"] {
+        let line = serde_json::to_string(&Request::in_session("a", command)).unwrap();
+        writer
+            .write_all(line.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .expect("send request");
+    }
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let mut reply = String::new();
+        let read = reader.read_line(&mut reply).expect("read reply");
+        assert!(read > 0, "server closed the connection after {replies:?}");
+        replies.push(reply.trim().to_string());
+    }
+    let refusal: Reply = serde_json::from_str(&replies[0]).expect("reply parses");
+    let err = refusal.into_result().expect_err("the grid is refused");
+    assert_eq!(err.kind, "limit_exceeded", "{}", err.message);
+    assert_eq!(replies[1], r#"{"ok":"Help"}"#);
+}
+
 #[test]
 fn connect_mode_renders_the_classic_transcript() {
     let (_guard, addr) = spawn_server();
@@ -171,6 +205,7 @@ fn serve_mode_rejects_bad_flags() {
     for (args, flag) in [
         (&["--threaded"][..], "--threaded"),
         (&["--worker", "4"][..], "--worker"),
+        (&["--dispatchers", "3"][..], "--dispatchers"),
     ] {
         let stderr = serve_refusal(args);
         assert!(
@@ -206,6 +241,16 @@ fn help_documents_the_operational_flags() {
     let text = String::from_utf8_lossy(&serve.stdout);
     for flag in ["--queue-depth", "--session-cap", "--request-timeout", "--session-ttl"] {
         assert!(text.contains(flag), "serve --help must document {flag}");
+    }
+    assert!(!text.contains("--dispatchers"), "{text}");
+    // The request bounds, read from the command table.
+    assert!(text.contains("limit_exceeded"), "{text}");
+    for (bound, max) in [("histogram bins", "1000"), ("scenario plan cells", "4096")] {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(bound))
+            .unwrap_or_else(|| panic!("serve --help lists the {bound} bound: {text}"));
+        assert!(line.contains(max), "{line}");
     }
 
     let connect = Command::new(env!("CARGO_BIN_EXE_fairank"))

@@ -65,10 +65,6 @@ pub struct ServerConfig {
     /// are refused with `overloaded` (`serve --session-queue-cap`).
     /// 0 = unbounded per session (the global `queue_depth` still binds).
     pub session_queue_cap: usize,
-    /// Event-loop dispatcher threads — how many requests can be *in
-    /// dispatch* at once (light commands run here; heavy ones mostly wait
-    /// on the pool). 0 = size to the pool (workers + 2).
-    pub dispatchers: usize,
 }
 
 impl Default for ServerConfig {
@@ -83,7 +79,6 @@ impl Default for ServerConfig {
             session_inflight_cap: 0,
             cell_cache_cap: fairank_session::CellCache::DEFAULT_CAP,
             session_queue_cap: 0,
-            dispatchers: 0,
         }
     }
 }
@@ -140,11 +135,6 @@ impl Server {
         } else {
             config.queue_depth
         };
-        let dispatchers = if config.dispatchers == 0 {
-            workers + 2
-        } else {
-            config.dispatchers
-        };
         Ok(Server {
             listener,
             registry: Arc::new(SessionRegistry::with_cell_cache_cap(config.cell_cache_cap)),
@@ -157,7 +147,9 @@ impl Server {
             request_timeout: config.request_timeout,
             session_inflight_cap: config.session_inflight_cap,
             state: Arc::new(ServeState::default()),
-            dispatchers,
+            // Two more dispatchers than workers, so that dispatchers blocked
+            // on the pool do not starve light commands.
+            dispatchers: workers + 2,
             session_queue_cap: config.session_queue_cap,
         })
     }

@@ -6,7 +6,8 @@
 //! comparing panels, exporting, and running the three §4 scenario reports.
 //!
 //! Grammar: whitespace-separated tokens; `key=value` options; values with
-//! spaces are double-quoted (`where="gender=F & country=India"`).
+//! spaces are double-quoted (`where="gender=F & country=India"`). Each
+//! command's arguments, bounds, class and help are one entry of [`COMMANDS`].
 
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ use crate::response::{
 };
 use crate::session::{AnonMethod, Session};
 
-/// A parsed command.
+/// A parsed command; its syntax is its [`CommandSpec`] in [`COMMANDS`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Show the command reference.
@@ -43,33 +44,32 @@ pub enum Command {
     Functions,
     /// List panels.
     Panels,
-    /// Load a CSV dataset: `load <name> <path>`.
+    /// Load a CSV dataset.
     Load { name: String, path: String },
-    /// Generate a synthetic dataset: `generate <name> <preset> [n=] [seed=]`.
+    /// Generate a synthetic dataset.
     Generate {
         name: String,
         preset: String,
         n: usize,
         seed: u64,
     },
-    /// Define a scoring function: `define <name> <attr*w+attr*w…>`.
+    /// Define a scoring function.
     Define { name: String, expr: String },
-    /// Print the head of a dataset: `data <name> [rows]`.
+    /// Print the head of a dataset.
     ShowData { name: String, rows: usize },
-    /// Per-column summary statistics: `describe <name>`.
+    /// Per-column summary statistics.
     Describe { name: String },
-    /// Save the session's datasets and functions: `save <dir>`.
+    /// Save the session's datasets and functions.
     Save { dir: String },
-    /// Replace the session with a saved one: `open <dir>`.
+    /// Replace the session with a saved one.
     Open { dir: String },
-    /// Derive a filtered dataset: `filter <new> <source> <expr>`.
+    /// Derive a filtered dataset.
     DeriveFilter {
         new_name: String,
         source: String,
         expr: String,
     },
-    /// Derive an anonymized dataset: `anonymize <new> <source> k=<k>
-    /// [method=mondrian|datafly]`.
+    /// Derive an anonymized dataset.
     Anonymize {
         new_name: String,
         source: String,
@@ -89,18 +89,17 @@ pub enum Command {
         /// from the ranking only.
         opaque: bool,
     },
-    /// Render a panel's tree: `show <panel>`.
+    /// Render a panel's tree.
     Show { panel: usize },
-    /// Render a node box: `node <panel> <node>`.
+    /// Render a node box.
     Node { panel: usize, node: usize },
-    /// Explain a search decision: `why <panel> <node>`.
+    /// Explain a search decision.
     Why { panel: usize, node: usize },
-    /// Compare two panels: `compare <a> <b>`.
+    /// Compare two panels.
     Compare { a: usize, b: usize },
-    /// Export a panel to JSON: `export <panel> <path>`.
+    /// Export a panel to JSON.
     Export { panel: usize, path: String },
-    /// Subgroup lattice statistics: `subgroups <dataset> <function>
-    /// [depth=2] [min=5] [top=5]`.
+    /// Subgroup lattice statistics.
     Subgroups {
         dataset: String,
         function: String,
@@ -142,16 +141,13 @@ pub enum Command {
         ranking_only: bool,
         config: StreamConfig,
     },
-    /// Run a whole scenario plan (grid/sweep/report compiled into parallel
-    /// cells): `scenario grid|auditor|jobowner|enduser …`.
+    /// Run a scenario plan (grid/sweep/report compiled into parallel cells).
     RunScenario { spec: Box<ScenarioSpec> },
-    /// Run a scenario plan from a JSON spec file: `scenario <spec.json>`.
+    /// Run a scenario plan from a JSON spec file.
     RunScenarioFile { path: String },
-    /// List the server's live sessions (registry admin; servers refuse it
-    /// unless started with `--admin`).
+    /// List the server's live sessions (registry admin).
     Sessions,
-    /// Evict a named session from the server registry (admin only):
-    /// `evict <name>`.
+    /// Evict a named session from the server registry (registry admin).
     Evict { name: String },
     /// Leave the REPL.
     Quit,
@@ -179,582 +175,602 @@ fn tokenize(line: &str) -> Vec<String> {
     out
 }
 
-// Per-command `key=value` option sets. Each parse arm passes its own set to
-// `opt`/`opt_parse`/`positional`, which (a) keeps tokens with `=` under any
-// *other* key as positionals — file paths like `n=final.csv` only clash with
-// commands that actually take `n=` — and (b) debug-asserts that every option
-// lookup is listed, so the sets cannot drift from the lookups.
-const NO_OPTS: &[&str] = &[];
-const GENERATE_OPTS: &[&str] = &["n", "seed"];
-const DATA_OPTS: &[&str] = &["rows"];
-const ANONYMIZE_OPTS: &[&str] = &["k", "method"];
-const QUANTIFY_OPTS: &[&str] = &["objective", "agg", "bins", "emd", "where"];
-const SUBGROUPS_OPTS: &[&str] = &["depth", "min", "top"];
-const AUDIT_OPTS: &[&str] = &["n", "seed", "k"];
-const SCENARIO_OPTS: &[&str] = &["n", "seed"];
-const STREAM_OPTS: &[&str] = &[
-    "n",
-    "seed",
-    "k",
-    "rounds",
-    "arrivals",
-    "departures",
-    "rescores",
-    "stream-seed",
-];
-const PLAN_OPTS: &[&str] = &[
-    "n",
-    "seed",
-    "k",
-    "sg-depth",
-    "sg-min",
-    "weights",
-    "objectives",
-    "aggs",
-    "bins",
-    "emd",
-    "strategy",
-    "width",
-    "depth",
-    "min",
-    "budget",
-    "where",
-    "rounds",
-    "arrivals",
-    "departures",
-    "rescores",
-    "stream-seed",
-];
+// ----------------------------------------------------------------- bounds
 
-fn opt<'a>(tokens: &'a [String], opts: &[&str], key: &str) -> Option<&'a str> {
-    debug_assert!(
-        opts.contains(&key),
-        "option key {key:?} is missing from the command's option set"
-    );
-    let prefix = format!("{key}=");
-    tokens
-        .iter()
-        .find_map(|t| t.strip_prefix(prefix.as_str()))
+/// An upper bound on a size a request may ask for. Bounded options of the
+/// command table carry one, and [`ScenarioSpec::check_limits`] applies the
+/// same values to plans, so the REPL, scripts and the wire share one rule:
+/// a larger value is refused with `limit_exceeded` before anything is
+/// allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bound {
+    /// What the bound limits, as `serve --help` lists it.
+    pub what: &'static str,
+    /// The largest accepted value.
+    pub max: u64,
 }
 
-fn opt_parse<T: std::str::FromStr>(
-    tokens: &[String],
-    opts: &[&str],
-    key: &str,
-    default: T,
-) -> Result<T> {
-    match opt(tokens, opts, key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| SessionError::Command(format!("cannot parse {key}={raw}"))),
+impl Bound {
+    /// Refuses `value` (named `what` in the error) above the bound.
+    pub fn check(&self, what: &str, value: u128) -> Result<()> {
+        let max = self.max;
+        let err = || SessionError::LimitExceeded { what: format!("{what}={value}"), max };
+        (value <= u128::from(max)).then_some(()).ok_or_else(err)
     }
 }
 
-fn positional<'a>(
-    tokens: &'a [String],
-    opts: &[&str],
-    idx: usize,
-    what: &str,
-) -> Result<&'a str> {
-    let is_option =
-        |t: &str| t.split_once('=').is_some_and(|(key, _)| opts.contains(&key));
-    tokens
-        .iter()
-        .filter(|t| !is_option(t))
-        .nth(idx)
-        .map(String::as_str)
-        .ok_or_else(|| SessionError::Command(format!("missing {what}")))
+// The request bounds; each is at least 10x the largest use in the repo.
+pub const MAX_ROWS: Bound = Bound { what: "rows", max: 1_000_000 };
+pub const MAX_BINS: Bound = Bound { what: "histogram bins", max: 1_000 };
+pub const MAX_ROUNDS: Bound = Bound { what: "stream rounds", max: 10_000 };
+pub const MAX_EVENTS: Bound = Bound { what: "stream events per round", max: 10_000 };
+pub const MAX_BEAM_WIDTH: Bound = Bound { what: "beam width", max: 1_024 };
+pub const MAX_BUDGET: Bound = Bound { what: "exhaustive budget", max: 10_000_000 };
+pub const MAX_CELLS: Bound = Bound { what: "scenario plan cells", max: 4_096 };
+
+// ------------------------------------------------------------------ table
+
+/// A positional argument of a command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    /// The next token that is not an option or flag of the verb.
+    Plain(&'static str),
+    /// The next token as it is, even when it looks like an option (filter
+    /// and group expressions contain `=`). Raw arguments come first.
+    Raw(&'static str),
+    /// Every remaining plain token, at least one.
+    Variadic(&'static str),
 }
 
-/// Positional argument by raw index — for arguments that may themselves
-/// contain `=` (filter expressions). Such arguments must precede options.
-fn raw_positional<'a>(tokens: &'a [String], idx: usize, what: &str) -> Result<&'a str> {
-    tokens
-        .get(idx)
-        .map(String::as_str)
-        .ok_or_else(|| SessionError::Command(format!("missing {what}")))
+/// A `key=value` option: its default (`None` when absence means something
+/// of its own) and the bound every integer in its value must stay within.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Opt {
+    pub key: &'static str,
+    pub default: Option<&'static str>,
+    pub bound: Option<Bound>,
 }
 
-/// Parses a comma-separated option value into trimmed, non-empty items.
+/// What a command costs or touches; a command without a class is light.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// A search or another CPU-bound analysis; servers run it on the pool.
+    Compute,
+    /// Reads or writes the host filesystem; servers need `--allow-fs`.
+    Filesystem,
+    /// Manages a server's session registry; servers need `--admin`.
+    Admin,
+}
+
+/// The one definition of a command: names, arguments, options, classes,
+/// help, an example, and how the parsed arguments build the [`Command`].
+#[derive(Debug)]
+pub struct CommandSpec {
+    /// The verb and its aliases; a `scenario` perspective is two words.
+    pub names: &'static [&'static str],
+    pub args: &'static [Arg],
+    pub options: &'static [Opt],
+    /// Bare flags (`opaque`, `ranking-only`).
+    pub flags: &'static [&'static str],
+    pub class: &'static [Class],
+    /// The command's `help` lines; empty when a sibling's line covers it.
+    pub help: &'static str,
+    pub example: &'static str,
+    build: fn(&Args) -> Result<Command>,
+}
+
+impl CommandSpec {
+    pub fn name(&self) -> &'static str {
+        self.names[0]
+    }
+
+    fn option(&self, key: &str) -> Option<&'static Opt> {
+        self.options.iter().find(|o| o.key == key)
+    }
+
+    /// Whether `key` is an option of any command of this verb. Such a
+    /// token is never a positional, even where this command rejects it.
+    fn verb_takes(&self, key: &str) -> bool {
+        let verb = |spec: &CommandSpec| spec.name().split(' ').next();
+        self.option(key).is_some()
+            || COMMANDS.iter().any(|spec| verb(spec) == verb(self) && spec.option(key).is_some())
+    }
+}
+
+const fn opt(key: &'static str, default: Option<&'static str>) -> Opt {
+    Opt { key, default, bound: None }
+}
+
+const fn bounded(key: &'static str, default: Option<&'static str>, bound: Bound) -> Opt {
+    Opt { key, default, bound: Some(bound) }
+}
+
+const N: Opt = bounded("n", Some("300"), MAX_ROWS);
+const SEED: Opt = opt("seed", Some("42"));
+const K: Opt = opt("k", None);
+const ROUNDS: Opt = bounded("rounds", Some("8"), MAX_ROUNDS);
+const ARRIVALS: Opt = bounded("arrivals", Some("4"), MAX_EVENTS);
+const DEPARTURES: Opt = bounded("departures", Some("4"), MAX_EVENTS);
+const RESCORES: Opt = bounded("rescores", Some("8"), MAX_EVENTS);
+const STREAM_SEED: Opt = opt("stream-seed", None);
+const PRESET: Arg = Plain("marketplace preset");
+const JOB: Arg = Plain("job id");
+
+/// The options of a `scenario` perspective: its own, then the strategy
+/// and criterion-grid options every perspective shares.
+macro_rules! plan_options {
+    ($($own:expr),*) => {
+        &[$($own,)* opt("strategy", None), bounded("width", Some("4"), MAX_BEAM_WIDTH),
+          opt("depth", None), opt("min", Some("1")),
+          bounded("budget", Some("5000000"), MAX_BUDGET), opt("objectives", None),
+          opt("aggs", None), bounded("bins", None, MAX_BINS), opt("emd", None)]
+    };
+}
+
+/// The fields an entry leaves out: no arguments, options, flags or class.
+#[rustfmt::skip]
+const BARE: CommandSpec = CommandSpec { names: &[], args: &[], options: &[], flags: &[], class: &[],
+    help: "", example: "", build: |_| unreachable!("every entry sets `build`") };
+
+use Arg::{Plain, Raw, Variadic};
+use Class::{Admin, Compute, Filesystem};
+
+/// The command table, in `help` order.
+#[rustfmt::skip]
+pub static COMMANDS: &[CommandSpec] = &[
+    CommandSpec { names: &["datasets"], example: "datasets", build: |_| Ok(Command::Datasets),
+        help: "  datasets | funcs | panels            list session objects\n", ..BARE },
+    CommandSpec { names: &["funcs", "functions"], example: "funcs",
+        build: |_| Ok(Command::Functions), ..BARE },
+    CommandSpec { names: &["panels"], example: "panels", build: |_| Ok(Command::Panels), ..BARE },
+    CommandSpec { names: &["load"], args: &[Plain("dataset name"), Plain("CSV path")],
+        class: &[Filesystem], example: "load pop data/pop.csv",
+        help: "  load <name> <path.csv>               load a CSV dataset\n",
+        build: |a| Ok(Command::Load { name: a.arg(0), path: a.arg(1) }), ..BARE },
+    CommandSpec { names: &["generate"], args: &[Plain("dataset name"), Plain("preset")],
+        options: &[bounded("n", Some("200"), MAX_ROWS), SEED],
+        help: "  generate <name> <preset> [n=] [seed=]  presets: crowdsourcing, biased,
+                                       taskrabbit, qapa\n",
+        example: "generate pop biased n=200 seed=4",
+        build: |a| Ok(Command::Generate { name: a.arg(0), preset: a.arg(1), n: a.num("n")?,
+            seed: a.num("seed")? }), ..BARE },
+    CommandSpec { names: &["define"], args: &[Plain("function name"), Plain("expression")],
+        help: "  define <name> <attr*w+attr*w…>       define a scoring function\n",
+        example: "define f rating*0.7+language_test*0.3",
+        build: |a| Ok(Command::Define { name: a.arg(0), expr: a.arg(1) }), ..BARE },
+    CommandSpec { names: &["data"], args: &[Plain("dataset name")],
+        options: &[bounded("rows", Some("10"), MAX_ROWS)], example: "data pop rows=5",
+        help: "  data <name> [rows=10]                print the head of a dataset\n",
+        build: |a| Ok(Command::ShowData { name: a.arg(0), rows: a.num("rows")? }), ..BARE },
+    CommandSpec { names: &["describe"], args: &[Plain("dataset name")], example: "describe pop",
+        help: "  describe <name>                      per-column summary statistics\n",
+        build: |a| Ok(Command::Describe { name: a.arg(0) }), ..BARE },
+    CommandSpec { names: &["save"], args: &[Plain("directory")], class: &[Filesystem],
+        help: "  save <dir> | open <dir>              persist / restore the session\n",
+        example: "save sessions/audit", build: |a| Ok(Command::Save { dir: a.arg(0) }), ..BARE },
+    CommandSpec { names: &["open"], args: &[Plain("directory")], class: &[Filesystem],
+        example: "open sessions/audit", build: |a| Ok(Command::Open { dir: a.arg(0) }), ..BARE },
+    CommandSpec { names: &["filter"],
+        args: &[Raw("new dataset name"), Raw("source dataset"), Raw("filter expression")],
+        help: "  filter <new> <src> \"<expr>\"          derive a filtered dataset\n",
+        example: "filter women pop \"gender=Female\"",
+        build: |a| Ok(Command::DeriveFilter { new_name: a.arg(0), source: a.arg(1),
+            expr: a.arg(2) }), ..BARE },
+    CommandSpec { names: &["anonymize"],
+        args: &[Plain("new dataset name"), Plain("source dataset")],
+        options: &[opt("k", Some("2")), opt("method", Some("mondrian"))], class: &[Compute],
+        help: "  anonymize <new> <src> k=2 [method=mondrian|datafly]\n",
+        example: "anonymize anon pop k=5 method=datafly",
+        build: |a| Ok(Command::Anonymize { new_name: a.arg(0), source: a.arg(1), k: a.num("k")?,
+            method: a.parse("method", |s| match s {
+                "mondrian" => Some(AnonMethod::Mondrian), "datafly" => Some(AnonMethod::Datafly),
+                "incognito" => Some(AnonMethod::Incognito), _ => None })? }), ..BARE },
+    CommandSpec { names: &["quantify"], args: &[Plain("dataset"), Plain("function")],
+        options: &[opt("objective", Some("most")), opt("agg", Some("mean")),
+            bounded("bins", Some("10"), MAX_BINS), opt("emd", Some("1d")), opt("where", None)],
+        flags: &["opaque"], class: &[Compute],
+        help: "  quantify <dataset> <func> [objective=most|least] [agg=mean|max|min|variance]
+           [bins=10] [emd=1d|transport] [where=\"<expr>\"] [opaque]\n",
+        example: "quantify pop f objective=least agg=max bins=5 emd=transport opaque",
+        build: |a| Ok(Command::Quantify { dataset: a.arg(0), function: a.arg(1),
+            objective: a.parse("objective", Objective::parse)?,
+            aggregator: a.parse("agg", Aggregator::parse)?, bins: a.num("bins")?,
+            emd: a.parse("emd", EmdBackendKind::parse)?,
+            filter: a.given("where").map(str::to_string),
+            opaque: a.flag("opaque") }) },
+    CommandSpec { names: &["subgroups"], args: &[Plain("dataset"), Plain("function")],
+        options: &[opt("depth", Some("2")), opt("min", Some("5")), opt("top", Some("5"))],
+        class: &[Compute], example: "subgroups pop f depth=2 min=10 top=3",
+        help: "  subgroups <dataset> <func> [depth=2] [min=5] [top=5]
+                                       most/least favored subgroups\n",
+        build: |a| Ok(Command::Subgroups { dataset: a.arg(0), function: a.arg(1),
+            depth: a.num("depth")?, min_size: a.num("min")?, top: a.num("top")? }), ..BARE },
+    CommandSpec { names: &["show"], args: &[Plain("panel id")], example: "show 0",
+        help: "  show <panel>                         render a panel's partitioning tree\n",
+        build: |a| Ok(Command::Show { panel: a.id(0)? }), ..BARE },
+    CommandSpec { names: &["node"], args: &[Plain("panel id"), Plain("node id")],
+        help: "  node <panel> <node>                  the Node box for one tree node\n",
+        example: "node 0 3", build: |a| Ok(Command::Node { panel: a.id(0)?, node: a.id(1)? }),
+        ..BARE },
+    CommandSpec { names: &["why"], args: &[Plain("panel id"), Plain("node id")], example: "why 0 0",
+        help: "  why <panel> <node>                   explain the search decision at a node\n",
+        build: |a| Ok(Command::Why { panel: a.id(0)?, node: a.id(1)? }), ..BARE },
+    CommandSpec { names: &["compare"], args: &[Plain("first panel"), Plain("second panel")],
+        help: "  compare <a> <b>                      compare two panels\n",
+        example: "compare 0 1", build: |a| Ok(Command::Compare { a: a.id(0)?, b: a.id(1)? }),
+        ..BARE },
+    CommandSpec { names: &["export"], args: &[Plain("panel id"), Plain("output path")],
+        class: &[Filesystem], example: "export 0 panel.json",
+        help: "  export <panel> <path.json>           export a panel as JSON\n",
+        build: |a| Ok(Command::Export { panel: a.id(0)?, path: a.arg(1) }), ..BARE },
+    CommandSpec { names: &["audit"], args: &[PRESET], options: &[N, SEED, K],
+        flags: &["ranking-only"], class: &[Compute],
+        help: "  audit <taskrabbit|qapa> [n=] [seed=] [k=] [ranking-only]\n",
+        example: "audit taskrabbit n=120 seed=4 k=4 ranking-only",
+        build: |a| Ok(Command::Audit { preset: a.arg(0), n: a.num("n")?, seed: a.num("seed")?,
+            k: a.maybe_num("k")?, ranking_only: a.flag("ranking-only") }) },
+    CommandSpec { names: &["jobowner"], args: &[PRESET, JOB, Plain("skill")], options: &[N, SEED],
+        class: &[Compute], example: "jobowner taskrabbit wood-panels rating n=120 seed=4",
+        help: "  jobowner <preset> <job> <skill> [n=] [seed=]\n",
+        build: |a| Ok(Command::JobOwner { preset: a.arg(0), job: a.arg(1), skill: a.arg(2),
+            n: a.num("n")?, seed: a.num("seed")? }), ..BARE },
+    CommandSpec { names: &["enduser"], args: &[Raw("marketplace preset"), Raw("group filter")],
+        options: &[N, SEED], class: &[Compute],
+        help: "  enduser <preset> \"<group expr>\" [n=] [seed=]\n",
+        example: "enduser taskrabbit \"gender=Female\" n=120 seed=4",
+        build: |a| Ok(Command::EndUser { preset: a.arg(0), group: a.arg(1), n: a.num("n")?,
+            seed: a.num("seed")? }), ..BARE },
+    CommandSpec { names: &["stream"], args: &[PRESET, JOB],
+        options: &[N, SEED, K, ROUNDS, ARRIVALS, DEPARTURES, RESCORES, STREAM_SEED],
+        flags: &["ranking-only"], class: &[Compute],
+        help: "  stream <preset> <job> [n=] [seed=] [rounds=] [arrivals=] [departures=]
+         [rescores=] [stream-seed=] [k=] [ranking-only]
+                                       incremental re-audit over live churn\n",
+        example: "stream taskrabbit errands n=90 seed=4 rounds=2 stream-seed=77",
+        build: |a| Ok(Command::Stream { preset: a.arg(0), job: a.arg(1), n: a.num("n")?,
+            seed: a.num("seed")?, k: a.maybe_num("k")?, ranking_only: a.flag("ranking-only"),
+            config: a.stream_config()? }) },
+    CommandSpec { names: &["scenario grid"], args: &[Plain("dataset list"), Plain("function list")],
+        options: plan_options![opt("where", None)], class: &[Compute],
+        help: "  scenario grid <ds,..> <func,..> [objectives=] [aggs=] [bins=] [emd=]
+           [strategy=quantify|beam|exhaustive] [width=] [depth=] [min=]
+           [budget=] [where=\"<expr>\"]   compile a grid into parallel cells\n",
+        example: "scenario grid pop f,g aggs=mean,max bins=5,10 strategy=beam width=3",
+        build: |a| a.scenario(Perspective::Grid {
+            datasets: csv_items(a.positionals[0]).into_iter().map(str::to_string).collect(),
+            functions: csv_items(a.positionals[1]).into_iter().map(str::to_string).collect(),
+            filter: a.given("where").map(str::to_string) }), ..BARE },
+    CommandSpec { names: &["scenario auditor"], args: &[PRESET],
+        options: plan_options![N, SEED, K, opt("sg-depth", Some("2")), opt("sg-min", None)],
+        flags: &["ranking-only"], class: &[Compute],
+        help: "  scenario auditor <preset> [n=] [seed=] [k=] [ranking-only] [sg-depth=] [sg-min=]\n",
+        example: "scenario auditor taskrabbit n=100 seed=3 k=4 ranking-only sg-depth=1 sg-min=8",
+        build: |a| {
+            let market = a.market()?;
+            let min_subgroup = a.maybe_num("sg-min")?.unwrap_or((market.n / 20).max(2));
+            a.scenario(Perspective::Auditor { market, k: a.maybe_num("k")?,
+                ranking_only: a.flag("ranking-only"), subgroup_depth: a.num("sg-depth")?,
+                min_subgroup })
+        } },
+    CommandSpec { names: &["scenario jobowner"], args: &[PRESET, JOB, Plain("skill")],
+        options: plan_options![N, SEED, opt("weights", Some("0,0.2,0.4,0.6,0.8,1"))],
+        class: &[Compute],
+        help: "  scenario jobowner <preset> <job> <skill> [weights=w1,w2,..] [n=] [seed=]\n",
+        example: "scenario jobowner taskrabbit wood-panels rating weights=0.0,0.5,1.0",
+        build: |a| a.scenario(Perspective::JobOwner { market: a.market()?, job: a.arg(1),
+            skill: a.arg(2), weights: a.list("weights", |s| s.parse().ok())?.unwrap_or_default() }),
+        ..BARE },
+    CommandSpec { names: &["scenario enduser"], args: &[PRESET, Variadic("group expression")],
+        options: plan_options![N, SEED], class: &[Compute],
+        help: "  scenario enduser <preset> \"<group>\"… [n=] [seed=]\n",
+        example: "scenario enduser taskrabbit \"gender=Female\" \"gender=Male\" n=90",
+        build: |a| a.scenario(Perspective::EndUser { market: a.market()?,
+            groups: a.positionals[1..].iter().map(|g| g.to_string()).collect() }), ..BARE },
+    CommandSpec { names: &["scenario stream"], args: &[PRESET, JOB],
+        options: plan_options![N, SEED, K, ROUNDS, ARRIVALS, DEPARTURES, RESCORES, STREAM_SEED],
+        flags: &["ranking-only"], class: &[Compute],
+        help: "  scenario stream <preset> <job> [rounds=] [arrivals=] [departures=] [rescores=]
+           [stream-seed=] [n=] [seed=] [k=] [ranking-only]\n",
+        example: "scenario stream taskrabbit errands n=90 rounds=2 stream-seed=5 aggs=mean,max",
+        build: |a| a.scenario(Perspective::Stream { market: a.market()?, job: a.arg(1),
+            k: a.maybe_num("k")?, ranking_only: a.flag("ranking-only"),
+            config: a.stream_config()? }) },
+    CommandSpec { names: &["scenario"],
+        args: &[Raw("perspective (grid/auditor/jobowner/enduser/stream) or a JSON spec path")],
+        class: &[Compute, Filesystem], example: "scenario plans/audit.json",
+        help: "  scenario <spec.json>                 run a scenario plan from a JSON spec\n",
+        build: |a| Ok(Command::RunScenarioFile { path: a.arg(0) }), ..BARE },
+    CommandSpec { names: &["sessions"], class: &[Admin], example: "sessions",
+        help: "  sessions | evict <name>              registry admin (server --admin only)\n",
+        build: |_| Ok(Command::Sessions), ..BARE },
+    CommandSpec { names: &["evict"], args: &[Plain("session name")], class: &[Admin],
+        example: "evict audit-1", build: |a| Ok(Command::Evict { name: a.arg(0) }), ..BARE },
+    CommandSpec { names: &["help", "?"], help: "  help | quit\n", example: "help",
+        build: |_| Ok(Command::Help), ..BARE },
+    CommandSpec { names: &["quit", "exit"], example: "quit", build: |_| Ok(Command::Quit), ..BARE },
+];
+
+/// The request bounds as `serve --help` lists them, each with the options
+/// it applies to.
+pub fn bounds_text() -> String {
+    let mut out = String::from("request bounds (larger values get `limit_exceeded`):\n");
+    let bounds = [MAX_ROWS, MAX_BINS, MAX_ROUNDS, MAX_EVENTS, MAX_BEAM_WIDTH, MAX_BUDGET];
+    for bound in bounds.into_iter().chain([MAX_CELLS]) {
+        let mut keys: Vec<String> = Vec::new();
+        for o in COMMANDS.iter().flat_map(|spec| spec.options).filter(|o| o.bound == Some(bound)) {
+            keys.extend(Some(format!("{}=", o.key)).filter(|key| !keys.contains(key)));
+        }
+        let line = format!("  {:<26}{:>10}  {}", bound.what, bound.max, keys.join(" "));
+        out = out + line.trim_end() + "\n";
+    }
+    out
+}
+
+// ----------------------------------------------------------------- parser
+
+/// A command line's arguments, sorted against its table entry.
+struct Args<'a> {
+    spec: &'static CommandSpec,
+    positionals: Vec<&'a str>,
+    options: Vec<(&'static Opt, &'a str)>,
+    flags: Vec<&'a str>,
+}
+
+fn command_error(msg: String) -> SessionError {
+    SessionError::Command(msg)
+}
+
+impl<'a> Args<'a> {
+    /// Sorts `tokens` into the positionals, options and flags of `spec`.
+    /// Refuses a token the entry does not declare, an option or flag given
+    /// twice, a missing positional, and a value above its bound.
+    fn sort(spec: &'static CommandSpec, tokens: &'a [String]) -> Result<Args<'a>> {
+        let (positionals, options, flags) = (Vec::new(), Vec::new(), Vec::new());
+        let mut args = Args { spec, positionals, options, flags };
+        let name = spec.name();
+        for token in tokens {
+            let slot = spec.args.get(args.positionals.len());
+            let raw = matches!(slot, Some(Raw(_)));
+            match token.split_once('=').filter(|(key, _)| !raw && spec.verb_takes(key)) {
+                Some((key, value)) => {
+                    let opt = spec.option(key).ok_or_else(|| {
+                        command_error(format!("{name} does not take option {token:?}"))
+                    })?;
+                    if args.options.iter().any(|(o, _)| o.key == key) {
+                        return Err(command_error(format!("{key}= is given twice ({token:?})")));
+                    }
+                    if let Some(bound) = opt.bound {
+                        for item in value.split(',').filter_map(|v| v.trim().parse().ok()) {
+                            bound.check(key, item)?;
+                        }
+                    }
+                    args.options.push((opt, value));
+                }
+                None if !raw && spec.flags.contains(&token.as_str()) => {
+                    if args.flag(token) {
+                        return Err(command_error(format!("flag {token:?} is given twice")));
+                    }
+                    args.flags.push(token);
+                }
+                None if slot.is_some() || matches!(spec.args.last(), Some(Variadic(_))) => {
+                    args.positionals.push(token);
+                }
+                None => return Err(command_error(format!("{name} takes no argument {token:?}"))),
+            }
+        }
+        match spec.args.get(args.positionals.len()) {
+            Some(Plain(what) | Raw(what) | Variadic(what)) => {
+                Err(command_error(format!("missing {what}")))
+            }
+            None => Ok(args),
+        }
+    }
+
+    fn arg(&self, i: usize) -> String {
+        self.positionals[i].to_string()
+    }
+
+    /// Positional argument `i` as a panel or node id.
+    fn id(&self, i: usize) -> Result<usize> {
+        let (Plain(what) | Raw(what) | Variadic(what)) = self.spec.args[i];
+        self.positionals[i].parse().map_err(|_| command_error(format!("{what} must be a number")))
+    }
+
+    /// The value given for option `key`, if any.
+    fn given(&self, key: &str) -> Option<&'a str> {
+        debug_assert!(self.spec.option(key).is_some(), "{key}= is not in the entry");
+        self.options.iter().find(|(o, _)| o.key == key).map(|&(_, value)| value)
+    }
+
+    /// The value given for option `key`, else its table default.
+    fn value(&self, key: &str) -> Option<&'a str> {
+        self.given(key).or(self.spec.option(key).and_then(|o| o.default))
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.flags.contains(&name)
+    }
+
+    /// Option `key` (or its table default) parsed by `parse`.
+    fn parse<T>(&self, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T> {
+        let raw = self.value(key).expect("an option read with `parse` has a default");
+        parse(raw).ok_or_else(|| command_error(format!("cannot parse {key}={raw}")))
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T> {
+        self.parse(key, |s| s.parse().ok())
+    }
+
+    /// Option `key` as a number, or `None` when it is absent.
+    fn maybe_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>> {
+        self.given(key).map(|_| self.num(key)).transpose()
+    }
+
+    /// Option `key` (or its default) as a comma-separated list, each item
+    /// parsed by `parse`; `None` when it is absent and has no default.
+    fn list<T>(&self, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<Option<Vec<T>>> {
+        let item = |s| parse(s).ok_or_else(|| command_error(format!("cannot parse {key}: {s:?}")));
+        self.value(key).map(|raw| csv_items(raw).into_iter().map(item).collect()).transpose()
+    }
+
+    /// The marketplace of the first positional, `n=` and `seed=`.
+    fn market(&self) -> Result<MarketSpec> {
+        Ok(MarketSpec { preset: self.arg(0), n: self.num("n")?, seed: self.num("seed")? })
+    }
+
+    fn stream_config(&self) -> Result<StreamConfig> {
+        Ok(StreamConfig {
+            rounds: self.num("rounds")?,
+            arrivals_per_round: self.num("arrivals")?,
+            departures_per_round: self.num("departures")?,
+            rescores_per_round: self.num("rescores")?,
+            seed: self.maybe_num("stream-seed")?,
+        })
+    }
+
+    /// A `scenario` over `perspective` with the shared strategy and
+    /// criterion-grid options, checked against the request bounds.
+    fn scenario(&self, perspective: Perspective) -> Result<Command> {
+        let (strategy, criteria) = (self.search_strategy()?, self.criterion_grid()?);
+        let spec = Box::new(ScenarioSpec { perspective, strategy, criteria });
+        spec.check_limits()?;
+        Ok(Command::RunScenario { spec })
+    }
+
+    /// `None` when neither a strategy nor a quantify refinement is given.
+    fn search_strategy(&self) -> Result<Option<SearchStrategy>> {
+        let refined = self.given("depth").is_some() || self.given("min").is_some();
+        Ok(Some(match self.given("strategy") {
+            None if !refined => return Ok(None),
+            None | Some("quantify") => SearchStrategy::Quantify {
+                max_depth: self.maybe_num("depth")?,
+                min_partition: self.num("min")?,
+            },
+            // `BeamSearch` clamps the width to at least 1; clamping here too
+            // keeps the reported strategy (and the cell-cache key) that of
+            // the search that runs.
+            Some("beam") => SearchStrategy::Beam { width: self.num::<usize>("width")?.max(1) },
+            Some("exhaustive") => SearchStrategy::Exhaustive { budget: self.num("budget")? },
+            Some(other) => {
+                return Err(command_error(format!(
+                    "unknown strategy {other:?} (try quantify, beam, exhaustive)"
+                )))
+            }
+        }))
+    }
+
+    /// `None` when no axis is given (the spec then uses the single default
+    /// criterion).
+    fn criterion_grid(&self) -> Result<Option<CriterionGrid>> {
+        let objectives = self.list("objectives", Objective::parse)?;
+        let aggregators = self.list("aggs", Aggregator::parse)?;
+        let bins = self.list("bins", |s| s.parse().ok())?;
+        let emds = self.list("emd", EmdBackendKind::parse)?;
+        if objectives.is_none() && aggregators.is_none() && bins.is_none() && emds.is_none() {
+            return Ok(None);
+        }
+        let defaults = CriterionGrid::default();
+        Ok(Some(CriterionGrid {
+            objectives: objectives.unwrap_or(defaults.objectives),
+            aggregators: aggregators.unwrap_or(defaults.aggregators),
+            bins: bins.unwrap_or(defaults.bins),
+            emds: emds.unwrap_or(defaults.emds),
+        }))
+    }
+}
+
+/// Parses a comma-separated value into trimmed, non-empty items.
 fn csv_items(raw: &str) -> Vec<&str> {
     raw.split(',').map(str::trim).filter(|s| !s.is_empty()).collect()
 }
 
-/// Parses the criterion-grid options (`objectives=`, `aggs=`, `bins=`,
-/// `emd=`) shared by all `scenario` subcommands. Returns `None` when no
-/// axis was given (the spec then uses the single default criterion).
-fn parse_criterion_grid(tokens: &[String]) -> Result<Option<CriterionGrid>> {
-    let objectives = opt(tokens, PLAN_OPTS, "objectives")
-        .map(|raw| {
-            csv_items(raw)
-                .into_iter()
-                .map(|s| {
-                    Objective::parse(s).ok_or_else(|| {
-                        SessionError::Command(format!("unknown objective {s:?}"))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-        })
-        .transpose()?;
-    let aggregators = opt(tokens, PLAN_OPTS, "aggs")
-        .map(|raw| {
-            csv_items(raw)
-                .into_iter()
-                .map(|s| {
-                    Aggregator::parse(s).ok_or_else(|| {
-                        SessionError::Command(format!("unknown aggregator {s:?}"))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-        })
-        .transpose()?;
-    let bins = opt(tokens, PLAN_OPTS, "bins")
-        .map(|raw| {
-            csv_items(raw)
-                .into_iter()
-                .map(|s| {
-                    s.parse::<usize>().map_err(|_| {
-                        SessionError::Command(format!("cannot parse bins value {s:?}"))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-        })
-        .transpose()?;
-    let emds = opt(tokens, PLAN_OPTS, "emd")
-        .map(|raw| {
-            csv_items(raw)
-                .into_iter()
-                .map(|s| {
-                    EmdBackendKind::parse(s).ok_or_else(|| {
-                        SessionError::Command(format!("unknown EMD backend {s:?}"))
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-        })
-        .transpose()?;
-    if objectives.is_none() && aggregators.is_none() && bins.is_none() && emds.is_none() {
-        return Ok(None);
-    }
-    let defaults = CriterionGrid::default();
-    Ok(Some(CriterionGrid {
-        objectives: objectives.unwrap_or(defaults.objectives),
-        aggregators: aggregators.unwrap_or(defaults.aggregators),
-        bins: bins.unwrap_or(defaults.bins),
-        emds: emds.unwrap_or(defaults.emds),
-    }))
-}
-
-/// Parses the search-strategy options (`strategy=`, `width=`, `depth=`,
-/// `min=`, `budget=`) shared by all `scenario` subcommands.
-fn parse_search_strategy(tokens: &[String]) -> Result<Option<SearchStrategy>> {
-    let max_depth = opt(tokens, PLAN_OPTS, "depth")
-        .map(|raw| {
-            raw.parse::<usize>().map_err(|_| {
-                SessionError::Command(format!("cannot parse depth={raw}"))
-            })
-        })
-        .transpose()?;
-    let Some(name) = opt(tokens, PLAN_OPTS, "strategy") else {
-        // Quantify refinements may be given without naming the strategy.
-        if max_depth.is_none() && opt(tokens, PLAN_OPTS, "min").is_none() {
-            return Ok(None);
-        }
-        return Ok(Some(SearchStrategy::Quantify {
-            max_depth,
-            min_partition: opt_parse(tokens, PLAN_OPTS, "min", 1)?,
-        }));
-    };
-    match name {
-        "quantify" => Ok(Some(SearchStrategy::Quantify {
-            max_depth,
-            min_partition: opt_parse(tokens, PLAN_OPTS, "min", 1)?,
-        })),
-        // `BeamSearch` clamps the width to at least 1; clamping here too
-        // keeps the reported strategy (and the cell-cache key) that of the
-        // search that runs.
-        "beam" => Ok(Some(SearchStrategy::Beam {
-            width: opt_parse(tokens, PLAN_OPTS, "width", 4)?.max(1),
-        })),
-        "exhaustive" => Ok(Some(SearchStrategy::Exhaustive {
-            budget: opt_parse(
-                tokens,
-                PLAN_OPTS,
-                "budget",
-                fairank_core::exhaustive::DEFAULT_BUDGET,
-            )?,
-        })),
-        other => Err(SessionError::Command(format!(
-            "unknown strategy {other:?} (try quantify, beam, exhaustive)"
-        ))),
-    }
-}
-
-/// Parses the event-stream knobs (`rounds=`, `arrivals=`, `departures=`,
-/// `rescores=`, `stream-seed=`) shared by `stream` and `scenario stream`.
-fn parse_stream_config(tokens: &[String], opts: &[&str]) -> Result<StreamConfig> {
-    let defaults = StreamConfig::default();
-    Ok(StreamConfig {
-        rounds: opt_parse(tokens, opts, "rounds", defaults.rounds)?,
-        arrivals_per_round: opt_parse(tokens, opts, "arrivals", defaults.arrivals_per_round)?,
-        departures_per_round: opt_parse(
-            tokens,
-            opts,
-            "departures",
-            defaults.departures_per_round,
-        )?,
-        rescores_per_round: opt_parse(tokens, opts, "rescores", defaults.rescores_per_round)?,
-        seed: opt(tokens, opts, "stream-seed")
-            .map(|raw| {
-                raw.parse().map_err(|_| {
-                    SessionError::Command(format!("cannot parse stream-seed={raw}"))
-                })
-            })
-            .transpose()?,
-    })
-}
-
-/// Parses an optional `k=` anonymity bound.
-fn parse_k(tokens: &[String], opts: &[&str]) -> Result<Option<usize>> {
-    opt(tokens, opts, "k")
-        .map(|raw| {
-            raw.parse()
-                .map_err(|_| SessionError::Command(format!("cannot parse k={raw}")))
-        })
-        .transpose()
-}
-
-/// Parses the `scenario` subcommands into a full [`ScenarioSpec`].
-fn parse_scenario(rest: &[String]) -> Result<Command> {
-    let Some(kind) = rest.first() else {
-        return Err(SessionError::Command(
-            "scenario needs a perspective (grid/auditor/jobowner/enduser/stream) \
-             or a JSON spec path"
-                .into(),
-        ));
-    };
-    let strategy = parse_search_strategy(rest)?;
-    let criteria = parse_criterion_grid(rest)?;
-    let perspective = match kind.as_str() {
-        "grid" => Perspective::Grid {
-            datasets: csv_items(positional(rest, PLAN_OPTS, 1, "dataset list")?)
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-            functions: csv_items(positional(rest, PLAN_OPTS, 2, "function list")?)
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-            filter: opt(rest, PLAN_OPTS, "where").map(str::to_string),
-        },
-        "auditor" => {
-            let n = opt_parse(rest, PLAN_OPTS, "n", 300)?;
-            Perspective::Auditor {
-                market: MarketSpec {
-                    preset: positional(rest, PLAN_OPTS, 1, "marketplace preset")?
-                        .to_string(),
-                    n,
-                    seed: opt_parse(rest, PLAN_OPTS, "seed", 42)?,
-                },
-                k: parse_k(rest, PLAN_OPTS)?,
-                ranking_only: rest.iter().any(|t| t == "ranking-only"),
-                subgroup_depth: opt_parse(rest, PLAN_OPTS, "sg-depth", 2)?,
-                min_subgroup: opt_parse(rest, PLAN_OPTS, "sg-min", (n / 20).max(2))?,
-            }
-        }
-        "jobowner" => Perspective::JobOwner {
-            market: MarketSpec {
-                preset: positional(rest, PLAN_OPTS, 1, "marketplace preset")?.to_string(),
-                n: opt_parse(rest, PLAN_OPTS, "n", 300)?,
-                seed: opt_parse(rest, PLAN_OPTS, "seed", 42)?,
-            },
-            job: positional(rest, PLAN_OPTS, 2, "job id")?.to_string(),
-            skill: positional(rest, PLAN_OPTS, 3, "skill")?.to_string(),
-            weights: match opt(rest, PLAN_OPTS, "weights") {
-                None => vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-                Some(raw) => csv_items(raw)
-                    .into_iter()
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|_| {
-                            SessionError::Command(format!("cannot parse weight {s:?}"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?,
-            },
-        },
-        "enduser" => {
-            // Every positional after the preset is one group expression
-            // (quote expressions containing spaces).
-            let preset = positional(rest, PLAN_OPTS, 1, "marketplace preset")?.to_string();
-            let is_option = |t: &str| {
-                t.split_once('=').is_some_and(|(key, _)| PLAN_OPTS.contains(&key))
-            };
-            let groups: Vec<String> = rest
-                .iter()
-                .filter(|t| !is_option(t))
-                .skip(2)
-                .map(String::clone)
-                .collect();
-            if groups.is_empty() {
-                return Err(SessionError::Command("missing group expression".into()));
-            }
-            Perspective::EndUser {
-                market: MarketSpec {
-                    preset,
-                    n: opt_parse(rest, PLAN_OPTS, "n", 300)?,
-                    seed: opt_parse(rest, PLAN_OPTS, "seed", 42)?,
-                },
-                groups,
-            }
-        }
-        "stream" => Perspective::Stream {
-            market: MarketSpec {
-                preset: positional(rest, PLAN_OPTS, 1, "marketplace preset")?.to_string(),
-                n: opt_parse(rest, PLAN_OPTS, "n", 300)?,
-                seed: opt_parse(rest, PLAN_OPTS, "seed", 42)?,
-            },
-            job: positional(rest, PLAN_OPTS, 2, "job id")?.to_string(),
-            k: parse_k(rest, PLAN_OPTS)?,
-            ranking_only: rest.iter().any(|t| t == "ranking-only"),
-            config: parse_stream_config(rest, PLAN_OPTS)?,
-        },
-        // Anything else is a JSON spec path.
-        path => {
-            return Ok(Command::RunScenarioFile {
-                path: path.to_string(),
-            })
-        }
-    };
-    Ok(Command::RunScenario {
-        spec: Box::new(ScenarioSpec {
-            perspective,
-            strategy,
-            criteria,
-        }),
-    })
-}
-
 impl Command {
-    /// Parses one REPL line. Empty lines parse to `Help`.
+    /// Parses one REPL line. Empty lines parse to `Help`. The longest table
+    /// name the leading tokens spell selects the entry (`scenario grid …`
+    /// is a grid, `scenario x.json` a spec file), which sorts and builds.
     pub fn parse(line: &str) -> Result<Command> {
         let tokens = tokenize(line);
         let Some(verb) = tokens.first() else {
             return Ok(Command::Help);
         };
-        let rest = &tokens[1..];
-        match verb.as_str() {
-            "help" | "?" => Ok(Command::Help),
-            "datasets" => Ok(Command::Datasets),
-            "funcs" | "functions" => Ok(Command::Functions),
-            "panels" => Ok(Command::Panels),
-            "quit" | "exit" => Ok(Command::Quit),
-            "load" => Ok(Command::Load {
-                name: positional(rest, NO_OPTS, 0, "dataset name")?.to_string(),
-                path: positional(rest, NO_OPTS, 1, "CSV path")?.to_string(),
-            }),
-            "generate" => Ok(Command::Generate {
-                name: positional(rest, GENERATE_OPTS, 0, "dataset name")?.to_string(),
-                preset: positional(rest, GENERATE_OPTS, 1, "preset")?.to_string(),
-                n: opt_parse(rest, GENERATE_OPTS, "n", 200)?,
-                seed: opt_parse(rest, GENERATE_OPTS, "seed", 42)?,
-            }),
-            "define" => Ok(Command::Define {
-                name: positional(rest, NO_OPTS, 0, "function name")?.to_string(),
-                expr: positional(rest, NO_OPTS, 1, "expression")?.to_string(),
-            }),
-            "data" => Ok(Command::ShowData {
-                name: positional(rest, DATA_OPTS, 0, "dataset name")?.to_string(),
-                rows: opt_parse(rest, DATA_OPTS, "rows", 10)?,
-            }),
-            "describe" => Ok(Command::Describe {
-                name: positional(rest, NO_OPTS, 0, "dataset name")?.to_string(),
-            }),
-            "save" => Ok(Command::Save {
-                dir: positional(rest, NO_OPTS, 0, "directory")?.to_string(),
-            }),
-            "open" => Ok(Command::Open {
-                dir: positional(rest, NO_OPTS, 0, "directory")?.to_string(),
-            }),
-            "filter" => Ok(Command::DeriveFilter {
-                new_name: raw_positional(rest, 0, "new dataset name")?.to_string(),
-                source: raw_positional(rest, 1, "source dataset")?.to_string(),
-                expr: raw_positional(rest, 2, "filter expression")?.to_string(),
-            }),
-            "anonymize" => {
-                let method = match opt(rest, ANONYMIZE_OPTS, "method").unwrap_or("mondrian") {
-                    "mondrian" => AnonMethod::Mondrian,
-                    "datafly" => AnonMethod::Datafly,
-                    "incognito" => AnonMethod::Incognito,
-                    other => {
-                        return Err(SessionError::Command(format!(
-                            "unknown anonymization method {other:?}"
-                        )))
-                    }
-                };
-                Ok(Command::Anonymize {
-                    new_name: positional(rest, ANONYMIZE_OPTS, 0, "new dataset name")?
-                        .to_string(),
-                    source: positional(rest, ANONYMIZE_OPTS, 1, "source dataset")?.to_string(),
-                    k: opt_parse(rest, ANONYMIZE_OPTS, "k", 2)?,
-                    method,
-                })
+        // The number of words of `name` (a verb, or a verb and a scenario
+        // perspective) when the leading tokens spell it.
+        let spelled = |name: &str| {
+            let rest = name.strip_prefix(verb.as_str())?;
+            match rest.strip_prefix(' ') {
+                None => rest.is_empty().then_some(1),
+                Some(perspective) => (tokens.get(1)? == perspective).then_some(2),
             }
-            "quantify" => {
-                let objective = match opt(rest, QUANTIFY_OPTS, "objective") {
-                    None => Objective::default(),
-                    Some(raw) => Objective::parse(raw).ok_or_else(|| {
-                        SessionError::Command(format!("unknown objective {raw:?}"))
-                    })?,
-                };
-                let aggregator = match opt(rest, QUANTIFY_OPTS, "agg") {
-                    None => Aggregator::default(),
-                    Some(raw) => Aggregator::parse(raw).ok_or_else(|| {
-                        SessionError::Command(format!("unknown aggregator {raw:?}"))
-                    })?,
-                };
-                let emd = match opt(rest, QUANTIFY_OPTS, "emd") {
-                    None => EmdBackendKind::default(),
-                    Some(raw) => EmdBackendKind::parse(raw).ok_or_else(|| {
-                        SessionError::Command(format!("unknown EMD backend {raw:?}"))
-                    })?,
-                };
-                Ok(Command::Quantify {
-                    dataset: positional(rest, QUANTIFY_OPTS, 0, "dataset")?.to_string(),
-                    function: positional(rest, QUANTIFY_OPTS, 1, "function")?.to_string(),
-                    objective,
-                    aggregator,
-                    bins: opt_parse(rest, QUANTIFY_OPTS, "bins", 10)?,
-                    emd,
-                    filter: opt(rest, QUANTIFY_OPTS, "where").map(str::to_string),
-                    opaque: rest.iter().any(|t| t == "opaque"),
-                })
-            }
-            "show" => Ok(Command::Show {
-                panel: positional(rest, NO_OPTS, 0, "panel id")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("panel id must be a number".into()))?,
-            }),
-            "node" => Ok(Command::Node {
-                panel: positional(rest, NO_OPTS, 0, "panel id")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("panel id must be a number".into()))?,
-                node: positional(rest, NO_OPTS, 1, "node id")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("node id must be a number".into()))?,
-            }),
-            "why" => Ok(Command::Why {
-                panel: positional(rest, NO_OPTS, 0, "panel id")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("panel id must be a number".into()))?,
-                node: positional(rest, NO_OPTS, 1, "node id")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("node id must be a number".into()))?,
-            }),
-            "compare" => Ok(Command::Compare {
-                a: positional(rest, NO_OPTS, 0, "first panel")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("panel id must be a number".into()))?,
-                b: positional(rest, NO_OPTS, 1, "second panel")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("panel id must be a number".into()))?,
-            }),
-            "export" => Ok(Command::Export {
-                panel: positional(rest, NO_OPTS, 0, "panel id")?
-                    .parse()
-                    .map_err(|_| SessionError::Command("panel id must be a number".into()))?,
-                path: positional(rest, NO_OPTS, 1, "output path")?.to_string(),
-            }),
-            "subgroups" => Ok(Command::Subgroups {
-                dataset: positional(rest, SUBGROUPS_OPTS, 0, "dataset")?.to_string(),
-                function: positional(rest, SUBGROUPS_OPTS, 1, "function")?.to_string(),
-                depth: opt_parse(rest, SUBGROUPS_OPTS, "depth", 2)?,
-                min_size: opt_parse(rest, SUBGROUPS_OPTS, "min", 5)?,
-                top: opt_parse(rest, SUBGROUPS_OPTS, "top", 5)?,
-            }),
-            "audit" => Ok(Command::Audit {
-                preset: positional(rest, AUDIT_OPTS, 0, "marketplace preset")?.to_string(),
-                n: opt_parse(rest, AUDIT_OPTS, "n", 300)?,
-                seed: opt_parse(rest, AUDIT_OPTS, "seed", 42)?,
-                k: opt(rest, AUDIT_OPTS, "k")
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            SessionError::Command(format!("cannot parse k={raw}"))
-                        })
-                    })
-                    .transpose()?,
-                ranking_only: rest.iter().any(|t| t == "ranking-only"),
-            }),
-            "jobowner" => Ok(Command::JobOwner {
-                preset: positional(rest, SCENARIO_OPTS, 0, "marketplace preset")?.to_string(),
-                job: positional(rest, SCENARIO_OPTS, 1, "job id")?.to_string(),
-                skill: positional(rest, SCENARIO_OPTS, 2, "skill")?.to_string(),
-                n: opt_parse(rest, SCENARIO_OPTS, "n", 300)?,
-                seed: opt_parse(rest, SCENARIO_OPTS, "seed", 42)?,
-            }),
-            "enduser" => Ok(Command::EndUser {
-                preset: raw_positional(rest, 0, "marketplace preset")?.to_string(),
-                group: raw_positional(rest, 1, "group filter")?.to_string(),
-                n: opt_parse(&rest[2..], SCENARIO_OPTS, "n", 300)?,
-                seed: opt_parse(&rest[2..], SCENARIO_OPTS, "seed", 42)?,
-            }),
-            "stream" => Ok(Command::Stream {
-                preset: positional(rest, STREAM_OPTS, 0, "marketplace preset")?.to_string(),
-                job: positional(rest, STREAM_OPTS, 1, "job id")?.to_string(),
-                n: opt_parse(rest, STREAM_OPTS, "n", 300)?,
-                seed: opt_parse(rest, STREAM_OPTS, "seed", 42)?,
-                k: parse_k(rest, STREAM_OPTS)?,
-                ranking_only: rest.iter().any(|t| t == "ranking-only"),
-                config: parse_stream_config(rest, STREAM_OPTS)?,
-            }),
-            "scenario" => parse_scenario(rest),
-            "sessions" => Ok(Command::Sessions),
-            "evict" => Ok(Command::Evict {
-                name: positional(rest, NO_OPTS, 0, "session name")?.to_string(),
-            }),
-            other => Err(SessionError::Command(format!("unknown command {other:?}"))),
-        }
+        };
+        let (spec, words) = COMMANDS
+            .iter()
+            .flat_map(|spec| spec.names.iter().filter_map(move |name| Some((spec, spelled(name)?))))
+            .max_by_key(|&(_, words)| words)
+            .ok_or_else(|| command_error(format!("unknown command {verb:?}")))?;
+        (spec.build)(&Args::sort(spec, &tokens[words..])?)
     }
 
-    /// Whether the command reads or writes the host filesystem (`load`,
-    /// `save`, `open`, `export`). Network services refuse these by
-    /// default: a reachable port must not hand out file access on the
-    /// serving host.
+    /// The command's table entry.
+    pub fn spec(&self) -> &'static CommandSpec {
+        let name = match self {
+            Command::Help => "help",
+            Command::Datasets => "datasets",
+            Command::Functions => "funcs",
+            Command::Panels => "panels",
+            Command::Load { .. } => "load",
+            Command::Generate { .. } => "generate",
+            Command::Define { .. } => "define",
+            Command::ShowData { .. } => "data",
+            Command::Describe { .. } => "describe",
+            Command::Save { .. } => "save",
+            Command::Open { .. } => "open",
+            Command::DeriveFilter { .. } => "filter",
+            Command::Anonymize { .. } => "anonymize",
+            Command::Quantify { .. } => "quantify",
+            Command::Show { .. } => "show",
+            Command::Node { .. } => "node",
+            Command::Why { .. } => "why",
+            Command::Compare { .. } => "compare",
+            Command::Export { .. } => "export",
+            Command::Subgroups { .. } => "subgroups",
+            Command::Audit { .. } => "audit",
+            Command::JobOwner { .. } => "jobowner",
+            Command::EndUser { .. } => "enduser",
+            Command::Stream { .. } => "stream",
+            Command::RunScenario { spec } => match spec.perspective {
+                Perspective::Grid { .. } => "scenario grid",
+                Perspective::Auditor { .. } => "scenario auditor",
+                Perspective::JobOwner { .. } => "scenario jobowner",
+                Perspective::EndUser { .. } => "scenario enduser",
+                Perspective::Stream { .. } => "scenario stream",
+            },
+            Command::RunScenarioFile { .. } => "scenario",
+            Command::Sessions => "sessions",
+            Command::Evict { .. } => "evict",
+            Command::Quit => "quit",
+        };
+        COMMANDS.iter().find(|spec| spec.name() == name).expect("every command has an entry")
+    }
+
+    /// Whether the command reads or writes the host filesystem. Network
+    /// services refuse these by default: a reachable port must not hand
+    /// out file access on the serving host.
     pub fn touches_filesystem(&self) -> bool {
-        matches!(
-            self,
-            Command::Load { .. }
-                | Command::Save { .. }
-                | Command::Open { .. }
-                | Command::Export { .. }
-                | Command::RunScenarioFile { .. }
-        )
+        self.spec().class.contains(&Filesystem)
     }
 
-    /// Whether the command runs a partitioning search (or another
-    /// CPU-bound analysis) rather than a cheap registry/rendering
-    /// operation. Services route these through a bounded worker pool so a
-    /// burst of concurrent quantifications cannot oversubscribe the host.
+    /// Whether the command runs a search or another CPU-bound analysis.
+    /// Services route these through a bounded worker pool so a burst of
+    /// quantifications cannot oversubscribe the host.
     pub fn is_compute_heavy(&self) -> bool {
-        matches!(
-            self,
-            Command::Quantify { .. }
-                | Command::Subgroups { .. }
-                | Command::Anonymize { .. }
-                | Command::Audit { .. }
-                | Command::JobOwner { .. }
-                | Command::EndUser { .. }
-                | Command::Stream { .. }
-                | Command::RunScenario { .. }
-                | Command::RunScenarioFile { .. }
-        )
+        self.spec().class.contains(&Compute)
     }
 
-    /// Whether the command manages a server's session registry rather than
-    /// one session's state (`sessions`, `evict`). Servers handle these at
-    /// the dispatch layer — and only when started with `--admin`; applying
-    /// them to a plain [`Session`] is an error.
+    /// Whether the command manages a server's session registry. Servers
+    /// run these only when started with `--admin`; applying them to a
+    /// plain [`Session`] is an error.
     pub fn is_registry_admin(&self) -> bool {
-        matches!(self, Command::Sessions | Command::Evict { .. })
+        self.spec().class.contains(&Admin)
     }
 }
 
@@ -1273,6 +1289,156 @@ mod tests {
         assert_eq!(spec.criterion_grid().cardinality(), 1);
         let plan = crate::plan::compile(&s, &spec).unwrap();
         assert_eq!(plan.cell_count(), 1);
+    }
+
+    fn kind_of(line: &str) -> &'static str {
+        match Command::parse(line) {
+            Ok(command) => panic!("{line:?} parsed to {command:?}"),
+            Err(e) => e.kind(),
+        }
+    }
+
+    #[test]
+    fn every_entry_example_parses_to_its_entry() {
+        for spec in COMMANDS {
+            let command = Command::parse(spec.example)
+                .unwrap_or_else(|e| panic!("example {:?}: {e}", spec.example));
+            assert!(
+                std::ptr::eq(command.spec(), spec),
+                "example {:?} parsed to {}'s entry",
+                spec.example,
+                command.spec().name()
+            );
+            for name in spec.names {
+                assert_eq!(
+                    COMMANDS.iter().flat_map(|s| s.names).filter(|n| *n == name).count(),
+                    1,
+                    "{name} names one entry"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_arguments_are_well_formed() {
+        for spec in COMMANDS {
+            let raw = spec.args.iter().take_while(|a| matches!(a, Raw(_))).count();
+            assert!(
+                spec.args[raw..].iter().all(|a| !matches!(a, Raw(_))),
+                "{}: raw arguments come first",
+                spec.name()
+            );
+            assert!(
+                spec.args.iter().rev().skip(1).all(|a| !matches!(a, Variadic(_))),
+                "{}: only the last argument may be variadic",
+                spec.name()
+            );
+            for o in spec.options {
+                if let (Some(default), Some(bound)) = (o.default, o.bound) {
+                    let default: u64 = default.parse().expect("bounded defaults are numbers");
+                    assert!(default <= bound.max, "{} {}= default", spec.name(), o.key);
+                }
+            }
+        }
+    }
+
+    /// Every `key=` a help line shows is an option of its entry, every
+    /// bracketed bare word a flag, and a default it shows is the table's.
+    #[test]
+    fn help_advertises_only_what_the_entry_accepts() {
+        for spec in COMMANDS {
+            for word in spec.help.split_whitespace() {
+                let word = word.trim_start_matches('[').trim_end_matches(']');
+                if let Some((key, shown)) = word.split_once('=') {
+                    let opt = spec.option(key).unwrap_or_else(|| {
+                        panic!("{} help shows {key}= but rejects it", spec.name())
+                    });
+                    if !shown.is_empty() && shown.bytes().all(|b| b.is_ascii_digit()) {
+                        assert_eq!(opt.default, Some(shown), "{} {key}= default", spec.name());
+                    }
+                } else if spec.help.contains(&format!("[{word}]")) && !word.contains('<') {
+                    assert!(
+                        spec.flags.contains(&word),
+                        "{} help shows flag {word} but rejects it",
+                        spec.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_defaults_match_the_engine_defaults() {
+        let Command::RunScenario { spec } =
+            Command::parse("scenario grid pop f strategy=exhaustive").unwrap()
+        else {
+            panic!("scenario grid parses to RunScenario");
+        };
+        assert_eq!(
+            spec.strategy(),
+            SearchStrategy::Exhaustive {
+                budget: fairank_core::exhaustive::DEFAULT_BUDGET
+            }
+        );
+        let Command::Stream { config, .. } = Command::parse("stream qapa devops").unwrap() else {
+            panic!("stream parses to Stream");
+        };
+        assert_eq!(config, StreamConfig::default());
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_with_limit_exceeded() {
+        let names = |prefix: &str| {
+            (0..40_000).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>().join(",")
+        };
+        let grid = format!("scenario grid {} {}", names("a"), names("f"));
+        assert!(grid.len() < 1 << 20, "fits one wire request");
+        for line in [
+            grid.as_str(),
+            "quantify pop f bins=4000000000",
+            "generate pop biased n=300000000",
+            "stream taskrabbit furniture n=100 rounds=1 arrivals=4000000000",
+            "scenario grid pop f strategy=beam width=4000000000",
+            "scenario grid pop f bins=5,1001",
+            "scenario grid pop f strategy=exhaustive budget=10000001",
+            "data pop rows=1000001",
+        ] {
+            assert_eq!(kind_of(line), "limit_exceeded", "{}", &line[..line.len().min(60)]);
+        }
+        let err = Command::parse("quantify pop f bins=4000000000").unwrap_err();
+        assert!(err.to_string().contains("bins=4000000000"), "{err}");
+        assert!(err.to_string().contains("1000"), "{err}");
+        // The bounds themselves are accepted.
+        for line in [
+            "generate pop biased n=1000000",
+            "quantify pop f bins=1000",
+            "stream taskrabbit furniture rounds=10000 arrivals=10000",
+            "scenario grid pop f strategy=beam width=1024",
+            "scenario grid pop f strategy=exhaustive budget=10000000",
+        ] {
+            assert!(Command::parse(line).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn unknown_input_is_refused_and_named() {
+        for (line, token) in [
+            ("define f rating*0.7 + language_test*0.3", "\"+\""),
+            ("quantify pop f bin=3", "bin=3"),
+            ("quantify pop f bins=3 bins=7", "bins=7"),
+            ("scenario grid pop f rounds=5 k=3 weights=1", "rounds=5"),
+            ("stream taskrabbit furniture bins=4", "bins=4"),
+            ("scenario grid pop f where=x n=5", "n=5"),
+            ("scenario enduser taskrabbit gender=Female k=3", "k=3"),
+            ("help me", "\"me\""),
+        ] {
+            let err = Command::parse(line).unwrap_err();
+            assert_eq!(err.kind(), "command", "{line}");
+            assert!(err.to_string().contains(token), "{line}: {err}");
+        }
+        // Keys stay per command: a path that looks like another command's
+        // option is still a positional.
+        assert!(Command::parse("load d bins=3.csv").is_ok());
     }
 
     #[test]

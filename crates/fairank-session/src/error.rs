@@ -27,6 +27,9 @@ pub enum SessionError {
     InvalidName(String),
     /// A command failed to parse.
     Command(String),
+    /// A request asked for more than a request bound allows (rows, bins,
+    /// rounds, search size, plan cells); `what` names the value.
+    LimitExceeded { what: String, max: u64 },
     /// An invariant of the execution machinery broke (an executor lost a
     /// cell, a reduce saw a foreign payload, a worker panicked).
     Internal(String),
@@ -66,6 +69,9 @@ impl fmt::Display for SessionError {
                  (path separators and '..' are not allowed)"
             ),
             SessionError::Command(msg) => write!(f, "command error: {msg}"),
+            SessionError::LimitExceeded { what, max } => {
+                write!(f, "limit exceeded: {what} (max {max})")
+            }
             SessionError::Internal(msg) => write!(f, "internal error: {msg}"),
             SessionError::Core(e) => write!(f, "{e}"),
             SessionError::Cancelled { reason, stats } => write!(
@@ -131,6 +137,7 @@ impl SessionError {
             SessionError::NameTaken(_) => "name_taken",
             SessionError::InvalidName(_) => "invalid_name",
             SessionError::Command(_) => "command",
+            SessionError::LimitExceeded { .. } => "limit_exceeded",
             SessionError::Internal(_) => "internal",
             SessionError::Core(_) => "core",
             SessionError::Cancelled { reason, .. } => match reason {
@@ -237,8 +244,19 @@ mod tests {
             (SessionError::NameTaken("x".into()), "name_taken"),
             (SessionError::InvalidName("../x".into()), "invalid_name"),
             (SessionError::Command("bad".into()), "command"),
+            (
+                SessionError::LimitExceeded {
+                    what: "bins=2000".into(),
+                    max: 1_000,
+                },
+                "limit_exceeded",
+            ),
             (SessionError::Json("eof".into()), "json"),
         ];
+        let mut kinds: Vec<&str> = cases.iter().map(|(err, _)| err.kind()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), cases.len(), "kinds are distinct");
         for (err, kind) in cases {
             assert_eq!(err.kind(), kind);
         }

@@ -179,9 +179,11 @@ impl Default for CriterionGrid {
 }
 
 impl CriterionGrid {
-    /// Number of criteria in the grid (product of the axis sizes).
+    /// Number of criteria in the grid (product of the axis sizes, saturating
+    /// so that no list length can wrap it).
     pub fn cardinality(&self) -> usize {
-        self.objectives.len() * self.aggregators.len() * self.bins.len() * self.distinct_emds().len()
+        let axes = [self.objectives.len(), self.aggregators.len(), self.bins.len()];
+        axes.into_iter().fold(self.distinct_emds().len(), usize::saturating_mul)
     }
 
     /// The EMD axis with repeats dropped, first occurrence first.
@@ -263,6 +265,44 @@ impl ScenarioSpec {
     /// The effective criterion grid.
     pub fn criterion_grid(&self) -> CriterionGrid {
         self.criteria.clone().unwrap_or_default()
+    }
+
+    /// Refuses a spec above the request bounds of [`crate::command`] with
+    /// `limit_exceeded`, before anything is allocated for it. Cell counts
+    /// are saturating products, so no list length can wrap them.
+    pub fn check_limits(&self) -> Result<()> {
+        use crate::command::{MAX_BEAM_WIDTH, MAX_BINS, MAX_BUDGET, MAX_CELLS, MAX_EVENTS};
+        use crate::command::{MAX_ROUNDS, MAX_ROWS};
+        let grid = self.criterion_grid();
+        grid.bins.iter().try_for_each(|&bins| MAX_BINS.check("bins", bins as u128))?;
+        match self.strategy() {
+            SearchStrategy::Beam { width } => MAX_BEAM_WIDTH.check("width", width as u128)?,
+            SearchStrategy::Exhaustive { budget } => MAX_BUDGET.check("budget", budget.into())?,
+            SearchStrategy::Quantify { .. } => {}
+        }
+        let criteria = grid.cardinality();
+        let (market, cells) = match &self.perspective {
+            Perspective::Grid { datasets, functions, .. } => {
+                (None, datasets.len().saturating_mul(functions.len()).saturating_mul(criteria))
+            }
+            Perspective::Auditor { market, .. } => (Some(market), criteria),
+            Perspective::JobOwner { market, weights, .. } => {
+                (Some(market), weights.len().saturating_mul(criteria))
+            }
+            // End-user cells are groups × jobs; the criterion grid is unused.
+            Perspective::EndUser { market, groups } => (Some(market), groups.len()),
+            Perspective::Stream { market, config, .. } => {
+                MAX_ROUNDS.check("rounds", config.rounds as u128)?;
+                MAX_EVENTS.check("arrivals", config.arrivals_per_round as u128)?;
+                MAX_EVENTS.check("departures", config.departures_per_round as u128)?;
+                MAX_EVENTS.check("rescores", config.rescores_per_round as u128)?;
+                (Some(market), criteria)
+            }
+        };
+        if let Some(market) = market {
+            MAX_ROWS.check("n", market.n as u128)?;
+        }
+        MAX_CELLS.check("cells", cells as u128)
     }
 }
 
@@ -858,6 +898,7 @@ pub struct Plan {
 /// are resolved and all inputs prepared here, before anything runs — a
 /// plan that compiles cannot fail on missing session state.
 pub fn compile(session: &Session, spec: &ScenarioSpec) -> Result<Plan> {
+    spec.check_limits()?;
     let strategy = spec.strategy();
     let grid = spec.criterion_grid();
     let criteria = grid.criteria()?;
@@ -1736,6 +1777,57 @@ mod tests {
             compile(&s, &spec),
             Err(SessionError::UnknownDataset(_))
         ));
+    }
+
+    #[test]
+    fn oversized_json_specs_are_refused_before_compiling() {
+        let s = session();
+        let names = |n: usize| (0..n).map(|i| format!("d{i}")).collect::<Vec<_>>();
+        let stream = |rounds: usize| {
+            format!(
+                r#"{{"perspective":{{"Stream":{{"market":{{"preset":"taskrabbit","n":100,"seed":1}},
+                "job":"errands","k":null,"ranking_only":false,"config":{{"rounds":{rounds},
+                "arrivals_per_round":1,"departures_per_round":1,"rescores_per_round":1,
+                "seed":null}}}}}},"strategy":null,"criteria":null}}"#
+            )
+        };
+        let grid = |datasets: usize, functions: usize| ScenarioSpec {
+            perspective: Perspective::Grid {
+                datasets: names(datasets),
+                functions: names(functions),
+                filter: None,
+            },
+            strategy: None,
+            criteria: None,
+        };
+        let json = [
+            serde_json::to_string(&grid(40_000, 40_000)).unwrap(),
+            stream(4_000_000_000),
+            r#"{"perspective":{"Auditor":{"market":{"preset":"taskrabbit","n":300000000,
+               "seed":1},"k":null,"ranking_only":false,"subgroup_depth":2,"min_subgroup":2}},
+               "strategy":{"Beam":{"width":4}},"criteria":null}"#
+                .to_string(),
+        ];
+        for text in &json {
+            let spec: ScenarioSpec = serde_json::from_str(text).unwrap();
+            let err = compile(&s, &spec).unwrap_err();
+            assert_eq!(err.kind(), "limit_exceeded", "{err}");
+        }
+        let mut beam = grid(1, 1);
+        beam.strategy = Some(SearchStrategy::Beam { width: 1_025 });
+        assert_eq!(compile(&s, &beam).unwrap_err().kind(), "limit_exceeded");
+        beam.strategy = None;
+        beam.criteria = Some(CriterionGrid {
+            bins: vec![10, 4_000_000_000],
+            ..CriterionGrid::default()
+        });
+        assert_eq!(compile(&s, &beam).unwrap_err().kind(), "limit_exceeded");
+        // 64 × 64 cells is at the bound; the grid names unknown datasets, so
+        // it gets past the bounds and fails on the session lookup.
+        assert_eq!(compile(&s, &grid(64, 64)).unwrap_err().kind(), "unknown_dataset");
+        assert_eq!(compile(&s, &grid(65, 64)).unwrap_err().kind(), "limit_exceeded");
+        let spec: ScenarioSpec = serde_json::from_str(&stream(10_000)).unwrap();
+        spec.check_limits().unwrap();
     }
 
     #[test]

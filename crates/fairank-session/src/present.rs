@@ -13,46 +13,12 @@ use crate::response::{
 };
 use fairank_marketplace::stream::StreamOutcome;
 
-/// The command reference shown by `help`.
-pub const HELP: &str = "\
-FaiRank commands:
-  datasets | funcs | panels            list session objects
-  load <name> <path.csv>               load a CSV dataset
-  generate <name> <preset> [n=] [seed=]  presets: crowdsourcing, biased,
-                                       taskrabbit, qapa
-  define <name> <attr*w+attr*w…>       define a scoring function
-  data <name> [rows=10]                print the head of a dataset
-  describe <name>                      per-column summary statistics
-  save <dir> | open <dir>              persist / restore the session
-  filter <new> <src> \"<expr>\"          derive a filtered dataset
-  anonymize <new> <src> k=2 [method=mondrian|datafly]
-  quantify <dataset> <func> [objective=most|least] [agg=mean|max|min|variance]
-           [bins=10] [emd=1d|transport] [where=\"<expr>\"] [opaque]
-  subgroups <dataset> <func> [depth=2] [min=5] [top=5]
-                                       most/least favored subgroups
-  show <panel>                         render a panel's partitioning tree
-  node <panel> <node>                  the Node box for one tree node
-  why <panel> <node>                   explain the search decision at a node
-  compare <a> <b>                      compare two panels
-  export <panel> <path.json>           export a panel as JSON
-  audit <taskrabbit|qapa> [n=] [seed=] [k=] [ranking-only]
-  jobowner <preset> <job> <skill> [n=] [seed=]
-  enduser <preset> \"<group expr>\" [n=] [seed=]
-  stream <preset> <job> [n=] [seed=] [rounds=] [arrivals=] [departures=]
-         [rescores=] [stream-seed=] [k=] [ranking-only]
-                                       incremental re-audit over live churn
-  scenario grid <ds,..> <func,..> [objectives=] [aggs=] [bins=] [emd=]
-           [strategy=quantify|beam|exhaustive] [width=] [depth=] [min=]
-           [budget=] [where=\"<expr>\"]   compile a grid into parallel cells
-  scenario auditor <preset> [n=] [seed=] [k=] [ranking-only] [sg-depth=] [sg-min=]
-  scenario jobowner <preset> <job> <skill> [weights=w1,w2,..] [n=] [seed=]
-  scenario enduser <preset> \"<group>\"… [n=] [seed=]
-  scenario stream <preset> <job> [rounds=] [arrivals=] [departures=] [rescores=]
-           [stream-seed=] [n=] [seed=] [k=] [ranking-only]
-  scenario <spec.json>                 run a scenario plan from a JSON spec
-  sessions | evict <name>              registry admin (server --admin only)
-  help | quit
-";
+/// The command reference shown by `help`: every command-table entry's
+/// help lines, in table order.
+pub static HELP: std::sync::LazyLock<String> = std::sync::LazyLock::new(|| {
+    let lines: String = crate::command::COMMANDS.iter().map(|spec| spec.help).collect();
+    format!("FaiRank commands:\n{lines}")
+});
 
 const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -80,7 +46,7 @@ pub fn sparkline_counts(counts: &[u64]) -> String {
 /// Renders the structured response exactly as the REPL prints it.
 pub fn render(response: &Response) -> String {
     match response {
-        Response::Help => HELP.to_string(),
+        Response::Help => HELP.clone(),
         Response::Quit => "quit".to_string(),
         Response::DatasetList(entries) => render_dataset_list(entries),
         Response::FunctionList(entries) => render_function_list(entries),
