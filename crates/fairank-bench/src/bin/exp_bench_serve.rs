@@ -2,7 +2,7 @@
 //!
 //! Two claims of the readiness-based server are measured and gated:
 //!
-//! 1. **Connection scale** — one event-loop thread (plus the dispatcher
+//! 1. **Connection scale** — one event-loop thread (plus the worker
 //!    pool) sustains ≥1k *simultaneously open, actively used* client
 //!    connections without per-connection threads, with bounded p99
 //!    request latency.
@@ -43,9 +43,8 @@ struct BenchReport {
     rounds: u64,
     /// Total requests sent during the measured load phase.
     requests_total: u64,
-    /// Worker threads and event-loop dispatcher threads serving the load.
+    /// Compute permits of the worker pool serving the load.
     workers: u64,
-    dispatchers: u64,
     /// Measured load-phase throughput, replies per second.
     throughput_rps: f64,
     /// Request latency percentiles over the load phase, milliseconds.
@@ -175,7 +174,6 @@ fn main() {
         (1_000, 8, 10)
     };
     let workers = 4;
-    let dispatchers = workers + 2;
 
     header(
         "BENCH",
@@ -287,7 +285,6 @@ fn main() {
         rounds: rounds as u64,
         requests_total,
         workers: workers as u64,
-        dispatchers: dispatchers as u64,
         throughput_rps: throughput,
         latency_p50_ms: p50,
         latency_p99_ms: p99,

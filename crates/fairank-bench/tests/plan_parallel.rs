@@ -4,12 +4,13 @@
 //! layer, a grid request occupied exactly one pool slot no matter how many
 //! workers the server had.)
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use fairank_core::emd::EmdBackendKind;
 use fairank_core::fairness::{Aggregator, Objective};
 use fairank_data::synth;
-use fairank_service::WorkerPool;
+use fairank_service::{JobClass, WorkerPool};
 use fairank_session::plan::{
     compile, CriterionGrid, Perspective, ScenarioOutcome, ScenarioReport, ScenarioSpec,
 };
@@ -61,19 +62,26 @@ fn run_on_pool(workers: usize) -> (ScenarioReport, Duration) {
     let mut s = session();
     let plan = compile(&s, &spec()).expect("compile grid");
     assert_eq!(plan.cell_count(), 8, "the grid is 1×1×4×2 cells");
-    let pool = WorkerPool::new(workers, workers * 2);
+    // Deep enough to queue every cell at once.
+    let pool = WorkerPool::new(workers, 8);
     let start = Instant::now();
     let report = plan
         .run_with(&mut s, |cells| {
-            pool.run_batch(
-                cells
-                    .into_iter()
-                    .map(|cell| move || cell.execute())
-                    .collect(),
-            )
-            .into_iter()
-            .map(|result| result.expect("cells do not panic"))
-            .collect()
+            let receivers: Vec<_> = cells
+                .into_iter()
+                .map(|cell| {
+                    let (tx, rx) = mpsc::channel();
+                    pool.submit("grid", JobClass::Compute, move || {
+                        let _ = tx.send(cell.execute());
+                    })
+                    .expect("every cell fits the queue");
+                    rx
+                })
+                .collect();
+            receivers
+                .into_iter()
+                .map(|rx| rx.recv().expect("cells do not panic"))
+                .collect()
         })
         .expect("grid runs");
     (report, start.elapsed())

@@ -150,13 +150,14 @@ fn parse_duration(raw: &str) -> Option<std::time::Duration> {
 #[rustfmt::skip]
 const SERVE_FLAGS: &[(&str, &str, &str)] = &[
     ("--addr", "host:port", "bind address (default 127.0.0.1:4915; port 0 = ephemeral)"),
-    ("--workers", "n", "worker threads for compute requests (default: host cores - 1)"),
+    ("--workers", "n", "compute requests that run at once; two more threads serve
+                       light commands (default: host cores - 1)"),
     ("--queue-depth", "n", "pending compute jobs held before new ones are refused
                        with the structured `overloaded` error (default: 2x workers)"),
     ("--session-cap", "n", "max in-flight compute requests per session; extras are
                        refused with `overloaded` (default: unlimited)"),
-    ("--session-queue-cap", "n", "pending jobs one session may hold in the fair queues
-                       (dispatch + worker pool) before refusal with `overloaded`;
+    ("--session-queue-cap", "n", "pending jobs one session may hold in the worker pool's
+                       fair queue before refusal with `overloaded`;
                        bounds how far one session can crowd the backlog
                        (default: unlimited per session)"),
     ("--cell-cache-cap", "n", "entries the shared scenario-cell cache holds before LRU

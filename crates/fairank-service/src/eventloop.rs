@@ -15,29 +15,29 @@
 //!   connection buffer; a newline completes a request line. EOF or a read
 //!   error here *is* the disconnect signal: the in-flight request's cancel
 //!   token fires with [`CancelReason::Disconnected`].
-//! * **dispatch** — parsed requests enter a per-session fair queue (the
-//!   same [`FairQueue`] discipline the worker pool uses) drained by a
-//!   small pool of dispatcher threads calling [`dispatch_with`], the whole
-//!   request semantics. One request per connection is in flight at a
-//!   time; pipelined lines wait buffered.
+//! * **dispatch** — a parsed request passes admission right here on the
+//!   IO thread ([`submit`]: parse, policy, session lease, caps), so a
+//!   refusal is written back at once; an admitted request becomes one job
+//!   on the server's [`WorkerPool`](crate::pool::WorkerPool), queued
+//!   fairly under its session. One request per connection is in flight at
+//!   a time; pipelined lines wait buffered.
 //! * **write-drain** — completions (and streamed `{"chunk": ..}` lines)
-//!   come back over a channel, are serialized into the connection's write
-//!   buffer, and drain as the socket accepts them; the dispatcher wakes
-//!   the poller through its notify pipe.
+//!   come back from pool threads over a channel, are serialized into the
+//!   connection's write buffer, and drain as the socket accepts them; the
+//!   sending thread wakes the poller through its notify pipe.
 //!
-//! The loop exits when the server's stop flag rises; a draining server
-//! refuses new connections and new requests with structured
-//! `shutting_down` replies while still flushing in-flight work. The IO
-//! thread owns every connection, so its teardown closes them all — idle
-//! ones included.
+//! The loop spawns no thread of its own. It exits when the server's stop
+//! flag rises; a draining server refuses new connections and new requests
+//! with structured `shutting_down` replies while still flushing in-flight
+//! work. The IO thread owns every connection, so its teardown closes them
+//! all — idle ones included.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 use polling::{Event, Poller};
@@ -46,29 +46,17 @@ use fairank_core::cancel::{CancelReason, CancelToken, RunBudget};
 use fairank_core::fault;
 use fairank_session::Response;
 
-use crate::pool::WorkerPool;
 use crate::protocol::{Frame, Reply, Request};
-use crate::registry::SessionRegistry;
-use crate::sched::{FairQueue, TryPushError};
-use crate::server::{
-    dispatch_with, ChunkSink, DispatchPolicy, RequestContext, ServeState, Server,
-    MAX_REQUEST_BYTES, RETRY_AFTER_MS,
-};
+use crate::server::{submit, ChunkSink, Deliver, RequestContext, Server, MAX_REQUEST_BYTES};
 
 /// The poller key under which the accept listener registers. One below
 /// `usize::MAX`, which the shim reserves for its notify pipe.
 const LISTENER_KEY: usize = usize::MAX - 1;
 
 /// How long one `wait` may block. The poller is woken early by socket
-/// readiness and dispatcher notifies; the tick only bounds how stale the
+/// readiness and completion notifies; the tick only bounds how stale the
 /// stop/draining flags can get on a totally idle server.
 const TICK: Duration = Duration::from_millis(100);
-
-/// Requests queued for dispatch across all sessions before further lines
-/// are refused with `overloaded`. Each connection holds at most one
-/// request in flight, so this only binds when thousands of connections
-/// fire simultaneously — it is a memory bound, not a throughput knob.
-const DISPATCH_QUEUE_CAP: usize = 4096;
 
 /// Socket read granularity.
 const READ_CHUNK: usize = 16 * 1024;
@@ -79,16 +67,7 @@ const READ_CHUNK: usize = 16 * 1024;
 /// request cap: one maximal in-progress line plus buffered whole lines.
 const READ_HIGH_WATER: u64 = 2 * MAX_REQUEST_BYTES;
 
-/// One parsed request waiting for (or occupying) a dispatcher.
-struct PendingRequest {
-    conn: usize,
-    session: String,
-    request: Request,
-    budget: RunBudget,
-    draining: bool,
-}
-
-/// What dispatcher threads send back to the IO thread.
+/// What pool threads send back to the IO thread.
 enum Completion {
     /// A streamed cell-stat line (already serialized), mid-request.
     Chunk { conn: usize, line: String },
@@ -210,33 +189,11 @@ pub(crate) fn run(server: &Server) -> std::io::Result<()> {
     let poller = Arc::new(Poller::new()?);
     poller.add(&server.listener, Event::readable(LISTENER_KEY))?;
 
-    let queue: Arc<FairQueue<PendingRequest>> = Arc::new(FairQueue::new(
-        DISPATCH_QUEUE_CAP,
-        server.session_queue_cap,
-    ));
-    let (tx, rx) = std::sync::mpsc::channel::<Completion>();
-    let dispatchers: Vec<JoinHandle<()>> = (0..server.dispatchers.max(1))
-        .map(|i| {
-            let queue = Arc::clone(&queue);
-            let tx = tx.clone();
-            let poller = Arc::clone(&poller);
-            let registry = Arc::clone(&server.registry);
-            let pool = Arc::clone(&server.pool);
-            let state = Arc::clone(&server.state);
-            let policy = server.policy;
-            let cap = server.session_inflight_cap;
-            std::thread::Builder::new()
-                .name(format!("fairank-dispatch-{i}"))
-                .spawn(move || dispatcher(&queue, &tx, &poller, &registry, &pool, policy, cap, &state))
-                .expect("spawn dispatcher thread")
-        })
-        .collect();
-    drop(tx); // completions only flow from dispatchers
-
+    let (completions, rx) = std::sync::mpsc::channel::<Completion>();
     let mut lp = EventLoop {
         server,
         poller: Arc::clone(&poller),
-        queue: Arc::clone(&queue),
+        completions,
         conns: HashMap::new(),
         next_key: 0,
     };
@@ -259,13 +216,9 @@ pub(crate) fn run(server: &Server) -> std::io::Result<()> {
         events = batch;
     }
 
-    // Teardown: stop feeding the dispatchers, let them drain what they
-    // already accepted (their completions have nowhere to go and are
-    // dropped), then release every connection.
-    queue.close();
-    for handle in dispatchers {
-        let _ = handle.join();
-    }
+    // Teardown: release every connection, cancelling its in-flight
+    // request. The pool drains what it already accepted when the server
+    // drops it; those completions have nowhere to go and are dropped.
     for (_, conn) in lp.conns.drain() {
         let _ = poller.delete(&conn.stream);
         if let Some(token) = conn.inflight {
@@ -276,67 +229,11 @@ pub(crate) fn run(server: &Server) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One dispatcher thread: pops fairly across sessions, runs the shared
-/// dispatch semantics, ships the reply (and any chunk lines) back to the
-/// IO thread, and wakes the poller.
-#[allow(clippy::too_many_arguments)]
-fn dispatcher(
-    queue: &FairQueue<PendingRequest>,
-    completions: &Sender<Completion>,
-    poller: &Arc<Poller>,
-    registry: &SessionRegistry,
-    pool: &WorkerPool,
-    policy: DispatchPolicy,
-    session_inflight_cap: usize,
-    state: &ServeState,
-) {
-    while let Some(pending) = queue.pop() {
-        let PendingRequest {
-            conn,
-            request,
-            budget,
-            draining,
-            ..
-        } = pending;
-        let chunk_sink = if request.wants_stream() {
-            // Chunks ride the same channel as the terminal reply, from
-            // this same thread, so per-sender FIFO ordering guarantees
-            // every chunk lands before the final line.
-            let tx = Mutex::new(completions.clone());
-            let poller = Arc::clone(poller);
-            Some(ChunkSink::new(move |stat| {
-                if let Ok(line) = serde_json::to_string(&Frame::chunk(stat.clone())) {
-                    let sent = tx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .send(Completion::Chunk { conn, line });
-                    if sent.is_ok() {
-                        let _ = poller.notify();
-                    }
-                }
-            }))
-        } else {
-            None
-        };
-        let ctx = RequestContext {
-            budget,
-            session_inflight_cap,
-            draining,
-            chunk_sink,
-        };
-        state.active_requests.fetch_add(1, Ordering::SeqCst);
-        let reply = dispatch_with(registry, pool, request, policy, &ctx);
-        state.active_requests.fetch_sub(1, Ordering::SeqCst);
-        if completions.send(Completion::Reply { conn, reply }).is_ok() {
-            let _ = poller.notify();
-        }
-    }
-}
-
 struct EventLoop<'a> {
     server: &'a Server,
     poller: Arc<Poller>,
-    queue: Arc<FairQueue<PendingRequest>>,
+    /// Cloned into every admitted request's reply and chunk callbacks.
+    completions: Sender<Completion>,
     conns: HashMap<usize, Conn>,
     next_key: usize,
 }
@@ -421,7 +318,7 @@ impl EventLoop<'_> {
         self.settle(conn, alive);
     }
 
-    /// Applies one dispatcher completion to its connection.
+    /// Applies one pool completion to its connection.
     fn apply_completion(&mut self, completion: Completion) {
         match completion {
             Completion::Chunk { conn: key, line } => {
@@ -501,9 +398,9 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Parses one request line and routes it to the dispatch queue (or
-    /// answers it straight from the IO thread for protocol errors and
-    /// refusals).
+    /// Parses one request line and submits it to the pool (or answers
+    /// it straight from the IO thread for protocol errors and requests
+    /// that admission answers or refuses).
     fn handle_line(&mut self, conn: &mut Conn, raw: &[u8]) {
         let Ok(text) = std::str::from_utf8(raw) else {
             conn.queue_reply(&Reply::protocol_error("request line is not valid UTF-8"));
@@ -531,16 +428,49 @@ impl EventLoop<'_> {
         if let Some(timeout) = self.server.request_timeout {
             budget = budget.with_timeout(timeout);
         }
-        let pending = PendingRequest {
-            conn: conn.key,
-            session: request.session_name().to_string(),
-            request,
+        let key = conn.key;
+        let chunk_sink = request.wants_stream().then(|| {
+            // Chunks ride the same channel as the terminal reply, and a
+            // cell sends its chunk before it counts as finished, so every
+            // chunk lands before the final line.
+            let tx = self.completions.clone();
+            let poller = Arc::clone(&self.poller);
+            ChunkSink::new(move |stat| {
+                if let Ok(line) = serde_json::to_string(&Frame::chunk(stat.clone())) {
+                    if tx.send(Completion::Chunk { conn: key, line }).is_ok() {
+                        let _ = poller.notify();
+                    }
+                }
+            })
+        });
+        let ctx = RequestContext {
             budget,
+            session_inflight_cap: self.server.session_inflight_cap,
             draining: self.server.state.draining.load(Ordering::SeqCst),
+            chunk_sink,
         };
-        let session = pending.session.clone();
-        match self.queue.try_push(&session, pending) {
-            Ok(()) => {
+        let deliver: Deliver = {
+            let tx = self.completions.clone();
+            let poller = Arc::clone(&self.poller);
+            let state = Arc::clone(&self.server.state);
+            Box::new(move |reply| {
+                if tx.send(Completion::Reply { conn: key, reply }).is_ok() {
+                    let _ = poller.notify();
+                }
+                state.active_requests.fetch_sub(1, Ordering::SeqCst);
+            })
+        };
+        let server = self.server;
+        server.state.active_requests.fetch_add(1, Ordering::SeqCst);
+        match submit(
+            &server.registry,
+            &server.pool,
+            request,
+            server.policy,
+            &ctx,
+            deliver,
+        ) {
+            None => {
                 if conn.peer_eof {
                     // The peer already hung up; don't let the request
                     // burn compute nobody will read.
@@ -548,17 +478,11 @@ impl EventLoop<'_> {
                 }
                 conn.inflight = Some(token);
             }
-            // The dispatch stage is saturated (globally, or this session's
-            // slice of it): structured backpressure, connection stays up.
-            Err(TryPushError::Full(_)) => {
-                conn.queue_reply(&Reply::overloaded(
-                    format!("dispatch queue is full for session {session:?}"),
-                    RETRY_AFTER_MS,
-                ));
-            }
-            Err(TryPushError::Closed(_)) => {
-                conn.queue_reply(&Reply::shutting_down());
-                conn.close_after_drain = true;
+            // Answered or refused at admission (structured backpressure
+            // included): the connection stays up.
+            Some(reply) => {
+                server.state.active_requests.fetch_sub(1, Ordering::SeqCst);
+                conn.queue_reply(&reply);
             }
         }
     }

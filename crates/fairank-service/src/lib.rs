@@ -11,13 +11,16 @@
 //!   detach / evict, per-entry last-use tracking, and idle-TTL expiry
 //!   (`serve --session-ttl`).
 //! * [`sched`] — per-key fair queueing ([`sched::FairQueue`]): bounded
-//!   FIFOs per session drained round-robin, the scheduling core under
-//!   both the worker pool and the event loop's dispatch stage.
-//! * [`pool`] — a bounded worker pool that caps how many quantify-class
-//!   (CPU-bound) requests run at once, independent of connection count.
-//!   Jobs are tagged by session and drained fairly; scenario plans fan
-//!   out through [`pool::WorkerPool::run_batch_tagged`], so an N-cell
-//!   grid saturates all workers without starving other sessions.
+//!   FIFOs per session drained round-robin, where consumers that may not
+//!   run metered (compute) items skip them; the scheduling core of the
+//!   worker pool.
+//! * [`pool`] — the one executor: every wire request is one job on its
+//!   queue, keyed by session. Compute-class jobs run only on the
+//!   `--workers` compute threads, independent of connection count; light
+//!   jobs also run on [`pool::LIGHT_THREADS`] threads that never take
+//!   compute. A scenario plan queues its cells as compute jobs, so an
+//!   N-cell grid saturates every compute thread without starving other
+//!   sessions.
 //! * [`protocol`] — the JSON-lines wire format: one request per line
 //!   (`{"session": .., "command": ..}` — or `{"session": .., "scenario":
 //!   <spec>}` for structured scenario plans), one reply per line
@@ -31,13 +34,14 @@
 //! * [`eventloop`] — the TCP front end: a readiness-based event
 //!   loop (vendored `polling` shim: epoll on Linux, `poll(2)` fallback)
 //!   drives every connection's read-accumulate → dispatch → write-drain
-//!   state machine on one thread; a small dispatcher pool executes the
-//!   requests. Client disconnects are readiness events (EOF), so
-//!   abandoned compute is cancelled as soon as the peer goes.
+//!   state machine on one thread, which also admits each request; the
+//!   worker pool executes them. Client disconnects are readiness events
+//!   (EOF), so abandoned compute is cancelled as soon as the peer goes.
 //! * [`server`] — configuration, the server lifecycle (spawn, stop,
-//!   graceful drain), and the dispatch semantics every request runs;
-//!   registry admin (`sessions` / `evict`) is served at the dispatch
-//!   layer behind `serve --admin`. The wire replies are pinned by the
+//!   graceful drain), and the dispatch semantics every request runs:
+//!   admission where the request arrives, then one pool job; registry
+//!   admin (`sessions` / `evict`) is answered at admission behind
+//!   `serve --admin`. The wire replies are pinned by the
 //!   golden transcript in `tests/wire_golden.rs`.
 //!
 //! [`Session`]: fairank_session::Session
@@ -49,7 +53,7 @@ pub mod registry;
 pub mod sched;
 pub mod server;
 
-pub use pool::{PoolFull, WorkerPool};
+pub use pool::{JobClass, PoolFull, WorkerPool};
 pub use protocol::{Frame, Reply, Request, DEFAULT_SESSION};
 pub use registry::{RegistryError, SessionLease, SessionRegistry};
 pub use server::{

@@ -1,91 +1,115 @@
-//! A bounded worker pool for CPU-bound requests, drained fairly per
-//! session.
+//! The executor: one fair queue and one set of threads for every job.
 //!
-//! Quantify-class commands are CPU-bound searches; running one per
-//! connection would let N clients oversubscribe the host N-fold. The pool
-//! caps concurrent heavy work at a fixed number of worker threads, with a
-//! bounded submission queue providing backpressure: when every worker is
-//! busy and the queue is full, `run` blocks the submitter — the client
-//! simply observes a slower reply.
+//! Every wire request runs as one job on this pool, queued under its
+//! session's key ([`crate::sched::FairQueue`]), so one session fanning a
+//! 64-cell grid does not queue ahead of every other session's single
+//! command. Jobs come in two classes:
 //!
-//! Jobs are *tagged* (by session name, at the dispatch layer) and the
-//! queue is a per-tag round-robin ([`crate::sched::FairQueue`]): one
-//! session fanning a 64-cell grid no longer queues ahead of every other
-//! session's single command. Untagged submissions share one default tag
-//! and behave like a plain FIFO among themselves.
+//! * **compute** ([`JobClass::Compute`]) — CPU-bound searches. They run
+//!   only on the pool's `workers` compute threads, so N clients cannot
+//!   oversubscribe the host N-fold, and the memory a search touches stays
+//!   on those threads (letting every thread compute raised peak RSS by a
+//!   third on the stream re-audit workload); admission refuses a new
+//!   compute job once `queue_depth` of them are pending.
+//! * **light** ([`JobClass::Light`]) — everything else. Light jobs run on
+//!   any thread, and the pool runs [`LIGHT_THREADS`] threads that never
+//!   take compute, so a light command never waits for compute to finish.
+//!
+//! No job blocks on another job: a scenario plan's cells are queued as
+//! compute jobs by the job that compiled the plan, and the last cell to
+//! finish runs the reduce. The pool has no blocking submission.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::sched::{FairQueue, TryPushError};
+use crate::sched::FairQueue;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Admission refused: the pending queue (global, or the tag's own slice
-/// of it) is full.
+/// Admission refused: the pending queue (global, the tag's own slice of
+/// it, or the pending compute jobs) is full, or the pool is closing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolFull;
 
-/// The tag under which untagged submissions queue.
-const DEFAULT_TAG: &str = "";
-
-/// Source of unique pool ids (see [`CURRENT_POOL`]).
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The id of the pool this thread is a worker of, if any. Set once at
-    /// worker startup; `run`/`run_batch` consult it to detect a job
-    /// submitting to its own pool — such work runs inline on the worker
-    /// instead of being enqueued, because a fully-busy pool would never
-    /// pick it up while the submitting worker blocks on the result
-    /// (nested-submission deadlock).
-    static CURRENT_POOL: Cell<Option<u64>> = const { Cell::new(None) };
+/// Whether a job needs one of the pool's compute threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobClass {
+    /// CPU-bound: runs only on a compute thread.
+    Compute,
+    /// Runs on any free thread.
+    Light,
 }
 
-/// A fixed-size pool of worker threads consuming a bounded, per-tag-fair
-/// job queue.
+/// Threads the pool runs beyond its compute threads, so light jobs find
+/// a free thread while every compute thread is busy.
+pub const LIGHT_THREADS: usize = 2;
+
+/// Jobs pending across all tags before further submissions are refused:
+/// a memory bound, not a throughput knob (each connection holds at most
+/// one request in flight).
+const QUEUE_CAP: usize = 4096;
+
+/// A fixed set of threads consuming one bounded, per-tag-fair job queue.
 pub struct WorkerPool {
-    id: u64,
     queue: Arc<FairQueue<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
+    workers: usize,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers)
+            .field("threads", &self.threads.len())
             .finish()
     }
 }
 
+/// A handle that queues follow-up compute jobs on a pool. A job holds it
+/// instead of the pool itself, so a job never keeps the pool alive.
+pub(crate) struct Spawner(Arc<FairQueue<Job>>);
+
+impl Spawner {
+    /// Queues a compute job under `tag` past every cap: follow-up work of
+    /// an admitted request is never refused and never waits for space.
+    /// Only a closing pool drops it (the job is then never run).
+    pub(crate) fn spawn_compute(&self, tag: &str, job: impl FnOnce() + Send + 'static) {
+        let _ = self.0.push_metered_uncapped(tag, Box::new(job));
+    }
+}
+
 impl WorkerPool {
-    /// A pool of `workers` threads with a queue bounded at `queue_depth`
-    /// pending jobs (both floored at 1) and no per-tag cap.
+    /// A pool of `workers` compute threads, refusing new compute jobs once
+    /// `queue_depth` are pending (both floored at 1), with no per-tag cap.
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         Self::with_caps(workers, queue_depth, 0)
     }
 
     /// Like [`WorkerPool::new`] plus a per-tag pending-job cap
-    /// (`session_queue_cap`; 0 = unbounded per tag). Non-blocking
-    /// submissions against a tag at its cap are refused with [`PoolFull`]
-    /// even while the global queue has room — one session cannot consume
-    /// the whole backlog budget.
+    /// (`session_queue_cap`; 0 = unbounded per tag). Submissions against
+    /// a tag at its cap are refused with [`PoolFull`] even while the
+    /// global queue has room — one session cannot consume the whole
+    /// backlog budget.
     pub fn with_caps(workers: usize, queue_depth: usize, session_queue_cap: usize) -> Self {
         let workers = workers.max(1);
-        let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let queue = Arc::new(FairQueue::new(queue_depth.max(1), session_queue_cap));
-        let handles = (0..workers)
+        let queue = Arc::new(
+            FairQueue::new(QUEUE_CAP, session_queue_cap).with_metered_cap(queue_depth.max(1)),
+        );
+        let threads = (0..workers + LIGHT_THREADS)
             .map(|i| {
                 let queue = Arc::clone(&queue);
+                let computes = i < workers;
+                let name = if computes {
+                    format!("fairank-worker-{i}")
+                } else {
+                    format!("fairank-light-{}", i - workers)
+                };
                 std::thread::Builder::new()
-                    .name(format!("fairank-worker-{i}"))
+                    .name(name)
                     .spawn(move || {
-                        CURRENT_POOL.set(Some(id));
-                        // Contain job panics: the worker must outlive any
-                        // single request.
-                        while let Some(job) = queue.pop() {
+                        while let Some(job) = queue.pop_for(computes) {
+                            // Contain job panics: the thread must outlive
+                            // any single request.
                             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                         }
                     })
@@ -93,22 +117,10 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool {
-            id,
             queue,
-            workers: handles,
+            threads,
+            workers,
         }
-    }
-
-    /// True when the calling thread is one of this pool's own workers —
-    /// i.e. a running job is submitting back into the pool it runs on.
-    fn on_own_worker(&self) -> bool {
-        CURRENT_POOL.get() == Some(self.id)
-    }
-
-    /// Runs a job on the calling thread with the same panic containment a
-    /// worker would apply (`None` for a panicked job).
-    fn run_inline<T>(job: impl FnOnce() -> T) -> Option<T> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).ok()
     }
 
     /// The host-sized worker count: one per available core, minus one for
@@ -127,153 +139,44 @@ impl WorkerPool {
         WorkerPool::new(workers, workers * 2)
     }
 
-    /// Number of worker threads.
+    /// Number of compute threads (at most this many compute jobs run at
+    /// once).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
-    /// Non-blocking admission under the default tag (see
-    /// [`WorkerPool::try_run_tagged`]).
-    pub fn try_run<T, F>(&self, job: F) -> Result<Option<T>, PoolFull>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.try_run_tagged(DEFAULT_TAG, job)
+    /// Queues `job` under `tag` without blocking, or refuses it with
+    /// [`PoolFull`] when the queue (global, the tag's cap, or for a
+    /// compute job the pending-compute depth) is full. The refusal is the
+    /// server's backpressure signal — the dispatch layer turns it into a
+    /// structured `overloaded` reply. A panicking job is contained; the
+    /// job reports its own outcome.
+    pub fn submit(
+        &self,
+        tag: &str,
+        class: JobClass,
+        job: impl FnOnce() + Send + 'static,
+    ) -> Result<(), PoolFull> {
+        let job: Job = Box::new(job);
+        let pushed = match class {
+            JobClass::Compute => self.queue.try_push_metered(tag, job),
+            JobClass::Light => self.queue.try_push(tag, job),
+        };
+        pushed.map_err(|_| PoolFull)
     }
 
-    /// Non-blocking admission: runs `job` like [`WorkerPool::run_tagged`]
-    /// but refuses instead of blocking when the queue (global or the
-    /// tag's cap) is full. The refusal is the server's backpressure
-    /// signal — the dispatch layer turns it into a structured
-    /// `overloaded` reply with a retry hint rather than silently queueing
-    /// the caller.
-    ///
-    /// A job submitting to its own pool still runs inline (a busy worker
-    /// asking itself for capacity must neither deadlock nor be refused).
-    pub fn try_run_tagged<T, F>(&self, tag: &str, job: F) -> Result<Option<T>, PoolFull>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.on_own_worker() {
-            return Ok(Self::run_inline(job));
-        }
-        let (tx, rx) = std::sync::mpsc::sync_channel::<T>(1);
-        match self.queue.try_push(
-            tag,
-            Box::new(move || {
-                let _ = tx.send(job());
-            }),
-        ) {
-            Ok(()) => Ok(rx.recv().ok()),
-            Err(TryPushError::Full(_)) => Err(PoolFull),
-            // Workers gone means the pool is tearing down; treat it as
-            // "no capacity" rather than panicking mid-shutdown.
-            Err(TryPushError::Closed(_)) => Err(PoolFull),
-        }
-    }
-
-    /// [`WorkerPool::run_tagged`] under the default tag.
-    pub fn run<T, F>(&self, job: F) -> Option<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_tagged(DEFAULT_TAG, job)
-    }
-
-    /// Runs `job` on a pool worker and blocks until it finishes, returning
-    /// its result — or `None` if the job panicked (the worker survives the
-    /// panic; a permanently shrinking pool would silently degrade the
-    /// server to light-commands-only). Submission blocks while the queue
-    /// is full (bounded backpressure).
-    ///
-    /// A job submitting to its own pool runs inline on the calling worker:
-    /// enqueueing would deadlock once every worker blocks on a nested
-    /// result no peer is free to compute, and running nested work on the
-    /// already-occupied worker keeps the concurrency cap intact.
-    pub fn run_tagged<T, F>(&self, tag: &str, job: F) -> Option<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.on_own_worker() {
-            return Self::run_inline(job);
-        }
-        let (tx, rx) = std::sync::mpsc::sync_channel::<T>(1);
-        self.queue
-            .push(
-                tag,
-                Box::new(move || {
-                    // A dropped receiver (submitter gone) is fine: the work
-                    // still completed; nobody is left to observe it.
-                    let _ = tx.send(job());
-                }),
-            )
-            .expect("worker threads outlive the pool handle");
-        // A panicking job drops `tx` without sending: recv errors, None.
-        rx.recv().ok()
-    }
-
-    /// [`WorkerPool::run_batch_tagged`] under the default tag.
-    pub fn run_batch<T, F>(&self, jobs: Vec<F>) -> Vec<Option<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.run_batch_tagged(DEFAULT_TAG, jobs)
-    }
-
-    /// Submits a whole batch of jobs under one tag and blocks until all of
-    /// them finish, returning their results in submission order (`None`
-    /// for jobs that panicked). Unlike calling [`WorkerPool::run`] once
-    /// per job from one thread — which would serialize the batch — every
-    /// job is enqueued before any result is awaited, so an N-job batch
-    /// saturates all workers at once. Submission still respects the
-    /// bounds: enqueueing blocks while the queue (or the tag's cap) is
-    /// full, and the already-queued jobs drain meanwhile — which is
-    /// exactly how a grid bigger than `session_queue_cap` stays bounded
-    /// without deadlocking.
-    ///
-    /// Like [`WorkerPool::run`], a batch submitted from one of this pool's
-    /// own workers runs inline (sequentially) on that worker instead of
-    /// being enqueued — nested submission must never deadlock a fully-busy
-    /// pool.
-    pub fn run_batch_tagged<T, F>(&self, tag: &str, jobs: Vec<F>) -> Vec<Option<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        if self.on_own_worker() {
-            return jobs.into_iter().map(|job| Self::run_inline(job)).collect();
-        }
-        let receivers: Vec<_> = jobs
-            .into_iter()
-            .map(|job| {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<T>(1);
-                self.queue
-                    .push(
-                        tag,
-                        Box::new(move || {
-                            let _ = tx.send(job());
-                        }),
-                    )
-                    .expect("worker threads outlive the pool handle");
-                rx
-            })
-            .collect();
-        receivers.into_iter().map(|rx| rx.recv().ok()).collect()
+    /// The handle jobs use to queue follow-up compute work.
+    pub(crate) fn spawner(&self) -> Spawner {
+        Spawner(Arc::clone(&self.queue))
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the queue wakes every idle worker; already-accepted
-        // jobs still drain first (their submitters may be blocked on
-        // results).
+        // Closing the queue wakes every idle thread; already-accepted
+        // jobs still drain first (their submitters may wait on results).
         self.queue.close();
-        for handle in self.workers.drain(..) {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -283,119 +186,139 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    /// Submits `job` and waits for its result (`None` if it panicked).
+    fn run<T: Send + 'static>(
+        pool: &WorkerPool,
+        tag: &str,
+        class: JobClass,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> Option<T> {
+        let (tx, rx) = mpsc::channel();
+        pool.submit(tag, class, move || {
+            let _ = tx.send(job());
+        })
+        .expect("job admitted");
+        rx.recv().ok()
+    }
+
+    /// Submits a compute job that signals `started` and then holds its
+    /// compute thread until `release` fires.
+    fn park(pool: &WorkerPool, tag: &str) -> mpsc::Sender<()> {
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        pool.submit(tag, JobClass::Compute, move || {
+            let _ = started_tx.send(());
+            let _ = release_rx.recv();
+        })
+        .expect("parking job admitted");
+        started_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("parking job started");
+        release_tx
+    }
 
     #[test]
     fn runs_jobs_and_returns_results() {
         let pool = WorkerPool::new(2, 4);
         assert_eq!(pool.workers(), 2);
-        assert_eq!(pool.run(|| 40 + 2), Some(42));
-        let s = pool.run(|| "hello".to_string());
+        assert_eq!(run(&pool, "", JobClass::Compute, || 40 + 2), Some(42));
+        let s = run(&pool, "", JobClass::Light, || "hello".to_string());
         assert_eq!(s.as_deref(), Some("hello"));
     }
 
     #[test]
     fn panicking_jobs_do_not_kill_workers() {
         let pool = WorkerPool::new(1, 2);
-        // With a single worker, surviving this panic is observable: the
-        // next job must still run on it.
-        assert_eq!(pool.run(|| panic!("job blew up")), None::<i32>);
-        assert_eq!(pool.run(|| 7), Some(7));
-        assert_eq!(pool.run(|| panic!("again")), None::<i32>);
-        assert_eq!(pool.run(|| 8), Some(8));
+        // More panics than the pool has threads: surviving them is
+        // observable, since the next job must still run.
+        for round in 0..=(1 + LIGHT_THREADS) as i32 {
+            let class = if round % 2 == 0 {
+                JobClass::Compute
+            } else {
+                JobClass::Light
+            };
+            assert_eq!(run(&pool, "", class, || panic!("job blew up")), None::<i32>);
+            assert_eq!(run(&pool, "", class, move || round), Some(round));
+        }
     }
 
     #[test]
     fn bounds_concurrent_execution() {
-        let pool = Arc::new(WorkerPool::new(2, 2));
+        let pool = WorkerPool::new(2, 8);
         let running = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
-        let mut submitters = Vec::new();
-        for _ in 0..8 {
-            let pool = Arc::clone(&pool);
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        for i in 0..8 {
             let running = Arc::clone(&running);
             let peak = Arc::clone(&peak);
-            submitters.push(std::thread::spawn(move || {
-                pool.run(move || {
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    running.fetch_sub(1, Ordering::SeqCst);
-                });
-            }));
+            let done_tx = done_tx.clone();
+            let job = move || {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(10));
+                running.fetch_sub(1, Ordering::SeqCst);
+                let _ = done_tx.send(());
+            };
+            pool.submit(&format!("s{i}"), JobClass::Compute, job)
+                .expect("8 pending compute jobs fit a depth of 8");
         }
-        for s in submitters {
-            s.join().unwrap();
+        for _ in 0..8 {
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("job ran");
         }
-        // Never more heavy jobs in flight than workers.
-        assert!(peak.load(Ordering::SeqCst) <= 2, "peak {}", peak.load(Ordering::SeqCst));
+        // Never more compute jobs in flight than compute threads,
+        // although the pool runs more threads than that.
+        assert!(
+            peak.load(Ordering::SeqCst) <= 2,
+            "peak {}",
+            peak.load(Ordering::SeqCst)
+        );
     }
 
     #[test]
-    fn nested_submission_to_own_pool_does_not_deadlock() {
-        // Regression: a job calling `run`/`run_batch` on its own pool used
-        // to enqueue and block on the result. With every worker busy (here:
-        // the only worker is running the outer job), the nested job could
-        // never be picked up — the pool wedged forever. Nested submissions
-        // now execute inline on the submitting worker.
-        let pool = Arc::new(WorkerPool::new(1, 2));
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let inner_pool = Arc::clone(&pool);
-        std::thread::spawn(move || {
-            let outer = inner_pool.run({
-                let pool = Arc::clone(&inner_pool);
-                move || {
-                    let nested = pool.run(|| 21);
-                    let batch: Vec<Option<i32>> =
-                        pool.run_batch(vec![|| 1, || 2, || 3]);
-                    (nested, batch)
-                }
-            });
-            done_tx.send(outer).unwrap();
-        });
-        let outer = done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("nested submission deadlocked the pool");
-        let (nested, batch) = outer.expect("outer job completed");
-        assert_eq!(nested, Some(21));
-        assert_eq!(batch, vec![Some(1), Some(2), Some(3)]);
-        // Panic containment matches the enqueued path: inline nested jobs
-        // report None, and the worker survives.
-        let nested_panic = pool.run({
-            let pool = Arc::clone(&pool);
-            move || pool.run(|| -> i32 { panic!("nested job blew up") })
-        });
-        assert_eq!(nested_panic, Some(None));
-        assert_eq!(pool.run(|| 7), Some(7));
-    }
-
-    #[test]
-    fn worker_threads_know_their_own_pool_only() {
-        let a = WorkerPool::new(1, 1);
-        let b = WorkerPool::new(1, 1);
-        // A submitter thread is no pool's worker.
-        assert!(!a.on_own_worker());
-        // From inside pool `a`, submitting to `b` takes the normal queue
-        // path (distinct ids), and `a` recognizes itself.
-        // (Both facts observed from within the worker thread itself.)
-        let b = Arc::new(b);
-        let b2 = Arc::clone(&b);
-        let saw = a.run(move || {
-            let own = CURRENT_POOL.get().is_some();
-            let cross = b2.run(|| CURRENT_POOL.get());
-            (own, cross)
-        });
-        let (own, cross) = saw.expect("job ran");
-        assert!(own, "worker thread must carry its pool id");
-        // The job forwarded to `b` ran on b's worker, which carries b's id,
-        // not a's.
-        assert_eq!(cross, Some(Some(b.id)));
+    fn light_jobs_run_while_every_compute_thread_is_busy() {
+        let pool = WorkerPool::new(1, 1);
+        let release = park(&pool, "heavy");
+        // The lone compute thread is busy; one more compute job may
+        // wait...
+        let (compute_tx, compute_rx) = mpsc::channel::<()>();
+        pool.submit("queued", JobClass::Compute, move || {
+            let _ = compute_tx.send(());
+        })
+        .expect("one pending compute job fits the depth");
+        // ...a second one is refused at the depth...
+        assert_eq!(
+            pool.submit("refused", JobClass::Compute, || {}),
+            Err(PoolFull)
+        );
+        // ...while a light job still runs at once.
+        let (light_tx, light_rx) = mpsc::channel::<()>();
+        pool.submit("light", JobClass::Light, move || {
+            let _ = light_tx.send(());
+        })
+        .expect("light jobs are not bounded by the compute depth");
+        light_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a light job waited behind busy compute threads");
+        assert!(
+            compute_rx.try_recv().is_err(),
+            "a compute job ran off the compute thread"
+        );
+        release.send(()).unwrap();
+        compute_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the queued compute job ran once the compute thread was free");
     }
 
     #[test]
     fn drop_joins_workers() {
         let pool = WorkerPool::new(3, 3);
-        assert_eq!(pool.run(|| 1), Some(1));
+        assert_eq!(run(&pool, "", JobClass::Compute, || 1), Some(1));
         drop(pool); // must not hang
     }
 
@@ -407,64 +330,52 @@ mod tests {
 
     #[test]
     fn sessions_share_the_single_worker_round_robin() {
-        // One worker, session "a" floods it with a 4-job batch, then
-        // session "b" submits one job while a's first job is still
-        // running. Round-robin draining must interleave b's job right
-        // after a's next one instead of parking it behind the whole
-        // batch (the old FIFO behavior).
-        let pool = Arc::new(WorkerPool::new(1, 16));
+        // One compute thread, session "a" floods it with 4 compute jobs, then
+        // session "b" submits one while a's first job is still running.
+        // Round-robin draining must interleave b's job right after a's
+        // next one instead of parking it behind the whole batch (the old
+        // FIFO behavior).
+        let pool = WorkerPool::new(1, 16);
         let completions: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-
-        let batch_thread = {
-            let pool = Arc::clone(&pool);
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let record = |name: String| {
             let completions = Arc::clone(&completions);
-            std::thread::spawn(move || {
-                let mut gate_rx = Some(release_rx);
-                let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-                    .map(|i| {
-                        let completions = Arc::clone(&completions);
-                        let started_tx = started_tx.clone();
-                        let release_rx = gate_rx.take().map(std::sync::Mutex::new);
-                        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                            if let Some(gate) = release_rx {
-                                // First job: park the lone worker until the
-                                // test has staged the competing session.
-                                let _ = started_tx.send(());
-                                let _ = gate.lock().unwrap().recv();
-                            }
-                            completions.lock().unwrap().push(format!("a{i}"));
-                        });
-                        job
-                    })
-                    .collect();
-                pool.run_batch_tagged("a", jobs);
-            })
+            let done_tx = done_tx.clone();
+            move || {
+                completions.lock().unwrap().push(name);
+                let _ = done_tx.send(());
+            }
         };
-        // Wait for a's first job to occupy the worker; a2..a4 are queued
-        // within microseconds after (run_batch enqueues before awaiting).
+        // Park the compute thread on a's first job until the competing session
+        // is staged.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let a0 = record("a0".into());
+        pool.submit("a", JobClass::Compute, move || {
+            let _ = started_tx.send(());
+            let _ = release_rx.recv();
+            a0();
+        })
+        .unwrap();
         started_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
+            .recv_timeout(Duration::from_secs(10))
             .expect("first batch job started");
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let b_thread = {
-            let pool = Arc::clone(&pool);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || {
-                pool.run_tagged("b", move || {
-                    completions.lock().unwrap().push("b0".into());
-                });
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        for i in 1..4 {
+            pool.submit("a", JobClass::Compute, record(format!("a{i}")))
+                .unwrap();
+        }
+        pool.submit("b", JobClass::Compute, record("b0".into()))
+            .unwrap();
         release_tx.send(()).unwrap();
-        batch_thread.join().unwrap();
-        b_thread.join().unwrap();
+        for _ in 0..5 {
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("job ran");
+        }
 
         let order = completions.lock().unwrap().clone();
         let pos = |name: &str| order.iter().position(|c| c == name).unwrap();
-        // Round-robin: after the parked a0 finishes, the worker alternates
+        // Round-robin: after the parked a0 finishes, the thread alternates
         // a,b — so b0 lands second or third, never behind the whole batch.
         assert!(
             pos("b0") <= 2,
@@ -475,53 +386,26 @@ mod tests {
 
     #[test]
     fn per_session_queue_cap_refuses_the_flooding_session_only() {
-        let pool = Arc::new(WorkerPool::with_caps(1, 16, 1));
-        // Park the lone worker on an unrelated tag so submissions queue.
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-        let parked = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                pool.run_tagged("parked", move || {
-                    let _ = started_tx.send(());
-                    let _ = release_rx.recv();
-                });
-            })
-        };
-        started_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .unwrap();
+        let pool = WorkerPool::with_caps(1, 16, 1);
+        // Park the lone compute thread on an unrelated tag so submissions
+        // queue.
+        let release = park(&pool, "parked");
         // One pending job per session fits the cap...
-        let (a_tx, a_rx) = std::sync::mpsc::channel::<i32>();
-        let a_pending = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                pool.try_run_tagged("a", move || {
-                    let _ = a_tx.send(1);
-                })
-            })
-        };
-        // Give the pending submission time to enqueue (it blocks on the
-        // result, so we can't join it yet).
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        let (a_tx, a_rx) = mpsc::channel::<i32>();
+        pool.submit("a", JobClass::Compute, move || {
+            let _ = a_tx.send(1);
+        })
+        .expect("the first pending job of a session fits");
         // ...a second pending job for the same session is refused...
-        assert_eq!(pool.try_run_tagged("a", || 2), Err(PoolFull));
+        assert_eq!(pool.submit("a", JobClass::Compute, || {}), Err(PoolFull));
         // ...while another session still gets in (global queue has room).
-        let (b_tx, b_rx) = std::sync::mpsc::channel::<i32>();
-        let b_pending = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                pool.try_run_tagged("b", move || {
-                    let _ = b_tx.send(2);
-                })
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        release_tx.send(()).unwrap();
-        assert!(a_pending.join().unwrap().is_ok());
-        assert!(b_pending.join().unwrap().is_ok());
-        assert_eq!(a_rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(1));
-        assert_eq!(b_rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(2));
-        parked.join().unwrap();
+        let (b_tx, b_rx) = mpsc::channel::<i32>();
+        pool.submit("b", JobClass::Compute, move || {
+            let _ = b_tx.send(2);
+        })
+        .expect("another session is not capped by a's backlog");
+        release.send(()).unwrap();
+        assert_eq!(a_rx.recv_timeout(Duration::from_secs(10)), Ok(1));
+        assert_eq!(b_rx.recv_timeout(Duration::from_secs(10)), Ok(2));
     }
 }

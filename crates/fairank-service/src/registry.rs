@@ -161,9 +161,12 @@ impl Drop for InFlightGuard {
 /// next one asking for the same `(preset, n, seed)`) and one [`CellCache`]
 /// (a scenario-grid cell computed for any session is served from cache
 /// to every later session asking for the same dataset × configuration).
-#[derive(Debug)]
+///
+/// A clone is another handle to the same registry: queued request jobs
+/// carry one, since they outlive the borrow they were admitted under.
+#[derive(Debug, Clone)]
 pub struct SessionRegistry {
-    sessions: RwLock<HashMap<String, Arc<Entry>>>,
+    sessions: Arc<RwLock<HashMap<String, Arc<Entry>>>>,
     store: Arc<DatasetStore>,
     markets: Arc<MarketCache>,
     cell_cache: Arc<CellCache>,
@@ -185,7 +188,7 @@ impl SessionRegistry {
     /// entries (`0` disables caching entirely).
     pub fn with_cell_cache_cap(cap: usize) -> Self {
         SessionRegistry {
-            sessions: RwLock::new(HashMap::new()),
+            sessions: Arc::new(RwLock::new(HashMap::new())),
             store: Arc::new(DatasetStore::new()),
             markets: Arc::new(MarketCache::new()),
             cell_cache: Arc::new(CellCache::new(cap)),

@@ -1,35 +1,43 @@
 //! Per-key fair queueing.
 //!
-//! [`FairQueue`] is the scheduling core shared by the [`WorkerPool`]
-//! (compute jobs keyed by session) and the event loop's dispatch stage
-//! (parsed requests keyed by session): items are held in one bounded
-//! FIFO *per key*, and consumers drain the keys round-robin — one item
-//! from the next key with pending work, then that key rotates to the
-//! back. A session that enqueues a 64-cell grid no longer makes every
-//! other session wait behind all 64 cells; interleaved sessions observe
-//! latency proportional to *their own* backlog plus one item per busy
-//! peer.
+//! [`FairQueue`] is the scheduling core of the [`WorkerPool`]: items are
+//! held in one FIFO *per key* (the session), and consumers drain the keys
+//! round-robin — one item from the next key with pending work, then that
+//! key rotates to the back. A session that enqueues a 64-cell grid no
+//! longer makes every other session wait behind all 64 cells;
+//! interleaved sessions observe latency proportional to *their own*
+//! backlog plus one item per busy peer.
 //!
-//! Two caps bound memory and queueing delay:
+//! Items are either plain or **metered** (compute work), and consumers
+//! either may run metered items or may not ([`FairQueue::pop_for`]). A
+//! consumer that may not skips a key whose head item is metered (the key
+//! keeps its place in the rotation), so plain items of other keys are
+//! never queued behind compute waiting for a consumer that may run it. A
+//! consumer that may looks for a metered head first, so compute does not
+//! wait while such consumers serve plain items.
 //!
-//! * a **global cap** on items across all keys (the old `queue_depth`
-//!   backpressure), and
+//! Three caps bound memory and queueing delay at admission:
+//!
+//! * a **global cap** on items across all keys (a memory bound),
 //! * a **per-key cap** (`serve --session-queue-cap`) so one key cannot
-//!   consume the whole global budget before round-robin even matters.
+//!   consume the whole global budget before round-robin even matters, and
+//! * a **metered cap** (`serve --queue-depth`) on pending metered items.
 //!
 //! Blocking producers ([`FairQueue::push`]) wait for space; non-blocking
-//! producers ([`FairQueue::try_push`]) get the item back with a reason,
-//! which the dispatch layer turns into a structured `overloaded` reply.
+//! producers ([`FairQueue::try_push`], [`FairQueue::try_push_metered`])
+//! get the item back with a reason, which the dispatch layer turns into a
+//! structured `overloaded` reply. Follow-up work of an already admitted
+//! request ([`FairQueue::push_metered_uncapped`]) is never refused.
 //!
 //! [`WorkerPool`]: crate::pool::WorkerPool
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-/// Why [`FairQueue::try_push`] refused an item (the item rides back).
+/// Why a non-blocking push refused an item (the item rides back).
 #[derive(Debug)]
 pub enum TryPushError<T> {
-    /// The global cap or the key's cap is exhausted.
+    /// The global cap, the key's cap or the metered cap is exhausted.
     Full(T),
     /// The queue was closed; no consumer will ever take the item.
     Closed(T),
@@ -41,14 +49,19 @@ pub struct Closed;
 
 #[derive(Debug)]
 struct State<T> {
-    /// Pending items, one FIFO per key. Invariant: a key is present here
-    /// iff its deque is non-empty, and iff it appears exactly once in
-    /// `order`.
-    queues: HashMap<String, VecDeque<T>>,
+    /// Pending items with their metered flag, one FIFO per key.
+    /// Invariant: a key is present here iff its deque is non-empty, and
+    /// iff it appears exactly once in `order`.
+    queues: HashMap<String, VecDeque<(T, bool)>>,
     /// Round-robin rotation of keys with pending work.
     order: VecDeque<String>,
     /// Total pending items across all keys.
     len: usize,
+    /// Pending metered items.
+    metered: usize,
+    /// Consumers that may not run metered items, waiting in
+    /// [`FairQueue::pop_for`].
+    idle_plain: usize,
     closed: bool,
 }
 
@@ -56,12 +69,19 @@ struct State<T> {
 #[derive(Debug)]
 pub struct FairQueue<T> {
     state: Mutex<State<T>>,
-    /// Signals consumers: an item arrived or the queue closed.
+    /// Signals consumers that may run metered items: an item arrived or
+    /// the queue closed.
     ready: Condvar,
+    /// Signals consumers that may not: a plain item arrived or the queue
+    /// closed.
+    plain_ready: Condvar,
     /// Signals producers: space freed or the queue closed.
     space: Condvar,
     global_cap: usize,
     per_key_cap: usize,
+    /// Pending metered items [`FairQueue::try_push_metered`] admits
+    /// (0 = unbounded).
+    metered_cap: usize,
 }
 
 impl<T> FairQueue<T> {
@@ -73,13 +93,24 @@ impl<T> FairQueue<T> {
                 queues: HashMap::new(),
                 order: VecDeque::new(),
                 len: 0,
+                metered: 0,
+                idle_plain: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
+            plain_ready: Condvar::new(),
             space: Condvar::new(),
             global_cap,
             per_key_cap,
+            metered_cap: 0,
         }
+    }
+
+    /// Bounds the pending metered items [`FairQueue::try_push_metered`]
+    /// admits (0 = unbounded).
+    pub fn with_metered_cap(mut self, metered_cap: usize) -> Self {
+        self.metered_cap = metered_cap;
+        self
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
@@ -104,18 +135,25 @@ impl<T> FairQueue<T> {
         true
     }
 
-    fn enqueue(&self, state: &mut State<T>, key: &str, item: T) {
+    fn enqueue(&self, state: &mut State<T>, key: &str, item: T, metered: bool) {
         match state.queues.get_mut(key) {
-            Some(queue) => queue.push_back(item),
+            Some(queue) => queue.push_back((item, metered)),
             None => {
                 state
                     .queues
-                    .insert(key.to_string(), VecDeque::from([item]));
+                    .insert(key.to_string(), VecDeque::from([(item, metered)]));
                 state.order.push_back(key.to_string());
             }
         }
         state.len += 1;
-        self.ready.notify_one();
+        state.metered += usize::from(metered);
+        // Wake a consumer that can take the item, a plain-only one first
+        // for a plain item.
+        if !metered && state.idle_plain > 0 {
+            self.plain_ready.notify_one();
+        } else {
+            self.ready.notify_one();
+        }
     }
 
     /// Enqueues under `key`, blocking while the queue is at capacity.
@@ -130,57 +168,126 @@ impl<T> FairQueue<T> {
         if state.closed {
             return Err(Closed);
         }
-        self.enqueue(&mut state, key, item);
+        self.enqueue(&mut state, key, item, false);
         Ok(())
     }
 
     /// Enqueues under `key`, refusing (with the item back) instead of
     /// blocking when at capacity or closed.
     pub fn try_push(&self, key: &str, item: T) -> Result<(), TryPushError<T>> {
+        self.try_enqueue(key, item, false)
+    }
+
+    /// [`FairQueue::try_push`] for a metered item, which the metered cap
+    /// also bounds.
+    pub fn try_push_metered(&self, key: &str, item: T) -> Result<(), TryPushError<T>> {
+        self.try_enqueue(key, item, true)
+    }
+
+    fn try_enqueue(&self, key: &str, item: T, metered: bool) -> Result<(), TryPushError<T>> {
         let mut state = self.lock();
         if state.closed {
             return Err(TryPushError::Closed(item));
         }
-        if !self.has_space(&state, key) {
+        let metered_full = metered && self.metered_cap != 0 && state.metered >= self.metered_cap;
+        if metered_full || !self.has_space(&state, key) {
             return Err(TryPushError::Full(item));
         }
-        self.enqueue(&mut state, key, item);
+        self.enqueue(&mut state, key, item, metered);
         Ok(())
     }
 
-    /// Takes the next item, round-robin over keys: one item from the key
-    /// at the front of the rotation, which then moves to the back (or
-    /// leaves the rotation once empty). Blocks while the queue is empty;
-    /// returns `None` only when the queue is closed *and* drained, so
-    /// close is graceful — already-accepted items still run.
+    /// Enqueues a metered item past every cap, failing only once closed:
+    /// for follow-up work of a request that was already admitted (a
+    /// scenario plan's cells), which must be neither refused nor blocked.
+    pub fn push_metered_uncapped(&self, key: &str, item: T) -> Result<(), Closed> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Closed);
+        }
+        self.enqueue(&mut state, key, item, true);
+        Ok(())
+    }
+
+    /// [`FairQueue::pop_for`] a consumer that may run every item.
     pub fn pop(&self) -> Option<T> {
+        self.pop_for(true)
+    }
+
+    /// Takes the next item, round-robin over keys: one item from the
+    /// first key in the rotation whose head item this consumer takes,
+    /// which then moves to the back (or leaves the rotation once empty).
+    /// A consumer that may run metered items takes the first metered head
+    /// if there is one, else the first head; one that may not takes the
+    /// first plain head. Blocks while nothing can be taken; returns `None`
+    /// only when the queue is closed *and* drained, so close is graceful —
+    /// already-accepted items still run.
+    pub fn pop_for(&self, may_run_metered: bool) -> Option<T> {
         let mut state = self.lock();
         loop {
-            if let Some(key) = state.order.pop_front() {
-                let queue = state
-                    .queues
+            let State {
+                queues,
+                order,
+                metered,
+                ..
+            } = &mut *state;
+            let head_metered = |key: &String| {
+                let (_, metered) = queues[key]
+                    .front()
+                    .expect("order invariant: queue non-empty");
+                *metered
+            };
+            let next = if *metered == 0 {
+                // Nothing metered pending: plain round-robin, no scan.
+                (!order.is_empty()).then_some(0)
+            } else if may_run_metered {
+                order
+                    .iter()
+                    .position(head_metered)
+                    .or((!order.is_empty()).then_some(0))
+            } else {
+                order.iter().position(|key| !head_metered(key))
+            };
+            if let Some(position) = next {
+                let key = order.remove(position).expect("position is in range");
+                let queue = queues
                     .get_mut(&key)
                     .expect("order invariant: listed key has a queue");
-                let item = queue.pop_front().expect("order invariant: queue non-empty");
+                let (item, metered) = queue.pop_front().expect("order invariant: queue non-empty");
                 if queue.is_empty() {
-                    state.queues.remove(&key);
+                    queues.remove(&key);
                 } else {
-                    state.order.push_back(key);
+                    order.push_back(key);
                 }
                 state.len -= 1;
+                state.metered -= usize::from(metered);
                 // Space freed: wake *all* blocked producers — a per-key-cap
                 // waiter for this key and a global-cap waiter for another
                 // key are both candidates.
                 self.space.notify_all();
+                if state.closed && state.len == 0 {
+                    // Plain-only consumers that went back to waiting after
+                    // close, on metered items, may exit now.
+                    self.plain_ready.notify_all();
+                }
                 return Some(item);
             }
-            if state.closed {
+            if state.closed && state.len == 0 {
                 return None;
             }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state = if may_run_metered {
+                self.ready
+                    .wait(state)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+            } else {
+                state.idle_plain += 1;
+                let mut state = self
+                    .plain_ready
+                    .wait(state)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                state.idle_plain -= 1;
+                state
+            };
         }
     }
 
@@ -189,6 +296,7 @@ impl<T> FairQueue<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
+        self.plain_ready.notify_all();
         self.space.notify_all();
     }
 
@@ -308,5 +416,54 @@ mod tests {
             std::thread::spawn(move || queue.pop())
         };
         assert_eq!(blocked.join().unwrap(), None);
+    }
+
+    #[test]
+    fn plain_consumers_skip_metered_heads_and_metering_consumers_prefer_them() {
+        let queue: FairQueue<i32> = FairQueue::new(0, 0).with_metered_cap(2);
+        queue.try_push_metered("a", 1).unwrap();
+        queue.try_push_metered("a", 2).unwrap();
+        // The metered cap refuses a third pending metered item, but not
+        // a plain one.
+        assert!(matches!(
+            queue.try_push_metered("c", 3),
+            Err(TryPushError::Full(3))
+        ));
+        queue.try_push("b", 10).unwrap();
+        queue.try_push("b", 11).unwrap();
+        // A plain-only consumer skips key "a", whose head is metered.
+        assert_eq!(queue.pop_for(false), Some(10));
+        // A metering consumer takes metered heads first, round-robin...
+        assert_eq!(queue.pop_for(true), Some(1));
+        assert_eq!(queue.pop_for(true), Some(2));
+        // ...and plain heads once none is left.
+        assert_eq!(queue.pop_for(true), Some(11));
+        queue.try_push_metered("c", 3).unwrap();
+    }
+
+    #[test]
+    fn close_wakes_plain_consumers_parked_behind_metered_items() {
+        // Regression: after close, plain-only consumers that found only
+        // metered items went back to waiting, and nothing woke them once
+        // those items drained — dropping the pool hung on the join.
+        let queue: Arc<FairQueue<i32>> = Arc::new(FairQueue::new(0, 0));
+        queue.try_push_metered("k", 1).unwrap();
+        let (taken_tx, taken_rx) = std::sync::mpsc::channel();
+        for _ in 0..2 {
+            let (queue, taken_tx) = (Arc::clone(&queue), taken_tx.clone());
+            std::thread::spawn(move || taken_tx.send(queue.pop_for(false)));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        queue.close();
+        std::thread::sleep(Duration::from_millis(20));
+        // A metering consumer drains the last item; both parked plain
+        // consumers must then see the drained queue and exit.
+        assert_eq!(queue.pop_for(true), Some(1));
+        for _ in 0..2 {
+            let taken = taken_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a consumer stayed parked on a closed, drained queue");
+            assert_eq!(taken, None);
+        }
     }
 }

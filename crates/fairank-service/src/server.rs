@@ -4,24 +4,27 @@
 //! [`Server::run`] serves through the readiness-based [`crate::eventloop`]:
 //! one IO thread multiplexes every connection, so 1k idle clients cost 1k
 //! registered sockets instead of 1k parked threads, and a client
-//! disconnect is a readiness event. [`dispatch_with`] is the whole request
-//! semantics the loop's dispatcher threads run; the CPU budget is governed
-//! by the [`WorkerPool`]. [`ServerHandle`] stops or gracefully drains a
-//! spawned server.
+//! disconnect is a readiness event. Each request is admitted where it
+//! arrives and then runs as one job on the [`WorkerPool`], which also
+//! governs the CPU budget; [`dispatch_with`] runs the same admission and
+//! job and waits for the reply. [`ServerHandle`] stops or gracefully
+//! drains a spawned server.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fairank_core::cancel::{CancelReason, CancelToken, RunBudget};
 use fairank_session::command::{apply_with_budget, Command};
+use fairank_session::plan::{self, ExecutedPlan};
 use fairank_session::{ErrorResponse, Response};
 
-use crate::pool::{PoolFull, WorkerPool};
+use crate::pool::{JobClass, PoolFull, Spawner, WorkerPool};
 use crate::protocol::{Reply, Request};
-use crate::registry::{SessionLease, SessionRegistry};
+use crate::registry::{InFlightGuard, SessionLease, SessionRegistry};
 
 /// Hard cap on one request line. A client that streams bytes without a
 /// newline is cut off here instead of growing the read buffer without
@@ -31,10 +34,12 @@ pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads for quantify-class requests (0 = size to the host).
+    /// Compute-class requests that run at once (0 = size to the host).
+    /// The pool runs [`crate::pool::LIGHT_THREADS`] more threads for light
+    /// commands.
     pub workers: usize,
-    /// Pending heavy jobs the queue holds before submitters block
-    /// (0 = twice the worker count).
+    /// Pending compute jobs held before new compute requests are refused
+    /// with `overloaded` (0 = twice the worker count).
     pub queue_depth: usize,
     /// Allow wire clients to run commands that touch the server's
     /// filesystem (`load`, `save`, `open`, `export`, `scenario
@@ -61,9 +66,9 @@ pub struct ServerConfig {
     /// Entries the shared plan-cell cache may hold before LRU eviction
     /// (`serve --cell-cache-cap`). 0 disables caching entirely.
     pub cell_cache_cap: usize,
-    /// Pending pool jobs one session may hold before further submissions
+    /// Pending pool jobs one session may hold before its further requests
     /// are refused with `overloaded` (`serve --session-queue-cap`).
-    /// 0 = unbounded per session (the global `queue_depth` still binds).
+    /// 0 = unbounded per session (`queue_depth` still binds compute).
     pub session_queue_cap: usize,
 }
 
@@ -106,8 +111,6 @@ pub struct Server {
     pub(crate) request_timeout: Option<std::time::Duration>,
     pub(crate) session_inflight_cap: usize,
     pub(crate) state: Arc<ServeState>,
-    pub(crate) dispatchers: usize,
-    pub(crate) session_queue_cap: usize,
 }
 
 /// Handle to a server running on a background thread (see
@@ -147,10 +150,6 @@ impl Server {
             request_timeout: config.request_timeout,
             session_inflight_cap: config.session_inflight_cap,
             state: Arc::new(ServeState::default()),
-            // Two more dispatchers than workers, so that dispatchers blocked
-            // on the pool do not starve light commands.
-            dispatchers: workers + 2,
-            session_queue_cap: config.session_queue_cap,
         })
     }
 
@@ -218,7 +217,7 @@ impl ServerHandle {
     /// in-flight requests finish for up to `drain`, then cancel whatever
     /// is still running (those clients receive `shutting_down`), and join
     /// the serve thread — whose teardown closes every connection and joins
-    /// the dispatchers and the TTL sweeper.
+    /// the worker pool and the TTL sweeper.
     pub fn shutdown(self, drain: Duration) {
         // Phase 1: refuse new work everywhere. `draining` turns both new
         // connections (accept) and new requests on live connections
@@ -313,7 +312,7 @@ fn forbidden(message: &str) -> Reply {
 }
 
 /// Where a streamed scenario reply delivers per-cell statistics: a
-/// callback the connection layer injects, invoked from worker threads the
+/// callback the connection layer injects, invoked from pool threads the
 /// moment each plan cell finishes — before the plan's reduce assembles
 /// the final report. The connection layer turns each emission into one
 /// `{"chunk": CellStat}` wire line.
@@ -364,12 +363,10 @@ pub struct RequestContext {
 /// queue instantly, short enough that a drained queue is refilled fast.
 pub const RETRY_AFTER_MS: u64 = 100;
 
-/// What a pool job reports back: the command result, or the discovery
-/// that the session mutex was poisoned by an earlier panic.
-enum Exec {
-    Done(Result<Response, fairank_session::SessionError>),
-    Poisoned,
-}
+/// Where an admitted request's reply goes: called once, on the pool
+/// thread that decides the reply. Dropped uncalled only when the pool
+/// closes under the request.
+pub(crate) type Deliver = Box<dyn FnOnce(Reply) + Send>;
 
 /// Replaces a poisoned session with a fresh one and reports it. The next
 /// request under the name gets a clean, working session.
@@ -378,10 +375,11 @@ fn quarantine(registry: &SessionRegistry, session_name: &str) -> Reply {
     Reply::session_poisoned(session_name)
 }
 
-/// Executes one parsed request against the registry, routing CPU-bound
-/// commands through the pool. This is the whole request semantics — the
-/// TCP layer only adds line framing (and the per-request context) around
-/// it. The default-context form is [`dispatch`].
+/// Executes one parsed request against the registry and waits for its
+/// reply. This is the whole request semantics — the TCP layer only adds
+/// line framing (and the per-request context) around it, and runs the
+/// same [`submit`] without waiting. The default-context form is
+/// [`dispatch`].
 pub fn dispatch_with(
     registry: &SessionRegistry,
     pool: &WorkerPool,
@@ -389,8 +387,34 @@ pub fn dispatch_with(
     policy: DispatchPolicy,
     ctx: &RequestContext,
 ) -> Reply {
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
+    let deliver: Deliver = Box::new(move |reply| {
+        let _ = tx.send(reply);
+    });
+    match submit(registry, pool, request, policy, ctx, deliver) {
+        Some(reply) => reply,
+        None => rx.recv().unwrap_or_else(|_| Reply::shutting_down()),
+    }
+}
+
+/// Admits one request where it arrives and queues its execution as one
+/// pool job under the session's key. Admission parses the command,
+/// applies the filesystem/admin policy, answers admin commands, leases
+/// the session (quarantining a poisoned one), takes a compute-class
+/// request's in-flight slot (`--session-cap`) and classifies the job;
+/// the pool refuses it when its queue is full. Returns the reply when
+/// admission decides it — `deliver` is then never called; otherwise
+/// `None`, and `deliver` receives the reply from the pool.
+pub(crate) fn submit(
+    registry: &SessionRegistry,
+    pool: &WorkerPool,
+    request: Request,
+    policy: DispatchPolicy,
+    ctx: &RequestContext,
+    deliver: Deliver,
+) -> Option<Reply> {
     if ctx.draining {
-        return Reply::shutting_down();
+        return Some(Reply::shutting_down());
     }
     let session_name = request.session_name().to_string();
     // A structured scenario spec takes precedence over the command string.
@@ -400,52 +424,52 @@ pub fn dispatch_with(
         },
         None => match Command::parse(request.command_text()) {
             Ok(command) => command,
-            Err(e) => return Reply::from_result(Err(e)),
+            Err(e) => return Some(Reply::from_result(Err(e))),
         },
     };
     if command.touches_filesystem() && !policy.allow_fs_commands {
-        return forbidden(
+        return Some(forbidden(
             "filesystem commands (load/save/open/export/scenario <file>) are \
              disabled on this server (start it with --allow-fs to permit them)",
-        );
+        ));
     }
     // Registry admin never reaches a session: it operates on the registry
     // itself, and only over an `--admin` server.
     if command.is_registry_admin() {
         if !policy.admin {
-            return forbidden(
+            return Some(forbidden(
                 "registry admin commands (sessions/evict) are disabled on this \
                  server (start it with --admin to permit them)",
-            );
+            ));
         }
-        return match command {
+        return Some(match command {
             Command::Sessions => Reply::ok(Response::SessionList(registry_stats_view(registry))),
             Command::Evict { name } => match registry.evict(&name) {
                 Ok(()) => Reply::ok(Response::SessionEvicted { name }),
                 Err(e) => Reply::err(ErrorResponse::new("unknown_session", e.to_string())),
             },
             _ => unreachable!("is_registry_admin covers exactly these commands"),
-        };
+        });
     }
     let lease = registry.lease(&session_name);
     // A session poisoned by an earlier panic is quarantined up front: the
     // half-mutated state is discarded, this request gets the structured
     // `session_poisoned` report, and the next one a fresh session.
     if lease.is_poisoned() {
-        return quarantine(registry, &session_name);
+        return Some(quarantine(registry, &session_name));
     }
     let is_scenario = matches!(
         command,
         Command::RunScenario { .. } | Command::RunScenarioFile { .. }
     );
-    // Admission: compute-class requests (heavy commands and scenario
-    // plans) count against the session's in-flight cap; the guard frees
-    // the slot when the reply is decided, on every path out.
-    let _slot = if is_scenario || command.is_compute_heavy() {
+    // Compute-class requests (heavy commands and scenario plans) count
+    // against the session's in-flight cap; the slot is freed when the
+    // reply is decided, on every path out.
+    let slot = if is_scenario || command.is_compute_heavy() {
         match lease.try_admit(ctx.session_inflight_cap) {
             Some(guard) => Some(guard),
             None => {
-                return Reply::overloaded(
+                return Some(Reply::overloaded(
                     format!(
                         "session {session_name:?} already has {} request(s) in \
                          flight (cap {})",
@@ -453,68 +477,203 @@ pub fn dispatch_with(
                         ctx.session_inflight_cap
                     ),
                     RETRY_AFTER_MS,
-                )
+                ))
             }
         }
     } else {
         None
     };
-    // Scenario plans do not occupy one worker slot for their whole run:
-    // the dispatcher thread compiles the plan and fans the independent
-    // cells across the pool, so an N-cell grid saturates all workers.
-    if is_scenario {
-        return match run_scenario_on_pool(
-            &lease,
-            command,
-            pool,
-            &session_name,
-            ctx,
-            registry.cell_cache(),
-        ) {
-            ScenarioExec::Done(result) => Reply::from_result(result),
-            // A panic during compile or reduce left the session
-            // half-mutated (and its mutex poisoned): quarantine instead
-            // of serving the suspect state.
-            ScenarioExec::Poisoned => quarantine(registry, &session_name),
-        };
-    }
-    let result = if command.is_compute_heavy() {
-        let handle = Arc::clone(lease.handle());
-        let budget = ctx.budget.clone();
-        match pool.try_run_tagged(&session_name, move || match handle.lock() {
-            Ok(mut session) => Exec::Done(apply_with_budget(&mut session, command, budget)),
-            Err(_) => Exec::Poisoned,
-        }) {
-            // Every worker busy and the queue full: structured
-            // backpressure instead of blocking the dispatcher thread.
-            Err(PoolFull) => {
-                return Reply::overloaded(
-                    "server is at capacity (all workers busy, queue full)",
-                    RETRY_AFTER_MS,
-                )
-            }
-            Ok(Some(Exec::Done(result))) => result,
-            Ok(Some(Exec::Poisoned)) => return quarantine(registry, &session_name),
-            // The job panicked; the worker survived. If the panic happened
-            // while holding the session lock, the state is suspect —
-            // quarantine it; otherwise the session stays serviceable.
-            Ok(None) => {
-                if lease.is_poisoned() {
-                    return quarantine(registry, &session_name);
-                }
-                return Reply::err(ErrorResponse::new(
-                    "internal",
-                    "command panicked while executing",
-                ));
-            }
-        }
+    // A scenario job only compiles the plan and queues its cells as
+    // compute jobs, so it is light itself and not bounded by the compute
+    // depth.
+    let class = if command.is_compute_heavy() && !is_scenario {
+        JobClass::Compute
     } else {
-        match lease.handle().lock() {
-            Ok(mut session) => apply_with_budget(&mut session, command, ctx.budget.clone()),
-            Err(_) => return quarantine(registry, &session_name),
-        }
+        JobClass::Light
     };
-    Reply::from_result(result)
+    let job = Admitted {
+        registry: registry.clone(),
+        lease,
+        session: session_name.clone(),
+        budget: ctx.budget.clone(),
+        chunk_sink: ctx.chunk_sink.clone(),
+        slot,
+        deliver,
+    };
+    let spawner = pool.spawner();
+    let queued = pool.submit(&session_name, class, move || {
+        if is_scenario {
+            run_scenario(job, command, &spawner);
+        } else {
+            execute(job, command);
+        }
+    });
+    match queued {
+        Ok(()) => None,
+        // Structured backpressure instead of queueing without bound.
+        Err(PoolFull) => Some(Reply::overloaded(
+            match class {
+                JobClass::Compute => {
+                    "server is at capacity (all workers busy, queue full)".to_string()
+                }
+                JobClass::Light => format!("request queue is full for session {session_name:?}"),
+            },
+            RETRY_AFTER_MS,
+        )),
+    }
+}
+
+/// An admitted request on its way through the pool: what its execution
+/// needs, and where its reply goes.
+struct Admitted {
+    registry: SessionRegistry,
+    lease: SessionLease,
+    session: String,
+    budget: RunBudget,
+    chunk_sink: Option<ChunkSink>,
+    /// The session's in-flight slot, held until the reply is decided.
+    slot: Option<InFlightGuard>,
+    deliver: Deliver,
+}
+
+impl Admitted {
+    /// Frees the in-flight slot, then delivers the reply.
+    fn reply(self, reply: Reply) {
+        let Admitted { slot, deliver, .. } = self;
+        drop(slot);
+        deliver(reply);
+    }
+
+    /// The reply for a session found poisoned, or poisoned by a panic
+    /// while this request held its lock.
+    fn quarantine(self) {
+        let reply = quarantine(&self.registry, &self.session);
+        self.reply(reply);
+    }
+}
+
+/// Runs one non-scenario command under the session lock, panic-contained.
+fn execute(job: Admitted, command: Command) {
+    let budget = job.budget.clone();
+    match catch_unwind(AssertUnwindSafe(|| {
+        let mut session = job.lease.handle().lock().ok()?;
+        Some(apply_with_budget(&mut session, command, budget))
+    })) {
+        Ok(Some(result)) => job.reply(Reply::from_result(result)),
+        Ok(None) => job.quarantine(),
+        // The command panicked. If it held the session lock, the state is
+        // suspect — quarantine it; otherwise the session stays
+        // serviceable.
+        Err(_) if job.lease.is_poisoned() => job.quarantine(),
+        Err(_) => job.reply(Reply::err(ErrorResponse::new(
+            "internal",
+            "command panicked while executing",
+        ))),
+    }
+}
+
+/// Compiles a scenario command against the session and queues its cells
+/// as compute jobs under the session's key, so the grid runs as wide as
+/// the compute threads allow. The job returns once the cells are queued; the cell
+/// that records the last result runs the reduce and delivers the reply.
+///
+/// The session lock is held only around compile and the reduce, never
+/// while cells run: a heavy command for the same session takes the lock
+/// for its whole run, and interleaved commands proceed between the
+/// phases; panel ids are assigned at reduce time against the
+/// then-current session, exactly as two users typing concurrently would
+/// see.
+///
+/// Both lock-holding phases run panic-contained, and a lock found
+/// poisoned — or poisoned right there by a panicking compile or reduce
+/// (the reduce commits panels via `Session::commit_panel`, which can
+/// panic mid-mutation) — quarantines the session instead of serving its
+/// half-mutated state.
+fn run_scenario(job: Admitted, command: Command, spawner: &Spawner) {
+    let spec = match command {
+        Command::RunScenario { spec } => *spec,
+        // Only reachable under `--allow-fs`.
+        Command::RunScenarioFile { path } => {
+            let parsed = std::fs::read_to_string(&path)
+                .map_err(fairank_session::SessionError::from)
+                .and_then(|text| {
+                    serde_json::from_str(&text).map_err(|e| {
+                        fairank_session::SessionError::Json(format!("spec {path}: {e}"))
+                    })
+                });
+            match parsed {
+                Ok(spec) => spec,
+                Err(e) => return job.reply(Reply::from_result(Err(e))),
+            }
+        }
+        _ => unreachable!("admission matched scenario commands"),
+    };
+    // The request's cancellation scope rides into every cell: a grid
+    // hitting its deadline aborts all in-flight cells cooperatively.
+    let compiled = catch_unwind(AssertUnwindSafe(|| {
+        let session = job.lease.handle().lock().ok()?;
+        Some(plan::compile(&session, &spec).map(|plan| plan.with_run_budget(&job.budget)))
+    }));
+    let (cells, executed) = match compiled {
+        Ok(Some(Ok(plan))) => plan.into_cells(),
+        Ok(Some(Err(e))) => return job.reply(Reply::from_result(Err(e))),
+        Ok(None) | Err(_) => return job.quarantine(),
+    };
+    if cells.is_empty() {
+        return finish_scenario(job, executed);
+    }
+    // Grid cells consult the registry-wide cell cache: a repeated
+    // dataset × configuration is served from the memoized outcome
+    // instead of recomputed.
+    let cache = Arc::clone(job.registry.cell_cache());
+    let sink = job.chunk_sink.clone();
+    let session = job.session.clone();
+    let pending = Arc::new(Mutex::new(Some((executed, job))));
+    for cell in cells {
+        let (cache, sink, pending) = (Arc::clone(&cache), sink.clone(), Arc::clone(&pending));
+        spawner.spawn_compute(&session, move || {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let result = cell.execute_cached(&cache);
+                // Streaming: ship the finished cell's stats before it
+                // counts as done, so every chunk precedes the reply.
+                if let (Some(sink), Ok(cell_result)) = (&sink, &result) {
+                    sink.emit(cell_result.stat());
+                }
+                result
+            }))
+            .unwrap_or_else(|_| {
+                Err(fairank_session::SessionError::Internal(
+                    "a scenario cell panicked while executing".into(),
+                ))
+            });
+            let complete = {
+                let mut pending = pending.lock().unwrap_or_else(PoisonError::into_inner);
+                let done = pending
+                    .as_mut()
+                    .is_some_and(|(executed, _)| executed.record(result));
+                if done {
+                    pending.take()
+                } else {
+                    None
+                }
+            };
+            if let Some((executed, job)) = complete {
+                finish_scenario(job, executed);
+            }
+        });
+    }
+}
+
+/// Reduces a scenario's cell results under the session lock and delivers
+/// the reply.
+fn finish_scenario(job: Admitted, executed: ExecutedPlan) {
+    match catch_unwind(AssertUnwindSafe(|| {
+        let mut session = job.lease.handle().lock().ok()?;
+        Some(executed.finish(Some(&mut session)))
+    })) {
+        Ok(Some(result)) => job.reply(Reply::from_result(result.map(Response::Scenario))),
+        Ok(None) | Err(_) => job.quarantine(),
+    }
 }
 
 /// Snapshot of the registry for the `sessions` admin reply: the live
@@ -543,134 +702,6 @@ pub fn dispatch(
     policy: DispatchPolicy,
 ) -> Reply {
     dispatch_with(registry, pool, request, policy, &RequestContext::default())
-}
-
-/// What the scenario path reports back: the plan's result, or the
-/// discovery that the session is (or just became) poisoned and must be
-/// quarantined instead of served.
-enum ScenarioExec {
-    Done(Result<Response, fairank_session::SessionError>),
-    Poisoned,
-}
-
-/// Compiles a scenario command against the session and executes its cells
-/// on the worker pool — one pool job per cell (tagged with the session so
-/// the queue drains fairly), all enqueued before any is awaited, so the
-/// grid runs as wide as the pool allows.
-///
-/// The session lock is held only around compile and the final reduce,
-/// NEVER while waiting on the pool: a regular heavy command for the same
-/// session runs as a pool job that starts by taking this lock, so a
-/// dispatcher thread that held it while blocking on workers would wedge
-/// the whole pool (worker waits on the lock, lock holder waits on
-/// workers). Releasing it between the phases lets interleaved commands
-/// proceed; panel ids are assigned at reduce time against the
-/// then-current session, exactly as two users typing concurrently would
-/// see.
-///
-/// Both lock-holding phases run panic-contained and report
-/// [`ScenarioExec::Poisoned`] when the lock is poisoned — found so, or
-/// poisoned right here by a panicking compile/reduce (the reduce commits
-/// panels via `Session::commit_panel`, which can genuinely panic
-/// mid-mutation). The old code `unwrap_or_else(PoisonError::into_inner)`d
-/// through poison at both sites and served the half-mutated session;
-/// the caller now routes `Poisoned` through the registry's quarantine
-/// instead, so the name maps to a fresh session.
-fn run_scenario_on_pool(
-    lease: &SessionLease,
-    command: Command,
-    pool: &WorkerPool,
-    session_name: &str,
-    ctx: &RequestContext,
-    cache: &Arc<fairank_session::CellCache>,
-) -> ScenarioExec {
-    use fairank_session::plan;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    let handle = lease.handle();
-    let spec = match command {
-        Command::RunScenario { spec } => *spec,
-        // Only reachable under `--allow-fs`.
-        Command::RunScenarioFile { path } => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) => return ScenarioExec::Done(Err(e.into())),
-            };
-            match serde_json::from_str(&text) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    return ScenarioExec::Done(Err(fairank_session::SessionError::Json(
-                        format!("spec {path}: {e}"),
-                    )))
-                }
-            }
-        }
-        _ => unreachable!("caller matched scenario commands"),
-    };
-    // Compile under the session lock. The lock is acquired *inside* the
-    // contained closure so a compile panic poisons it (guard unwinds) and
-    // is reported as such, not `into_inner`d past.
-    let budget = &ctx.budget;
-    let compiled = match catch_unwind(AssertUnwindSafe(|| {
-        let session = match handle.lock() {
-            Ok(session) => session,
-            Err(_) => return None,
-        };
-        // The request's cancellation scope rides into every cell: a grid
-        // hitting its deadline aborts all in-flight cells cooperatively.
-        Some(plan::compile(&session, &spec).map(|plan| plan.with_run_budget(budget)))
-    })) {
-        Ok(Some(Ok(compiled))) => compiled,
-        Ok(Some(Err(e))) => return ScenarioExec::Done(Err(e)),
-        Ok(None) | Err(_) => return ScenarioExec::Poisoned,
-    };
-    let sink = ctx.chunk_sink.clone();
-    let executed = compiled.execute_with(|cells| {
-        pool.run_batch_tagged(
-            session_name,
-            cells
-                .into_iter()
-                .map(|cell| {
-                    // Grid cells consult the registry-wide cell cache: a
-                    // repeated dataset × configuration is served from the
-                    // memoized outcome instead of recomputed.
-                    let cache = Arc::clone(cache);
-                    let sink = sink.clone();
-                    move || {
-                        let result = cell.execute_cached(&cache);
-                        // Streaming: ship the finished cell's stats now,
-                        // while sibling cells are still computing.
-                        if let (Some(sink), Ok(cell_result)) = (&sink, &result) {
-                            sink.emit(cell_result.stat());
-                        }
-                        result
-                    }
-                })
-                .collect(),
-        )
-        .into_iter()
-        .map(|result| {
-            result.unwrap_or_else(|| {
-                Err(fairank_session::SessionError::Internal(
-                    "a scenario cell panicked while executing".into(),
-                ))
-            })
-        })
-        .collect()
-    });
-    // Reduce under the session lock, contained the same way: a panic in
-    // `commit_panel` leaves half the panels committed — quarantine, don't
-    // serve.
-    match catch_unwind(AssertUnwindSafe(|| {
-        let mut session = match handle.lock() {
-            Ok(session) => session,
-            Err(_) => return None,
-        };
-        Some(executed.finish(Some(&mut session)))
-    })) {
-        Ok(Some(result)) => ScenarioExec::Done(result.map(Response::Scenario)),
-        Ok(None) | Err(_) => ScenarioExec::Poisoned,
-    }
 }
 
 #[cfg(test)]
@@ -948,6 +979,42 @@ mod tests {
             Response::PanelList(entries) => assert_eq!(entries.len(), 4),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn scenario_plans_are_admitted_while_the_compute_depth_is_full() {
+        // Depth 1, the compute thread busy with one compute job and the
+        // depth filled by another: a new quantify is refused, but a grid
+        // (whose cells are follow-up work of an admitted request) is not.
+        let registry = SessionRegistry::new();
+        let pool = WorkerPool::new(1, 1);
+        for line in ["generate pop biased n=60 seed=2", "define f rating*1.0"] {
+            assert!(dispatch(&registry, &pool, Request::new(line), LOCKED).is_ok());
+        }
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.submit("parked", JobClass::Compute, move || {
+            let _ = started_tx.send(());
+            let _ = release_rx.recv();
+        })
+        .unwrap();
+        started_rx.recv().unwrap();
+        pool.submit("pending", JobClass::Compute, || {}).unwrap();
+
+        let refused = dispatch(&registry, &pool, Request::new("quantify pop f"), LOCKED);
+        assert_eq!(refused.into_result().unwrap_err().kind, "overloaded");
+        std::thread::scope(|scope| {
+            let grid = scope.spawn(|| {
+                let grid = Request::new("scenario grid pop f aggs=mean,max");
+                dispatch(&registry, &pool, grid, LOCKED)
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            release_tx.send(()).unwrap();
+            let Response::Scenario(report) = grid.join().unwrap().into_result().unwrap() else {
+                panic!("expected Scenario");
+            };
+            assert_eq!(report.cells.len(), 2);
+        });
     }
 
     #[test]

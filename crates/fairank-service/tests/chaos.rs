@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 #[cfg(debug_assertions)]
 use fairank_core::fault;
-use fairank_service::{Reply, Request, Server, ServerConfig, ServerHandle};
+use fairank_service::{Reply, Request, Server, ServerConfig, ServerHandle, RETRY_AFTER_MS};
 use fairank_session::Response;
 
 /// Serializes the whole binary: fault points are process-global state.
@@ -438,6 +438,87 @@ fn overloaded_sessions_refuse_with_retry_hint() {
     assert!(reply.is_ok(), "occupant failed: {reply:?}");
     let retry = second.send(&Request::in_session("capped", heavy_quantify()));
     assert!(retry.is_ok(), "retry after the slot freed failed: {retry:?}");
+    handle.stop();
+}
+
+#[test]
+fn light_requests_are_not_queued_behind_waiting_compute() {
+    let _guard = serialized();
+    let Some(baseline) = baseline_or_skip("light-request test") else {
+        return;
+    };
+
+    // Two workers, four heavy quantifies on four sessions: two run and
+    // two wait for a worker. A light command from a fifth session must
+    // not wait behind them.
+    let handle = start_server_with(plain_config());
+    let mut heavy: Vec<Client> = (0..4)
+        .map(|i| {
+            let mut client = Client::connect(&handle);
+            setup_heavy(&mut client, &format!("heavy-{i}"));
+            client
+        })
+        .collect();
+    for (i, client) in heavy.iter_mut().enumerate() {
+        client.send_line(&Request::in_session(format!("heavy-{i}"), heavy_quantify()));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let mut light = Client::connect(&handle);
+    let start = Instant::now();
+    assert!(matches!(light.command("light", "help"), Response::Help));
+    let waited = start.elapsed();
+    assert!(
+        waited < baseline / 4,
+        "help waited {waited:?} behind queued compute (one heavy quantify takes {baseline:?})"
+    );
+    handle.stop();
+}
+
+#[test]
+fn queue_depth_refuses_compute_over_the_wire() {
+    let _guard = serialized();
+    // The occupying searches must still be running when the refused one
+    // lands; skip on machines where they finish near-instantly.
+    if baseline_or_skip("queue-depth test").is_none() {
+        return;
+    }
+
+    // One worker and a queue of one: heavy A runs, heavy B waits, and
+    // heavy C finds the server at capacity.
+    let handle = start_server_with(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let mut clients: Vec<(Client, &str)> = ["a", "b", "c"]
+        .into_iter()
+        .map(|session| {
+            let mut client = Client::connect(&handle);
+            setup_heavy(&mut client, session);
+            (client, session)
+        })
+        .collect();
+    for (client, session) in &mut clients[..2] {
+        client.send_line(&Request::in_session(*session, heavy_quantify()));
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let (refused, session) = &mut clients[2];
+    let err = refused
+        .send(&Request::in_session(*session, heavy_quantify()))
+        .into_result()
+        .expect_err("a compute request beyond the queue depth must be refused");
+    assert_eq!(err.kind, "overloaded");
+    assert_eq!(err.retry_after_ms, Some(RETRY_AFTER_MS));
+
+    // Light work is still answered, and both admitted searches complete.
+    assert!(matches!(refused.command(session, "help"), Response::Help));
+    for (client, session) in &mut clients[..2] {
+        match client.read_reply().map(Reply::into_result) {
+            Some(Ok(Response::PanelCreated(_))) => {}
+            other => panic!("heavy {session} did not complete: {other:?}"),
+        }
+    }
     handle.stop();
 }
 

@@ -1367,15 +1367,22 @@ impl Plan {
 
     /// The execution half of a run: hands every cell to the executor and
     /// captures the results. No session is involved, so callers that keep
-    /// sessions behind locks (the service) can release the lock while the
-    /// cells run and re-acquire it only for [`ExecutedPlan::finish`] — a
-    /// worker that needs the same session's lock must never wait on a
-    /// thread that is waiting on workers.
+    /// sessions behind locks can release the lock while the cells run and
+    /// re-acquire it only for [`ExecutedPlan::finish`].
     pub fn execute_with<E>(self, executor: E) -> ExecutedPlan
     where
         E: FnOnce(Vec<Cell>) -> Vec<Result<CellResult>>,
     {
-        let started = Instant::now();
+        let (cells, mut executed) = self.into_cells();
+        executed.results = executor(cells);
+        executed
+    }
+
+    /// Splits the plan into its cells and the reduce step, which collects
+    /// their results through [`ExecutedPlan::record`]. For executors that
+    /// cannot wait on the cells: the service queues each cell as its own
+    /// job, and the cell that records the last result runs the reduce.
+    pub fn into_cells(self) -> (Vec<Cell>, ExecutedPlan) {
         let Plan {
             perspective,
             strategy,
@@ -1383,19 +1390,20 @@ impl Plan {
             reduce,
         } = self;
         let expected = cells.len();
-        let results = executor(cells);
-        ExecutedPlan {
+        let executed = ExecutedPlan {
             perspective,
             strategy,
             reduce,
-            started,
+            started: Instant::now(),
             expected,
-            results,
-        }
+            results: Vec::with_capacity(expected),
+        };
+        (cells, executed)
     }
 }
 
-/// A plan whose cells have executed, waiting for the reduce step.
+/// A plan whose cells have executed (or report through
+/// [`ExecutedPlan::record`]), waiting for the reduce step.
 #[derive(Debug)]
 pub struct ExecutedPlan {
     perspective: &'static str,
@@ -1407,6 +1415,13 @@ pub struct ExecutedPlan {
 }
 
 impl ExecutedPlan {
+    /// Records one cell's result (in any order); `true` once every cell
+    /// of the plan has reported and the reduce may run.
+    pub fn record(&mut self, result: Result<CellResult>) -> bool {
+        self.results.push(result);
+        self.results.len() >= self.expected
+    }
+
     /// Reduces the cell results into the report. Grid plans run against a
     /// session commit one panel per `quantify` cell; pass `None` to skip
     /// commits (marketplace perspectives never need a session).
