@@ -1,7 +1,8 @@
-//! Pins the split engine's work reduction on `bench_quantify`'s reference
-//! configurations: identical search results with at least a 2× cut in
-//! histograms built and EMDs computed (the acceptance bar the
-//! `BENCH_quantify.json` emitter tracks over time).
+//! Pins the split engine's work reduction on the reference configurations
+//! of `exp_bench`'s `quantify` section: identical search results with at
+//! least a 2× cut in histograms built and EMDs computed (the acceptance
+//! bar; `BENCH.json` pins the exact counts and the bench gate checks
+//! them).
 
 use fairank_bench::synthetic_space;
 use fairank_core::fairness::FairnessCriterion;

@@ -17,7 +17,7 @@
 //!   bitwise symmetric because IEEE negation is exact.
 //!
 //! The engine evaluates the closed form straight from its hoisted mass
-//! arena through [`one_d_from_parts`]: every histogram's normalized mass
+//! arena through `one_d_from_parts`: every histogram's normalized mass
 //! vector is computed once, and each pair is then folded in the *reference
 //! summation order* (`cum += pa_i − pb_i; total += |cum|`). Subtracting
 //! hoisted prefix-sum CDFs (`|CDF_a − CDF_b|`) would change the rounding of
@@ -81,7 +81,7 @@ pub trait EmdBackend: Send + Sync {
 /// The empty-histogram conventions: `Some(distance)` when a convention
 /// decides the pair, `None` when both histograms are non-empty and the
 /// backend must compute. The single source every distance path — including
-/// the engine's id-level path via [`one_d_from_parts`] — goes through, so
+/// the engine's id-level path via `one_d_from_parts` — goes through, so
 /// the conventions cannot drift apart.
 fn convention(a_empty: bool, b_empty: bool, spec: &HistogramSpec) -> Option<f64> {
     match (a_empty, b_empty) {

@@ -36,26 +36,26 @@
 //! indexed by small `u32` ids rather than a pointer-heavy map of owned
 //! keys.
 //!
-//! * Partition paths live in a [`PathTrie`] — parallel `Vec`s of nodes and
+//! * Partition paths live in a `PathTrie` — parallel `Vec`s of nodes and
 //!   intrusive edge lists — so a path lookup is a walk over packed
 //!   `(attr, code)` words instead of hashing (and, on insert, cloning) a
 //!   `Vec<PathStep>` key.
-//! * Histogram contents live in a [`ContentTable`]: one flat `counts` row
+//! * Histogram contents live in a `ContentTable`: one flat `counts` row
 //!   per content id (stride = bins) plus a lazily-filled, equally flat
 //!   normalized-mass arena. No per-id `Histogram` or boxed mass vector is
 //!   allocated on the hot path; `Histogram` values materialize only for
 //!   the transport metric and the public [`SplitEngine::histogram`].
 //! * The EMD memo packs the unordered content-id pair into one `u64` key
-//!   over an open-addressed, linear-probing [`FlatMemo`] (Fibonacci
+//!   over an open-addressed, linear-probing `FlatMemo` (Fibonacci
 //!   hashing) — the single hottest table of a search, probed once per
 //!   partition pair per recursion level.
 //! * All transient buffers (distance vectors, batch dedup tables, split
-//!   counting grids) persist in a [`Scratch`] pool and are reused across
+//!   counting grids) persist in a `Scratch` pool and are reused across
 //!   calls, so steady-state evaluation does not allocate.
 //!
 //! One aggregation (a node's pairwise or cross distances) is resolved one
 //! of two ways: small batches walk the memo pair by pair; large ones whose
-//! leaves repeat contents ([`DEDUP_MIN_PAIRS`]) deduplicate first and
+//! leaves repeat contents (`DEDUP_MIN_PAIRS`) deduplicate first and
 //! resolve each *distinct* pair once. Both touch the
 //! same memo entries and fold every miss the same way, so results and
 //! every counter but `emd_cache_hits` and `pairwise_batches` are identical
@@ -766,7 +766,7 @@ fn canon(a: u32, b: u32) -> (u32, u32) {
     }
 }
 
-/// Packs a canonical content-id pair into one [`FlatMemo`] key.
+/// Packs a canonical content-id pair into one `FlatMemo` key.
 #[inline]
 fn pack_pair(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
@@ -1252,7 +1252,7 @@ impl<'a> SplitEngine<'a> {
 
     /// Whether an aggregation over `pairs` leaf pairs among the id `lists`
     /// is resolved through the deduplicated table: a closed-form batch of
-    /// at least [`DEDUP_MIN_PAIRS`] pairs in which at least half the leaves
+    /// at least `DEDUP_MIN_PAIRS` pairs in which at least half the leaves
     /// repeat a content. The transport metric always walks per pair. A
     /// `true` leaves the leaves mapped to slots in the batch scratch.
     fn dedups(&mut self, pairs: usize, lists: &[&[u32]]) -> bool {

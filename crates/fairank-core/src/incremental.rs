@@ -15,13 +15,13 @@
 //!   affected row only.
 //! * **Dirty-path propagation** — a touched row lives in exactly the
 //!   partitions whose `(attr, code)` path constraints it satisfies, so
-//!   [`EngineParts::apply_event`] walks only the matching `PathTrie`
+//!   `EngineParts::apply_event` walks only the matching `PathTrie`
 //!   edges and re-derives each cached `ContentTable` histogram by
 //!   adjusting one bin, never rescanning rows.
 //! * **Targeted memo invalidation** — content ids are stable and the
 //!   `PathTrie` counts the nodes holding each one. A patch that leaves an
 //!   id held by no node makes it an orphan; at the end of the batch
-//!   [`EngineParts::free_orphans`] deletes exactly the memoized EMDs that
+//!   `EngineParts::free_orphans` deletes exactly the memoized EMDs that
 //!   touch an orphan (found through per-content partner lists, not a
 //!   table scan) and recycles its arena slot. The cost follows what
 //!   changed, not the size of the memo, and distances between untouched

@@ -6,7 +6,7 @@
 //! configurations into many such cells and fan them out — sequentially,
 //! over scoped threads, or across a server worker pool. This module owns
 //! the part that is pure `fairank-core`: naming the strategy, running it
-//! on the [`SplitEngine`]-backed searches, and normalizing the outcome so
+//! on the [`SplitEngine`](crate::engine::SplitEngine)-backed searches, and normalizing the outcome so
 //! every strategy reports through the same shape.
 
 use std::time::Duration;

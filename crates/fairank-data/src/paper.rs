@@ -6,7 +6,8 @@
 //! Rating) and the scores of a scoring function `f`. The published `f(w)`
 //! column is reproduced *exactly* by
 //! `f = 0.3 · language_test + 0.7 · rating` (weights recovered by solving
-//! the published rows; see EXPERIMENTS.md, experiment E1).
+//! the published rows; `exp_table1` in `fairank-bench` reproduces it as
+//! experiment E1).
 //!
 //! Figure 2 then shows one partitioning of those individuals: split on
 //! Gender first, then split only the Male side on Language, giving

@@ -16,7 +16,7 @@
 //!   error here *is* the disconnect signal: the in-flight request's cancel
 //!   token fires with [`CancelReason::Disconnected`].
 //! * **dispatch** — a parsed request passes admission right here on the
-//!   IO thread ([`submit`]: parse, policy, session lease, caps), so a
+//!   IO thread (`submit`: parse, policy, session lease, caps), so a
 //!   refusal is written back at once; an admitted request becomes one job
 //!   on the server's [`WorkerPool`](crate::pool::WorkerPool), queued
 //!   fairly under its session. One request per connection is in flight at

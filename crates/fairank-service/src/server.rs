@@ -378,7 +378,7 @@ fn quarantine(registry: &SessionRegistry, session_name: &str) -> Reply {
 /// Executes one parsed request against the registry and waits for its
 /// reply. This is the whole request semantics — the TCP layer only adds
 /// line framing (and the per-request context) around it, and runs the
-/// same [`submit`] without waiting. The default-context form is
+/// same `submit` without waiting. The default-context form is
 /// [`dispatch`].
 pub fn dispatch_with(
     registry: &SessionRegistry,

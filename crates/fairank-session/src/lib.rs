@@ -26,8 +26,8 @@
 //! * [`market`] — the bounded memo of generated marketplace presets.
 //!
 //! The paper's web UI is substituted by this engine plus the `fairank`
-//! REPL and the `fairank-service` JSON-lines server; see DESIGN.md for the
-//! substitution rationale.
+//! REPL and the `fairank-service` JSON-lines server (the README's
+//! "Serving" section describes the wire protocol).
 
 pub mod cellcache;
 pub mod command;

@@ -14,7 +14,8 @@
 //!    front, each cell self-contained and `Send`) plus a deterministic
 //!    reduce step.
 //! 3. The plan runs through any executor — [`Plan::run`] (sequential),
-//!    [`Plan::run_parallel`] (one scoped thread per cell), or
+//!    [`Plan::run_parallel`] (scoped threads, at most
+//!    `available_parallelism`, pulling cells from a shared queue), or
 //!    [`Plan::run_with`] (caller-provided, e.g. the `fairank-service`
 //!    worker pool) — and reduces to a serializable [`ScenarioReport`]
 //!    carrying per-cell engine counters and wall-clock stats.
