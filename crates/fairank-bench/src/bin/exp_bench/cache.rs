@@ -14,6 +14,10 @@
 //!    through one `DatasetStore` hold it once: resident store bytes stay
 //!    strictly under 2× what a single session needs (the un-deduplicated
 //!    cost would be 8×). The byte counts and cache counters are exact.
+//! 3. **Cached `quantify`** — two sessions sharing one cell cache run a
+//!    24-criterion `quantify` rotation over 10k `biased` rows; the second
+//!    is served every panel bit-identical. Its panels also time the
+//!    one-pass node statistics against the per-node path they equal.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +32,7 @@ use fairank_session::command::{apply, Command};
 use fairank_session::plan::{
     self, CriterionGrid, Perspective, ScenarioOutcome, ScenarioReport, ScenarioSpec,
 };
-use fairank_session::{CellCache, DatasetStore, Session};
+use fairank_session::{CellCache, DatasetStore, Response, Session};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,21 +108,81 @@ fn run_grid(
     store: &Arc<DatasetStore>,
     dataset: &Dataset,
     spec: &ScenarioSpec,
-    cache: &CellCache,
+    cache: &Arc<CellCache>,
 ) -> (ScenarioReport, f64) {
     let mut session = seeded_session(store, dataset);
     let t = Instant::now();
     let report = plan::compile(&session, spec)
         .expect("grid compiles")
-        .execute_with(|cells| {
-            cells
-                .into_iter()
-                .map(|cell| cell.execute_cached(cache))
-                .collect()
-        })
+        .with_cell_cache(cache)
+        .execute_with(plan::run_cells_sequential)
         .finish(Some(&mut session))
         .expect("grid runs");
     (report, t.elapsed().as_secs_f64() * 1e6)
+}
+
+/// Runs the rotation in a fresh session sharing `cache`: each reply's
+/// wall-clock in microseconds, the replies, and the session.
+fn quantify_rotation(n: usize, cache: &Arc<CellCache>) -> (Vec<f64>, Vec<Response>, Session) {
+    let mut session = Session::with_shared(Arc::default(), Arc::default(), Arc::clone(cache));
+    let mut timed = |line: String| {
+        let t = Instant::now();
+        let reply = apply(&mut session, Command::parse(&line).unwrap()).expect("command runs");
+        (t.elapsed().as_secs_f64() * 1e6, reply)
+    };
+    timed(format!("generate pop biased n={n} seed=1"));
+    timed("define f rating*0.7+language_test*0.3".into());
+    let (times, replies) = ["most", "least"]
+        .into_iter()
+        .flat_map(|o| ["mean", "max", "min", "variance"].map(|a| (o, a)))
+        .flat_map(|(o, a)| {
+            [5, 10, 20].map(|b| format!("quantify pop f objective={o} agg={a} bins={b}"))
+        })
+        .map(timed)
+        .unzip();
+    (times, replies, session)
+}
+
+/// Cached `quantify` and the one-pass node statistics, on the rotation:
+/// its own section, recorded under the `cache` layer.
+pub fn quantify_records(smoke: bool) -> Vec<BenchRecord> {
+    let n = if smoke { 600 } else { 10_000 };
+    let cache = Arc::new(CellCache::new(CellCache::DEFAULT_CAP));
+    let (cold_us, cold, session) = quantify_rotation(n, &cache);
+    let (warm_us, warm, _) = quantify_rotation(n, &cache);
+    for (computed, served) in cold.iter().zip(&warm) {
+        let (Response::PanelCreated(c), Response::PanelCreated(s)) = (computed, served) else {
+            unreachable!("quantify replies with its panel");
+        };
+        assert!(s.from_cache && s.unfairness.to_bits() == c.unfairness.to_bits());
+        assert_eq!(s.nodes, c.nodes, "a served panel must be the computed one");
+    }
+    let (mut one_pass_us, mut per_node_us) = (Vec::new(), Vec::new());
+    for panel in session.panels() {
+        let t = Instant::now();
+        let all = panel.all_node_stats();
+        one_pass_us.push(t.elapsed().as_secs_f64() * 1e6);
+        let t = Instant::now();
+        let each: Vec<_> = (0..all.len())
+            .map(|id| panel.node_stats(id).unwrap())
+            .collect();
+        per_node_us.push(t.elapsed().as_secs_f64() * 1e6);
+        assert_eq!(all, each, "the one pass must equal the per-node path");
+    }
+    let workload = format!("biased_n{n}_seed1_24criteria");
+    let record = |metric: &str, unit: &str, samples: &[f64]| {
+        let (p50, n) = (percentile(samples, 50.0), samples.len() as u64);
+        BenchRecord::new("cache", &workload, metric, unit, p50, n)
+    };
+    let stats = cache.stats();
+    vec![
+        record("quantify_cold_p50_us", "us", &cold_us),
+        record("quantify_warm_p50_us", "us", &warm_us),
+        record("quantify_cache_hits", "count", &[stats.hits as f64]).exact(),
+        record("quantify_cache_misses", "count", &[stats.misses as f64]).exact(),
+        record("node_stats_one_pass_p50_us", "us", &one_pass_us),
+        record("node_stats_per_node_p50_us", "us", &per_node_us),
+    ]
 }
 
 pub fn run(smoke: bool) -> Vec<BenchRecord> {
@@ -131,7 +195,7 @@ pub fn run(smoke: bool) -> Vec<BenchRecord> {
 
     let dataset = reference_dataset(n, &cards, 7);
     let store = Arc::new(DatasetStore::new());
-    let cache = CellCache::new(CellCache::DEFAULT_CAP);
+    let cache = Arc::new(CellCache::new(CellCache::DEFAULT_CAP));
     let spec = grid_spec(min_part);
 
     // Cold: every cell computed and published.

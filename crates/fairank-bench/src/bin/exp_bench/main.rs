@@ -8,6 +8,9 @@
 //!   `stream` re-audit layer by layer;
 //! * `cache` — a cold scenario grid against cache-served reruns, and the
 //!   dataset store's memory shared by 8 sessions;
+//! * `cached quantify` — a `quantify` rotation computed by one session
+//!   and served from the cell cache to another, and the one-pass node
+//!   statistics against the per-node path (records under `cache`);
 //! * `serve` — the event loop under 1,000 open connections;
 //! * `micro` — histogram, pairwise EMD, anonymization and marketplace
 //!   operations, recorded only.
@@ -38,10 +41,11 @@ use fairank_bench::{check, header, read_records, row, write_records, BenchArgs, 
 type Section = fn(bool) -> Vec<BenchRecord>;
 
 /// The sections, in run order.
-const SECTIONS: [(&str, Section); 5] = [
+const SECTIONS: [(&str, Section); 6] = [
     ("quantify", quantify::run),
     ("incremental", incremental::run),
     ("cache", cache::run),
+    ("cached quantify", cache::quantify_records),
     ("serve", serve::run),
     ("micro", micro::run),
 ];

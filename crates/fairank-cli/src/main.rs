@@ -152,16 +152,19 @@ const SERVE_FLAGS: &[(&str, &str, &str)] = &[
     ("--addr", "host:port", "bind address (default 127.0.0.1:4915; port 0 = ephemeral)"),
     ("--workers", "n", "compute requests that run at once; two more threads serve
                        light commands (default: host cores - 1)"),
-    ("--queue-depth", "n", "pending compute jobs held before new ones are refused
-                       with the structured `overloaded` error (default: 2x workers)"),
+    ("--queue-depth", "n", "compute requests that may wait beyond the running ones:
+                       once workers + n are in flight (queued or running),
+                       new ones are refused with the structured `overloaded`
+                       error (default: 2x workers)"),
     ("--session-cap", "n", "max in-flight compute requests per session; extras are
                        refused with `overloaded` (default: unlimited)"),
     ("--session-queue-cap", "n", "pending jobs one session may hold in the worker pool's
                        fair queue before refusal with `overloaded`;
                        bounds how far one session can crowd the backlog
                        (default: unlimited per session)"),
-    ("--cell-cache-cap", "n", "entries the shared scenario-cell cache holds before LRU
-                       eviction (default: 4096; 0 = disabled)"),
+    ("--cell-cache-cap", "n", "entries the shared cell cache (repeated `quantify` and
+                       scenario-grid cells) holds before LRU eviction
+                       (default: 4096; 0 = disabled)"),
     ("--request-timeout", "dur", "per-request compute deadline, e.g. 500ms or 2s (bare
                        number = milliseconds); expired requests return the
                        structured `deadline_exceeded` error with partial stats"),

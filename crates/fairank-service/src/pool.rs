@@ -9,8 +9,10 @@
 //!   only on the pool's `workers` compute threads, so N clients cannot
 //!   oversubscribe the host N-fold, and the memory a search touches stays
 //!   on those threads (letting every thread compute raised peak RSS by a
-//!   third on the stream re-audit workload); admission refuses a new
-//!   compute job once `queue_depth` of them are pending.
+//!   third on the stream re-audit workload). Admission refuses a new
+//!   compute job once `workers + queue_depth` are in flight, queued or
+//!   running: `queue_depth` pending jobs while every compute thread is
+//!   busy, and a thread between jobs does not shrink the budget.
 //! * **light** ([`JobClass::Light`]) — everything else. Light jobs run on
 //!   any thread, and the pool runs [`LIGHT_THREADS`] threads that never
 //!   take compute, so a light command never waits for compute to finish.
@@ -19,6 +21,7 @@
 //! compute jobs by the job that compiled the plan, and the last cell to
 //! finish runs the reduce. The pool has no blocking submission.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -26,8 +29,8 @@ use crate::sched::FairQueue;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Admission refused: the pending queue (global, the tag's own slice of
-/// it, or the pending compute jobs) is full, or the pool is closing.
+/// Admission refused: the pending queue (global or the tag's own slice of
+/// it) or the compute in flight is full, or the pool is closing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolFull;
 
@@ -49,9 +52,23 @@ pub const LIGHT_THREADS: usize = 2;
 /// one request in flight).
 const QUEUE_CAP: usize = 4096;
 
+/// One compute job's place in the pool's in-flight count, released on
+/// drop. A job drops it once its compute is done, before it delivers a
+/// reply, so a client never finds its own answered request still counted.
+pub(crate) struct ComputePermit(Arc<AtomicUsize>);
+
+impl Drop for ComputePermit {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// A fixed set of threads consuming one bounded, per-tag-fair job queue.
 pub struct WorkerPool {
     queue: Arc<FairQueue<Job>>,
+    /// Compute jobs in flight, admitted up to `compute_cap`.
+    in_flight: Arc<AtomicUsize>,
+    compute_cap: usize,
     threads: Vec<JoinHandle<()>>,
     workers: usize,
 }
@@ -67,20 +84,30 @@ impl std::fmt::Debug for WorkerPool {
 
 /// A handle that queues follow-up compute jobs on a pool. A job holds it
 /// instead of the pool itself, so a job never keeps the pool alive.
-pub(crate) struct Spawner(Arc<FairQueue<Job>>);
+pub(crate) struct Spawner(Arc<FairQueue<Job>>, Arc<AtomicUsize>);
 
 impl Spawner {
     /// Queues a compute job under `tag` past every cap: follow-up work of
-    /// an admitted request is never refused and never waits for space.
-    /// Only a closing pool drops it (the job is then never run).
-    pub(crate) fn spawn_compute(&self, tag: &str, job: impl FnOnce() + Send + 'static) {
-        let _ = self.0.push_metered_uncapped(tag, Box::new(job));
+    /// an admitted request is never refused and never waits for space
+    /// (it is counted in flight all the same). Only a closing pool drops
+    /// it (the job is then never run).
+    pub(crate) fn spawn_compute(
+        &self,
+        tag: &str,
+        job: impl FnOnce(ComputePermit) + Send + 'static,
+    ) {
+        self.1.fetch_add(1, Ordering::AcqRel);
+        let permit = ComputePermit(Arc::clone(&self.1));
+        let _ = self
+            .0
+            .push_metered_uncapped(tag, Box::new(move || job(permit)));
     }
 }
 
 impl WorkerPool {
     /// A pool of `workers` compute threads, refusing new compute jobs once
-    /// `queue_depth` are pending (both floored at 1), with no per-tag cap.
+    /// `workers + queue_depth` are in flight (both floored at 1), with no
+    /// per-tag cap.
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         Self::with_caps(workers, queue_depth, 0)
     }
@@ -92,9 +119,7 @@ impl WorkerPool {
     /// backlog budget.
     pub fn with_caps(workers: usize, queue_depth: usize, session_queue_cap: usize) -> Self {
         let workers = workers.max(1);
-        let queue = Arc::new(
-            FairQueue::new(QUEUE_CAP, session_queue_cap).with_metered_cap(queue_depth.max(1)),
-        );
+        let queue = Arc::new(FairQueue::new(QUEUE_CAP, session_queue_cap));
         let threads = (0..workers + LIGHT_THREADS)
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -118,6 +143,8 @@ impl WorkerPool {
             .collect();
         WorkerPool {
             queue,
+            in_flight: Arc::default(),
+            compute_cap: workers + queue_depth.max(1),
             threads,
             workers,
         }
@@ -146,28 +173,49 @@ impl WorkerPool {
     }
 
     /// Queues `job` under `tag` without blocking, or refuses it with
-    /// [`PoolFull`] when the queue (global, the tag's cap, or for a
-    /// compute job the pending-compute depth) is full. The refusal is the
-    /// server's backpressure signal — the dispatch layer turns it into a
-    /// structured `overloaded` reply. A panicking job is contained; the
-    /// job reports its own outcome.
+    /// [`PoolFull`] when the queue (global or the tag's cap) is full or,
+    /// for a compute job, `workers + queue_depth` are in flight — until
+    /// they return. The refusal is the server's backpressure signal — the
+    /// dispatch layer turns it into a structured `overloaded` reply. A
+    /// panicking job is contained; the job reports its own outcome.
     pub fn submit(
         &self,
         tag: &str,
         class: JobClass,
         job: impl FnOnce() + Send + 'static,
     ) -> Result<(), PoolFull> {
-        let job: Job = Box::new(job);
+        self.submit_with_permit(tag, class, move |_permit| job())
+    }
+
+    /// [`WorkerPool::submit`] for a job that drops its compute permit
+    /// (`None` for a light job) itself, e.g. before it delivers a reply.
+    pub(crate) fn submit_with_permit(
+        &self,
+        tag: &str,
+        class: JobClass,
+        job: impl FnOnce(Option<ComputePermit>) + Send + 'static,
+    ) -> Result<(), PoolFull> {
         let pushed = match class {
-            JobClass::Compute => self.queue.try_push_metered(tag, job),
-            JobClass::Light => self.queue.try_push(tag, job),
+            JobClass::Compute => {
+                let cap = self.compute_cap;
+                self.in_flight
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                        (n < cap).then_some(n + 1)
+                    })
+                    .map_err(|_| PoolFull)?;
+                let permit = ComputePermit(Arc::clone(&self.in_flight));
+                self.queue
+                    .try_push_metered(tag, Box::new(move || job(Some(permit))))
+            }
+            JobClass::Light => self.queue.try_push(tag, Box::new(move || job(None))),
         };
+        // A refused job comes back and drops here, its permit with it.
         pushed.map_err(|_| PoolFull)
     }
 
     /// The handle jobs use to queue follow-up compute work.
     pub(crate) fn spawner(&self) -> Spawner {
-        Spawner(Arc::clone(&self.queue))
+        Spawner(Arc::clone(&self.queue), Arc::clone(&self.in_flight))
     }
 }
 

@@ -62,6 +62,7 @@ impl Entry {
         let session = Session::with_shared(
             Arc::clone(&registry.store),
             Arc::clone(&registry.markets),
+            Arc::clone(&registry.cell_cache),
         );
         Arc::new(Entry {
             handle: Arc::new(Mutex::new(session)),
@@ -159,8 +160,9 @@ impl Drop for InFlightGuard {
 /// are parsed once and held behind one allocation), one [`MarketCache`]
 /// (a marketplace preset generated for any session is served to the
 /// next one asking for the same `(preset, n, seed)`) and one [`CellCache`]
-/// (a scenario-grid cell computed for any session is served from cache
-/// to every later session asking for the same dataset × configuration).
+/// (a `quantify` or scenario-grid cell computed for any session is served
+/// from cache to every later session asking for the same dataset ×
+/// configuration).
 ///
 /// A clone is another handle to the same registry: queued request jobs
 /// carry one, since they outlive the borrow they were admitted under.

@@ -16,16 +16,17 @@
 //! consumer that may looks for a metered head first, so compute does not
 //! wait while such consumers serve plain items.
 //!
-//! Three caps bound memory and queueing delay at admission:
+//! Two caps bound memory and queueing delay at admission:
 //!
-//! * a **global cap** on items across all keys (a memory bound),
+//! * a **global cap** on items across all keys (a memory bound), and
 //! * a **per-key cap** (`serve --session-queue-cap`) so one key cannot
-//!   consume the whole global budget before round-robin even matters, and
-//! * a **metered cap** (`serve --queue-depth`) on pending metered items.
+//!   consume the whole global budget before round-robin even matters.
 //!
-//! Blocking producers ([`FairQueue::push`]) wait for space; non-blocking
-//! producers ([`FairQueue::try_push`], [`FairQueue::try_push_metered`])
-//! get the item back with a reason, which the dispatch layer turns into a
+//! The compute budget (`serve --queue-depth`) counts queued *and* running
+//! compute, so it lives in the [`WorkerPool`], which sees both.
+//!
+//! Producers never block: [`FairQueue::try_push`] and
+//! [`FairQueue::try_push_metered`] get a refused item back with a reason, which the dispatch layer turns into a
 //! structured `overloaded` reply. Follow-up work of an already admitted
 //! request ([`FairQueue::push_metered_uncapped`]) is never refused.
 //!
@@ -37,13 +38,13 @@ use std::sync::{Condvar, Mutex};
 /// Why a non-blocking push refused an item (the item rides back).
 #[derive(Debug)]
 pub enum TryPushError<T> {
-    /// The global cap, the key's cap or the metered cap is exhausted.
+    /// The global cap or the key's cap is exhausted.
     Full(T),
     /// The queue was closed; no consumer will ever take the item.
     Closed(T),
 }
 
-/// The queue was closed while a producer was blocked in [`FairQueue::push`].
+/// The queue was closed: [`FairQueue::push_metered_uncapped`] refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
@@ -75,13 +76,8 @@ pub struct FairQueue<T> {
     /// Signals consumers that may not: a plain item arrived or the queue
     /// closed.
     plain_ready: Condvar,
-    /// Signals producers: space freed or the queue closed.
-    space: Condvar,
     global_cap: usize,
     per_key_cap: usize,
-    /// Pending metered items [`FairQueue::try_push_metered`] admits
-    /// (0 = unbounded).
-    metered_cap: usize,
 }
 
 impl<T> FairQueue<T> {
@@ -99,18 +95,9 @@ impl<T> FairQueue<T> {
             }),
             ready: Condvar::new(),
             plain_ready: Condvar::new(),
-            space: Condvar::new(),
             global_cap,
             per_key_cap,
-            metered_cap: 0,
         }
-    }
-
-    /// Bounds the pending metered items [`FairQueue::try_push_metered`]
-    /// admits (0 = unbounded).
-    pub fn with_metered_cap(mut self, metered_cap: usize) -> Self {
-        self.metered_cap = metered_cap;
-        self
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
@@ -156,30 +143,13 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Enqueues under `key`, blocking while the queue is at capacity.
-    pub fn push(&self, key: &str, item: T) -> Result<(), Closed> {
-        let mut state = self.lock();
-        while !state.closed && !self.has_space(&state, key) {
-            state = self
-                .space
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if state.closed {
-            return Err(Closed);
-        }
-        self.enqueue(&mut state, key, item, false);
-        Ok(())
-    }
-
-    /// Enqueues under `key`, refusing (with the item back) instead of
-    /// blocking when at capacity or closed.
+    /// Enqueues under `key`, or refuses (with the item back) when at
+    /// capacity or closed.
     pub fn try_push(&self, key: &str, item: T) -> Result<(), TryPushError<T>> {
         self.try_enqueue(key, item, false)
     }
 
-    /// [`FairQueue::try_push`] for a metered item, which the metered cap
-    /// also bounds.
+    /// [`FairQueue::try_push`] for a metered item.
     pub fn try_push_metered(&self, key: &str, item: T) -> Result<(), TryPushError<T>> {
         self.try_enqueue(key, item, true)
     }
@@ -189,8 +159,7 @@ impl<T> FairQueue<T> {
         if state.closed {
             return Err(TryPushError::Closed(item));
         }
-        let metered_full = metered && self.metered_cap != 0 && state.metered >= self.metered_cap;
-        if metered_full || !self.has_space(&state, key) {
+        if !self.has_space(&state, key) {
             return Err(TryPushError::Full(item));
         }
         self.enqueue(&mut state, key, item, metered);
@@ -261,10 +230,6 @@ impl<T> FairQueue<T> {
                 }
                 state.len -= 1;
                 state.metered -= usize::from(metered);
-                // Space freed: wake *all* blocked producers — a per-key-cap
-                // waiter for this key and a global-cap waiter for another
-                // key are both candidates.
-                self.space.notify_all();
                 if state.closed && state.len == 0 {
                     // Plain-only consumers that went back to waiting after
                     // close, on metered items, may exit now.
@@ -297,7 +262,6 @@ impl<T> FairQueue<T> {
         self.lock().closed = true;
         self.ready.notify_all();
         self.plain_ready.notify_all();
-        self.space.notify_all();
     }
 
     /// Total pending items.
@@ -371,26 +335,15 @@ mod tests {
     }
 
     #[test]
-    fn blocking_push_waits_for_space_and_pop_waits_for_items() {
+    fn pop_waits_for_items() {
         let queue: Arc<FairQueue<i32>> = Arc::new(FairQueue::new(1, 0));
-        queue.push("k", 1).unwrap();
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push("k", 2))
-        };
-        // The producer is blocked on the full queue; free a slot.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(queue.pop(), Some(1));
-        producer.join().unwrap().unwrap();
-        assert_eq!(queue.pop(), Some(2));
-
         // A blocked consumer wakes when an item arrives.
         let consumer = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || queue.pop())
         };
         std::thread::sleep(Duration::from_millis(20));
-        queue.push("k", 3).unwrap();
+        queue.try_push("k", 3).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(3));
     }
 
@@ -405,7 +358,7 @@ mod tests {
             queue.try_push("a", 9),
             Err(TryPushError::Closed(9))
         ));
-        assert_eq!(queue.push("a", 9), Err(Closed));
+        assert_eq!(queue.push_metered_uncapped("a", 9), Err(Closed));
         // ...consumers still drain what was accepted, then see None.
         assert_eq!(queue.pop(), Some(1));
         assert_eq!(queue.pop(), Some(2));
@@ -420,15 +373,9 @@ mod tests {
 
     #[test]
     fn plain_consumers_skip_metered_heads_and_metering_consumers_prefer_them() {
-        let queue: FairQueue<i32> = FairQueue::new(0, 0).with_metered_cap(2);
+        let queue: FairQueue<i32> = FairQueue::new(0, 0);
         queue.try_push_metered("a", 1).unwrap();
         queue.try_push_metered("a", 2).unwrap();
-        // The metered cap refuses a third pending metered item, but not
-        // a plain one.
-        assert!(matches!(
-            queue.try_push_metered("c", 3),
-            Err(TryPushError::Full(3))
-        ));
         queue.try_push("b", 10).unwrap();
         queue.try_push("b", 11).unwrap();
         // A plain-only consumer skips key "a", whose head is metered.
@@ -438,7 +385,6 @@ mod tests {
         assert_eq!(queue.pop_for(true), Some(2));
         // ...and plain heads once none is left.
         assert_eq!(queue.pop_for(true), Some(11));
-        queue.try_push_metered("c", 3).unwrap();
     }
 
     #[test]

@@ -22,7 +22,7 @@ use fairank_session::command::{apply_with_budget, Command};
 use fairank_session::plan::{self, ExecutedPlan};
 use fairank_session::{ErrorResponse, Response};
 
-use crate::pool::{JobClass, PoolFull, Spawner, WorkerPool};
+use crate::pool::{ComputePermit, JobClass, PoolFull, Spawner, WorkerPool};
 use crate::protocol::{Reply, Request};
 use crate::registry::{InFlightGuard, SessionLease, SessionRegistry};
 
@@ -38,8 +38,9 @@ pub struct ServerConfig {
     /// The pool runs [`crate::pool::LIGHT_THREADS`] more threads for light
     /// commands.
     pub workers: usize,
-    /// Pending compute jobs held before new compute requests are refused
-    /// with `overloaded` (0 = twice the worker count).
+    /// New compute requests are refused with `overloaded` once `workers +
+    /// queue_depth` are in flight, queued or running (0 = twice the
+    /// worker count).
     pub queue_depth: usize,
     /// Allow wire clients to run commands that touch the server's
     /// filesystem (`load`, `save`, `open`, `export`, `scenario
@@ -63,8 +64,9 @@ pub struct ServerConfig {
     /// once; extra requests are refused with `overloaded` instead of
     /// queueing unboundedly behind the session's mutex. 0 = unlimited.
     pub session_inflight_cap: usize,
-    /// Entries the shared plan-cell cache may hold before LRU eviction
-    /// (`serve --cell-cache-cap`). 0 disables caching entirely.
+    /// Entries the shared cell cache (repeated `quantify` requests and
+    /// grid cells) may hold before LRU eviction (`serve --cell-cache-cap`).
+    /// 0 disables caching entirely.
     pub cell_cache_cap: usize,
     /// Pending pool jobs one session may hold before its further requests
     /// are refused with `overloaded` (`serve --session-queue-cap`).
@@ -498,10 +500,12 @@ pub(crate) fn submit(
         budget: ctx.budget.clone(),
         chunk_sink: ctx.chunk_sink.clone(),
         slot,
+        permit: None,
         deliver,
     };
     let spawner = pool.spawner();
-    let queued = pool.submit(&session_name, class, move || {
+    let queued = pool.submit_with_permit(&session_name, class, move |permit| {
+        let job = Admitted { permit, ..job };
         if is_scenario {
             run_scenario(job, command, &spawner);
         } else {
@@ -533,14 +537,22 @@ struct Admitted {
     chunk_sink: Option<ChunkSink>,
     /// The session's in-flight slot, held until the reply is decided.
     slot: Option<InFlightGuard>,
+    /// A compute request's pool permit, held until the reply is decided.
+    permit: Option<ComputePermit>,
     deliver: Deliver,
 }
 
 impl Admitted {
-    /// Frees the in-flight slot, then delivers the reply.
+    /// Frees the in-flight slot and permit, then delivers the reply, so a
+    /// client's next request never finds this one still counted.
     fn reply(self, reply: Reply) {
-        let Admitted { slot, deliver, .. } = self;
-        drop(slot);
+        let Admitted {
+            slot,
+            permit,
+            deliver,
+            ..
+        } = self;
+        drop((slot, permit));
         deliver(reply);
     }
 
@@ -622,18 +634,14 @@ fn run_scenario(job: Admitted, command: Command, spawner: &Spawner) {
     if cells.is_empty() {
         return finish_scenario(job, executed);
     }
-    // Grid cells consult the registry-wide cell cache: a repeated
-    // dataset × configuration is served from the memoized outcome
-    // instead of recomputed.
-    let cache = Arc::clone(job.registry.cell_cache());
     let sink = job.chunk_sink.clone();
     let session = job.session.clone();
     let pending = Arc::new(Mutex::new(Some((executed, job))));
     for cell in cells {
-        let (cache, sink, pending) = (Arc::clone(&cache), sink.clone(), Arc::clone(&pending));
-        spawner.spawn_compute(&session, move || {
+        let (sink, pending) = (sink.clone(), Arc::clone(&pending));
+        spawner.spawn_compute(&session, move |permit| {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let result = cell.execute_cached(&cache);
+                let result = cell.execute();
                 // Streaming: ship the finished cell's stats before it
                 // counts as done, so every chunk precedes the reply.
                 if let (Some(sink), Ok(cell_result)) = (&sink, &result) {
@@ -646,6 +654,8 @@ fn run_scenario(job: Admitted, command: Command, spawner: &Spawner) {
                     "a scenario cell panicked while executing".into(),
                 ))
             });
+            // The cell's compute is done; the reduce below is not compute.
+            drop(permit);
             let complete = {
                 let mut pending = pending.lock().unwrap_or_else(PoisonError::into_inner);
                 let done = pending

@@ -372,3 +372,75 @@ fn rendered_transcript_matches_local_rendering() {
     assert!(remote_text.contains("μ="));
     handle.stop();
 }
+
+/// The `sessions` admin counters of the shared cell cache: `(hits, misses)`.
+fn cell_cache_counters(client: &mut Client) -> (u64, u64) {
+    match client.command("admin", "sessions") {
+        Response::SessionList(view) => (view.cell_cache_hits, view.cell_cache_misses),
+        other => panic!("expected SessionList, got {other:?}"),
+    }
+}
+
+/// Sets a session up and runs one `quantify`, returning its panel view.
+fn quantify_in(client: &mut Client, session: &str) -> fairank_session::response::PanelView {
+    client.command(session, "generate pop biased n=300 seed=4");
+    client.command(session, "define f rating*0.7+language_test*0.3");
+    match client.command(session, "quantify pop f agg=max bins=8") {
+        Response::PanelCreated(view) => view,
+        other => panic!("expected PanelCreated, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_repeated_quantify_in_another_session_is_served_from_the_cell_cache() {
+    let handle = start_server_with(ServerConfig {
+        admin: true,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&handle);
+    let before = cell_cache_counters(&mut client);
+    let computed = quantify_in(&mut client, "first");
+    let after_compute = cell_cache_counters(&mut client);
+    let served = quantify_in(&mut client, "second");
+    let after_serve = cell_cache_counters(&mut client);
+
+    assert!(!computed.from_cache);
+    assert!(served.from_cache, "the second session's quantify must hit");
+    assert_eq!(
+        after_compute,
+        (before.0, before.1 + 1),
+        "the first quantify misses once"
+    );
+    assert_eq!(
+        after_serve,
+        (after_compute.0 + 1, after_compute.1),
+        "the second hits once"
+    );
+    // Everything but the flag and the wall-clock is bit-identical, nodes
+    // included (f64 fields compared by bit pattern).
+    let mut expected = computed.clone();
+    (expected.from_cache, expected.elapsed_us) = (true, served.elapsed_us);
+    assert_eq!(served, expected);
+    assert_eq!(served.unfairness.to_bits(), computed.unfairness.to_bits());
+    for (s, c) in served.nodes.iter().zip(&computed.nodes) {
+        let bits = |n: &fairank_session::response::NodeView| {
+            [n.mean_score, n.min_score, n.max_score].map(f64::to_bits)
+        };
+        assert_eq!(bits(s), bits(c));
+        assert_eq!(
+            s.divergence_vs_siblings.map(f64::to_bits),
+            c.divergence_vs_siblings.map(f64::to_bits)
+        );
+    }
+    handle.stop();
+
+    // With the cache disabled the same requests compute every time.
+    let handle = start_server_with(ServerConfig {
+        cell_cache_cap: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&handle);
+    assert!(!quantify_in(&mut client, "first").from_cache);
+    assert!(!quantify_in(&mut client, "second").from_cache);
+    handle.stop();
+}

@@ -4,7 +4,10 @@
 //! (pinned since the plan layer landed, under both EMD metrics), and the dataset store gives those inputs a stable content
 //! identity — so a cell's outcome can be memoized under its
 //! [`CellKey`] and served to every session and connection asking the same
-//! question, bitwise-identical to a fresh compute.
+//! question, bitwise-identical to a fresh compute. `quantify` is a
+//! one-cell grid plan, so a repeated `quantify` is served from here too.
+//! Registry sessions share one cache; [`crate::Session::new`] has a
+//! disabled one.
 //!
 //! The cache is:
 //!
@@ -97,9 +100,10 @@ pub struct CellCache {
     evictions: AtomicU64,
 }
 
+/// A disabled cache: a session not handed a shared one computes every cell.
 impl Default for CellCache {
     fn default() -> Self {
-        CellCache::new(CellCache::DEFAULT_CAP)
+        CellCache::new(0)
     }
 }
 
@@ -124,11 +128,6 @@ impl CellCache {
     /// Whether caching is enabled.
     pub fn enabled(&self) -> bool {
         self.cap > 0
-    }
-
-    /// The configured ready-entry bound.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
@@ -258,11 +257,6 @@ pub struct ComputeGuard<'a> {
 }
 
 impl ComputeGuard<'_> {
-    /// The key this guard is computing.
-    pub fn key(&self) -> CellKey {
-        self.key
-    }
-
     /// Publishes the computed result and wakes waiters.
     pub fn complete(mut self, value: Arc<CachedCell>) {
         self.completed = true;

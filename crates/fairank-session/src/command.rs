@@ -937,10 +937,11 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
         Command::Open { dir } => {
             // Load through the *current* session's store so a reopened
             // session keeps deduping against datasets the registry (or a
-            // prior save in this process) already holds.
+            // prior save in this process) already holds, and keep its
+            // marketplace memo and cell cache.
             let mut loaded =
                 crate::persist::load_session_with_store(&dir, session.store().clone())?;
-            loaded.set_markets(Arc::clone(session.markets()));
+            loaded.share_caches_of(session);
             let datasets = loaded.dataset_names().len();
             let functions = loaded.function_names().len();
             *session = loaded;
@@ -1525,6 +1526,32 @@ mod tests {
         let opened = run(&mut fresh, &format!("open {}", dir.display()));
         assert!(opened.contains("1 dataset(s), 1 function(s)"));
         assert!(run(&mut fresh, "quantify pop f").contains("panel #0"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reopened_session_keeps_its_shared_cell_cache() {
+        let dir = std::env::temp_dir().join("fairank_cmd_reopen_cache");
+        std::fs::remove_dir_all(&dir).ok();
+        let cells = Arc::new(crate::CellCache::new(8));
+        let shared = || Session::with_shared(Arc::default(), Arc::default(), Arc::clone(&cells));
+        let mut first = shared();
+        run(&mut first, "generate pop biased n=60 seed=2");
+        run(&mut first, "define f rating*1.0");
+        run(&mut first, "quantify pop f");
+        run(&mut first, &format!("save {}", dir.display()));
+        let mut reopened = shared();
+        run(&mut reopened, &format!("open {}", dir.display()));
+        assert!(Arc::ptr_eq(reopened.cell_cache(), &cells));
+        let reply = apply(&mut reopened, Command::parse("quantify pop f").unwrap()).unwrap();
+        let Response::PanelCreated(view) = reply else {
+            panic!("expected PanelCreated, got {reply:?}");
+        };
+        assert!(
+            view.from_cache,
+            "the reopened session's quantify must hit the shared cache"
+        );
+        assert_eq!((cells.stats().misses, cells.stats().hits), (1, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -56,13 +56,12 @@ pub struct PanelExport {
 
 /// Builds the export representation of a panel.
 pub fn export_panel(panel: &Panel) -> Result<PanelExport> {
-    let tree = &panel.outcome.tree;
-    let mut nodes = Vec::with_capacity(tree.len());
-    for id in 0..tree.len() {
-        let stats = panel.node_stats(id)?;
-        nodes.push(ExportNode {
-            id,
-            parent: tree.node(id).parent,
+    let nodes = panel
+        .all_node_stats()
+        .into_iter()
+        .map(|stats| ExportNode {
+            id: stats.node,
+            parent: panel.outcome.tree.node(stats.node).parent,
             label: stats.label,
             size: stats.size,
             mean_score: stats.mean_score,
@@ -70,8 +69,8 @@ pub fn export_panel(panel: &Panel) -> Result<PanelExport> {
             split_attribute: stats.split_attribute,
             is_leaf: stats.is_leaf,
             divergence_vs_siblings: stats.divergence_vs_siblings,
-        });
-    }
+        })
+        .collect();
     Ok(PanelExport {
         id: panel.id,
         config: panel.config.describe(),

@@ -212,8 +212,10 @@ mod tests {
     fn sessions_sharing_a_memo_build_each_market_once() {
         let store = Arc::new(fairank_data::DatasetStore::new());
         let markets = Arc::new(MarketCache::new());
-        let mut a = crate::Session::with_shared(Arc::clone(&store), Arc::clone(&markets));
-        let mut b = crate::Session::with_shared(Arc::clone(&store), Arc::clone(&markets));
+        let shared = || {
+            crate::Session::with_shared(Arc::clone(&store), Arc::clone(&markets), Arc::default())
+        };
+        let (mut a, mut b) = (shared(), shared());
         let from_a = stream_reply(&mut a, 5);
         let from_b = stream_reply(&mut b, 5);
         let stats = markets.stats();

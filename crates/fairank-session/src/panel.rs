@@ -6,6 +6,7 @@
 
 use fairank_core::fairness::FairnessCriterion;
 use fairank_core::histogram::Histogram;
+use fairank_core::pairwise::cross_distances;
 use fairank_core::quantify::QuantifyOutcome;
 use fairank_core::space::RankingSpace;
 
@@ -175,13 +176,59 @@ impl Panel {
         })
     }
 
+    /// The *Node* box of every tree node, by id, in one pass: each
+    /// histogram is built once and serves every sibling divergence, which
+    /// makes the same EMD and aggregator calls as
+    /// [`FairnessCriterion::versus`] — so each entry is bit-identical to
+    /// [`Panel::node_stats`] for its node.
+    pub fn all_node_stats(&self) -> Vec<NodeStats> {
+        let (nodes, criterion, scores) = (
+            self.outcome.tree.nodes(),
+            self.criterion(),
+            self.space.scores(),
+        );
+        let hists: Vec<Histogram> = nodes
+            .iter()
+            .map(|n| criterion.histogram(&n.partition, scores))
+            .collect();
+        let divergence = |node: usize, parent: usize| {
+            let siblings = nodes[parent].children.iter().filter(|&&c| c != node);
+            let siblings: Vec<Histogram> = siblings.map(|&c| hists[c].clone()).collect();
+            let distances = cross_distances(&hists[node..=node], &siblings, &criterion.emd);
+            distances.map_or(0.0, |d| criterion.aggregator.apply(&d))
+        };
+        let name = |attr: usize| self.space.attribute(attr).map(|a| a.name.clone());
+        let stats = nodes.iter().enumerate().map(|(node, tree_node)| {
+            let partition = &tree_node.partition;
+            let (min, max, sum) = partition.scores(scores).fold(
+                (f64::INFINITY, f64::NEG_INFINITY, 0.0),
+                |(min, max, sum), s| (min.min(s), max.max(s), sum + s),
+            );
+            let or_zero = |v: f64| if partition.is_empty() { 0.0 } else { v };
+            NodeStats {
+                node,
+                label: partition.label(&self.space),
+                size: partition.len(),
+                mean_score: or_zero(sum / partition.len() as f64),
+                min_score: or_zero(min),
+                max_score: or_zero(max),
+                histogram: hists[node].clone(),
+                is_leaf: tree_node.children.is_empty(),
+                split_attribute: tree_node.split_attr.and_then(name),
+                divergence_vs_siblings: tree_node.parent.map(|p| divergence(node, p)),
+            }
+        });
+        stats.collect()
+    }
+
     /// Node stats for every leaf (final partition), in tree order.
     pub fn leaf_stats(&self) -> Vec<NodeStats> {
+        let mut all: Vec<Option<NodeStats>> = self.all_node_stats().into_iter().map(Some).collect();
         self.outcome
             .tree
             .leaf_ids()
             .into_iter()
-            .map(|id| self.node_stats(id).expect("leaf ids are valid"))
+            .filter_map(|id| all[id].take())
             .collect()
     }
 }

@@ -36,7 +36,7 @@ use fairank_core::plan::{CellKey, CellOutcome, SearchStrategy};
 use fairank_core::scoring::{LinearScoring, ScoreSource};
 use fairank_core::space::RankingSpace;
 use fairank_core::subgroup::{least_favored, most_favored, subgroup_stats};
-use fairank_core::quantify::Quantify;
+use fairank_core::quantify::{Quantify, SearchStats};
 use fairank_data::dataset::Dataset;
 use fairank_data::filter::Filter;
 use fairank_marketplace::stream::{StreamConfig, StreamOutcome, StreamScenario};
@@ -321,10 +321,12 @@ pub struct Cell {
     /// [`Plan::with_run_budget`] (or a session-backed run) stamps the
     /// request's deadline and cancel tokens.
     budget: RunBudget,
-    /// Content-addressed identity for memoization, when the cell's inputs
-    /// have one (grid panel cells over stored datasets). `None` for cells
-    /// over mutable or derived inputs — those always execute.
-    cache_key: Option<CellKey>,
+    /// Content-addressed identity for memoization plus the cell cache it
+    /// is claimed in, when the cell's inputs have one (panel cells over
+    /// stored datasets, stamped with the compiling session's cache).
+    /// `None` for cells over mutable or derived inputs — those always
+    /// compute.
+    cache: Option<(CellKey, Arc<CellCache>)>,
 }
 
 #[derive(Debug)]
@@ -417,6 +419,33 @@ pub struct CellStat {
     pub unfairness: Option<f64>,
 }
 
+impl CellStat {
+    /// The stat line of a cell that ran a search: its label, wall-clock,
+    /// engine counters and measured unfairness. The cache counters start
+    /// at 0; the cache path sets them.
+    fn searched(
+        label: String,
+        elapsed: std::time::Duration,
+        stats: &SearchStats,
+        unfairness: f64,
+    ) -> CellStat {
+        CellStat {
+            label,
+            elapsed_us: elapsed_us(elapsed),
+            nodes_evaluated: stats.nodes_evaluated,
+            candidate_splits: stats.candidate_splits,
+            histograms_built: stats.histograms_built,
+            emd_calls: stats.emd_calls,
+            emd_cache_hits: stats.emd_cache_hits,
+            pairwise_batches: stats.pairwise_batches,
+            delta_reused_histograms: stats.delta_reused_histograms,
+            delta_invalidated_emds: stats.delta_invalidated_emds,
+            unfairness: Some(unfairness),
+            ..CellStat::default()
+        }
+    }
+}
+
 /// The result of one executed cell: its stat line plus the payload the
 /// reduce step assembles.
 #[derive(Debug)]
@@ -477,20 +506,24 @@ impl Cell {
         self.index
     }
 
-    /// Executes the cell, consulting the cross-session cell cache first.
-    /// A hit serves the memoized outcome (bitwise-identical to a fresh
-    /// compute, by cell determinism) without running the search; a miss
-    /// computes under single-flight (concurrent claimants of the same key
-    /// wait for this compute instead of duplicating it) and publishes the
-    /// result. Cells without a content identity — and all cells when the
-    /// cache is disabled — just execute.
-    pub fn execute_cached(self, cache: &CellCache) -> Result<CellResult> {
-        let Some(key) = self.cache_key else {
-            return self.execute();
+    /// Executes the cell. Self-contained and deterministic: the result
+    /// depends only on the compiled inputs, never on execution order.
+    ///
+    /// A cell with a content identity is claimed in the cell cache stamped
+    /// into it at compile time. A hit serves the memoized outcome
+    /// (bitwise-identical to a fresh compute, by cell determinism) without
+    /// running the search; a miss computes under single-flight (concurrent
+    /// claimants of the same key wait for this compute instead of
+    /// duplicating it) and publishes the result. Cells without a content
+    /// identity — and all cells when the cache is disabled — just compute.
+    pub fn execute(mut self) -> Result<CellResult> {
+        let Some((key, cache)) = self.cache.take() else {
+            return self.compute();
         };
         let started = Instant::now();
-        match cache.claim(key) {
-            Claim::Bypass => self.execute(),
+        let claim = cache.claim(key);
+        match claim {
+            Claim::Bypass => self.compute(),
             Claim::Hit(cached) => {
                 let Cell {
                     index, label, work, ..
@@ -522,7 +555,7 @@ impl Cell {
             Claim::Miss(guard) => {
                 // An Err drops the guard uncompleted, aborting the flight
                 // so waiters retry — a failed compute never wedges a key.
-                let mut result = self.execute()?;
+                let mut result = self.compute()?;
                 if let CellPayload::Panel { outcome, .. } = &result.payload {
                     let mut stat = result.stat.clone();
                     stat.cache_hits = 0;
@@ -538,15 +571,14 @@ impl Cell {
         }
     }
 
-    /// Executes the cell. Self-contained and deterministic: the result
-    /// depends only on the compiled inputs, never on execution order.
-    pub fn execute(self) -> Result<CellResult> {
+    /// Runs the cell's work, without the cache.
+    fn compute(self) -> Result<CellResult> {
         let Cell {
             index,
             label,
             work,
             budget,
-            cache_key: _,
+            cache: _,
         } = self;
         match work {
             CellWork::Panel {
@@ -557,21 +589,12 @@ impl Cell {
                 let outcome = strategy.run_budgeted(config.criterion, &space, &budget)?;
                 Ok(CellResult {
                     index,
-                    stat: CellStat {
+                    stat: CellStat::searched(
                         label,
-                        elapsed_us: elapsed_us(outcome.elapsed),
-                        nodes_evaluated: outcome.stats.nodes_evaluated,
-                        candidate_splits: outcome.stats.candidate_splits,
-                        histograms_built: outcome.stats.histograms_built,
-                        emd_calls: outcome.stats.emd_calls,
-                        emd_cache_hits: outcome.stats.emd_cache_hits,
-                        pairwise_batches: outcome.stats.pairwise_batches,
-                        delta_reused_histograms: outcome.stats.delta_reused_histograms,
-                        delta_invalidated_emds: outcome.stats.delta_invalidated_emds,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        unfairness: Some(outcome.unfairness),
-                    },
+                        outcome.elapsed,
+                        &outcome.stats,
+                        outcome.unfairness,
+                    ),
                     payload: CellPayload::Panel {
                         config: Box::new(config),
                         space: Box::new(space),
@@ -605,21 +628,12 @@ impl Cell {
                 };
                 Ok(CellResult {
                     index,
-                    stat: CellStat {
+                    stat: CellStat::searched(
                         label,
-                        elapsed_us: elapsed_us(outcome.elapsed),
-                        nodes_evaluated: outcome.stats.nodes_evaluated,
-                        candidate_splits: outcome.stats.candidate_splits,
-                        histograms_built: outcome.stats.histograms_built,
-                        emd_calls: outcome.stats.emd_calls,
-                        emd_cache_hits: outcome.stats.emd_cache_hits,
-                        pairwise_batches: outcome.stats.pairwise_batches,
-                        delta_reused_histograms: outcome.stats.delta_reused_histograms,
-                        delta_invalidated_emds: outcome.stats.delta_invalidated_emds,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        unfairness: Some(outcome.unfairness),
-                    },
+                        outcome.elapsed,
+                        &outcome.stats,
+                        outcome.unfairness,
+                    ),
                     payload: CellPayload::AuditRow { criterion_idx, row },
                 })
             }
@@ -640,21 +654,12 @@ impl Cell {
                 };
                 Ok(CellResult {
                     index,
-                    stat: CellStat {
+                    stat: CellStat::searched(
                         label,
-                        elapsed_us: elapsed_us(outcome.elapsed),
-                        nodes_evaluated: outcome.stats.nodes_evaluated,
-                        candidate_splits: outcome.stats.candidate_splits,
-                        histograms_built: outcome.stats.histograms_built,
-                        emd_calls: outcome.stats.emd_calls,
-                        emd_cache_hits: outcome.stats.emd_cache_hits,
-                        pairwise_batches: outcome.stats.pairwise_batches,
-                        delta_reused_histograms: outcome.stats.delta_reused_histograms,
-                        delta_invalidated_emds: outcome.stats.delta_invalidated_emds,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        unfairness: Some(outcome.unfairness),
-                    },
+                        outcome.elapsed,
+                        &outcome.stats,
+                        outcome.unfairness,
+                    ),
                     payload: CellPayload::Variant { criterion_idx, row },
                 })
             }
@@ -710,17 +715,7 @@ impl Cell {
                     stat: CellStat {
                         label,
                         elapsed_us: elapsed_us(start.elapsed()),
-                        nodes_evaluated: 0,
-                        candidate_splits: 0,
-                        histograms_built: 0,
-                        emd_calls: 0,
-                        emd_cache_hits: 0,
-                        pairwise_batches: 0,
-                        delta_reused_histograms: 0,
-                        delta_invalidated_emds: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        unfairness: None,
+                        ..CellStat::default()
                     },
                     payload: CellPayload::EndUserRow { group_idx, row },
                 })
@@ -759,17 +754,12 @@ impl Cell {
                     stat: CellStat {
                         label,
                         elapsed_us: elapsed_us(start.elapsed()),
-                        nodes_evaluated: 0,
-                        candidate_splits: 0,
                         histograms_built,
                         emd_calls,
-                        emd_cache_hits: 0,
-                        pairwise_batches: 0,
                         delta_reused_histograms: reused,
                         delta_invalidated_emds: invalidated,
-                        cache_hits: 0,
-                        cache_misses: 0,
                         unfairness,
+                        ..CellStat::default()
                     },
                     payload: CellPayload::Stream {
                         criterion_idx,
@@ -1084,10 +1074,10 @@ impl Plan {
             // source (never just a function's session-local name), the
             // filter, the range-fitted criterion and the strategy —
             // combined with the dataset's content fingerprint.
-            let cache_key = Some(CellKey::new(
+            let key = CellKey::new(
                 handle.fingerprint(),
                 &panel_spec_bytes(&source, &config.filter, &config.criterion, &strategy)?,
-            ));
+            );
             cells.push(Cell {
                 index,
                 label: config.describe(),
@@ -1097,7 +1087,7 @@ impl Plan {
                     strategy,
                 },
                 budget: RunBudget::unlimited(),
-                cache_key,
+                cache: Some((key, Arc::clone(session.cell_cache()))),
             });
         }
         Ok(Plan {
@@ -1141,7 +1131,7 @@ impl Plan {
                         min_subgroup,
                     },
                     budget: RunBudget::unlimited(),
-                    cache_key: None,
+                    cache: None,
                 });
             }
         }
@@ -1200,7 +1190,7 @@ impl Plan {
                         strategy,
                     },
                     budget: RunBudget::unlimited(),
-                    cache_key: None,
+                    cache: None,
                 });
             }
         }
@@ -1246,7 +1236,7 @@ impl Plan {
                         group_size: group_rows.len(),
                     },
                     budget: RunBudget::unlimited(),
-                    cache_key: None,
+                    cache: None,
                 });
             }
         }
@@ -1309,7 +1299,7 @@ impl Plan {
                     config,
                 },
                 budget: RunBudget::unlimited(),
-                cache_key: None,
+                cache: None,
             });
         }
         Ok(Plan {
@@ -1329,6 +1319,15 @@ impl Plan {
     pub fn with_run_budget(mut self, budget: &RunBudget) -> Plan {
         for cell in &mut self.cells {
             cell.budget = budget.clone();
+        }
+        self
+    }
+
+    /// Routes every cacheable cell through `cache` instead of the cell
+    /// cache of the session the plan compiled against.
+    pub fn with_cell_cache(mut self, cache: &Arc<CellCache>) -> Plan {
+        for (_, cell_cache) in self.cells.iter_mut().filter_map(|c| c.cache.as_mut()) {
+            *cell_cache = Arc::clone(cache);
         }
         self
     }

@@ -19,8 +19,7 @@ pub fn sparkline(hist: &Histogram) -> String {
 
 /// Renders the panel's partitioning tree.
 pub fn render_tree(panel: &Panel) -> String {
-    let nodes = node_views(panel).expect("panel tree nodes are valid");
-    present::render_tree_view(&nodes)
+    present::render_tree_view(&node_views(panel))
 }
 
 /// Renders the *General* box of a panel, including the evaluation engine's

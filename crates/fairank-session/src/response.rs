@@ -147,7 +147,7 @@ impl PanelView {
     /// Builds the full wire view of a panel (general info + all nodes).
     pub fn from_panel(panel: &Panel) -> crate::error::Result<Self> {
         let mut view = Self::general_only(panel);
-        view.nodes = node_views(panel)?;
+        view.nodes = node_views(panel);
         Ok(view)
     }
 
@@ -177,20 +177,17 @@ impl PanelView {
     }
 }
 
-/// Wire views of every node of a panel's tree, root first.
-pub fn node_views(panel: &Panel) -> crate::error::Result<Vec<NodeView>> {
+/// Wire views of every node of a panel's tree, root first, in one pass.
+pub fn node_views(panel: &Panel) -> Vec<NodeView> {
     let tree = &panel.outcome.tree;
-    let mut nodes = Vec::with_capacity(tree.len());
-    for id in 0..tree.len() {
-        let stats = panel.node_stats(id)?;
-        let tree_node = tree.node(id);
-        nodes.push(NodeView::from_stats(
-            stats,
-            tree_node.parent,
-            tree_node.children.clone(),
-        ));
-    }
-    Ok(nodes)
+    panel
+        .all_node_stats()
+        .into_iter()
+        .map(|stats| {
+            let tree_node = tree.node(stats.node);
+            NodeView::from_stats(stats, tree_node.parent, tree_node.children.clone())
+        })
+        .collect()
 }
 
 /// Side-by-side comparison of two panels (the `compare` command).

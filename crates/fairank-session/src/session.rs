@@ -12,14 +12,14 @@ use std::sync::Arc;
 
 use fairank_anonymize::{datafly, mondrian, DataflyConfig, MondrianConfig};
 use fairank_core::cancel::RunBudget;
-use fairank_core::quantify::Quantify;
-use fairank_core::scoring::{LinearScoring, ScoreSource};
+use fairank_core::scoring::LinearScoring;
 use fairank_data::dataset::Dataset;
 use fairank_data::filter::Filter;
 use fairank_data::schema::AttributeRole;
 use fairank_data::store::{DatasetHandle, DatasetStore};
 
-use crate::config::{Configuration, ScoringChoice};
+use crate::cellcache::CellCache;
+use crate::config::Configuration;
 use crate::error::{Result, SessionError};
 use crate::market::MarketCache;
 use crate::panel::Panel;
@@ -54,6 +54,9 @@ pub struct Session {
     /// The marketplace memo the preset commands look markets up in,
     /// shared like the store.
     markets: Arc<MarketCache>,
+    /// The cell cache every `quantify` and grid cell runs through, shared
+    /// like the store; disabled unless [`Session::with_shared`] hands one.
+    cells: Arc<CellCache>,
     /// Cooperative cancellation scope every search run by this session
     /// honors. Unlimited by default; the service installs a per-request
     /// deadline + cancel tokens before dispatching a command.
@@ -61,7 +64,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// An empty session with a private dataset store.
+    /// An empty session with a private dataset store and a disabled cell
+    /// cache.
     pub fn new() -> Self {
         Session::default()
     }
@@ -76,13 +80,19 @@ impl Session {
         }
     }
 
-    /// An empty session interning datasets into `store` and looking
-    /// marketplaces up in `markets` — how the service registry makes N
-    /// sessions share one dataset store and one marketplace memo.
-    pub fn with_shared(store: Arc<DatasetStore>, markets: Arc<MarketCache>) -> Self {
+    /// An empty session interning datasets into `store`, looking
+    /// marketplaces up in `markets` and running panel cells through
+    /// `cells` — how the service registry makes N sessions share one
+    /// dataset store, one marketplace memo and one cell cache.
+    pub fn with_shared(
+        store: Arc<DatasetStore>,
+        markets: Arc<MarketCache>,
+        cells: Arc<CellCache>,
+    ) -> Self {
         Session {
             store,
             markets,
+            cells,
             ..Session::default()
         }
     }
@@ -97,10 +107,16 @@ impl Session {
         &self.markets
     }
 
-    /// Replaces the marketplace memo (a reopened session keeps the one it
-    /// replaced).
-    pub(crate) fn set_markets(&mut self, markets: Arc<MarketCache>) {
-        self.markets = markets;
+    /// The cell cache this session's panel cells run through.
+    pub fn cell_cache(&self) -> &Arc<CellCache> {
+        &self.cells
+    }
+
+    /// Takes over `other`'s marketplace memo and cell cache (a reopened
+    /// session keeps the ones of the session it replaces).
+    pub(crate) fn share_caches_of(&mut self, other: &Session) {
+        self.markets = Arc::clone(&other.markets);
+        self.cells = Arc::clone(&other.cells);
     }
 
     /// Installs the cancellation scope (deadline and/or cancel tokens)
@@ -249,37 +265,16 @@ impl Session {
     /// Runs a configuration and appends the resulting panel. Returns the
     /// new panel's id.
     ///
-    /// The criterion's histogram range is fitted to the observed score
-    /// range first ("equal bins over the range of f"), so scoring functions
-    /// outside `[0, 1]` no longer saturate the edge bins; the fitted
-    /// criterion is stored in the panel's configuration so node statistics
-    /// and renderings use the same bins the search did.
-    pub fn quantify(&mut self, mut config: Configuration) -> Result<usize> {
-        let handle = self.dataset_handle(&config.dataset)?;
-        let source = match &config.scoring {
-            ScoringChoice::Named(name) => ScoreSource::Function(self.function(name)?.clone()),
-            ScoringChoice::Inline(source) => source.clone(),
-        };
-        // Unfiltered runs read the shared columns directly — no copy of
-        // the dataset is made; only a filter materializes a working set.
-        let space = if config.filter.is_empty() {
-            handle.dataset().to_space(&source)?
-        } else {
-            handle.dataset().filter(&config.filter)?.to_space(&source)?
-        };
-        config.criterion = config.criterion.fit_range(&space);
-        let outcome = Quantify::new(config.criterion)
-            .with_run_budget(self.run_budget.clone())
-            .run_space(&space)?;
-        let id = self.panels.len();
-        self.panels.push(Panel {
-            id,
-            config,
-            space,
-            outcome,
-            from_cache: false,
-        });
-        Ok(id)
+    /// This is a one-configuration [`Session::quantify_grid`]: the
+    /// configuration compiles into one grid plan cell, which runs through
+    /// this session's cell cache, so a repeated `quantify` on a shared
+    /// cache is served without searching again (`from_cache`). The
+    /// criterion's histogram range is fitted to the observed score range
+    /// first ("equal bins over the range of f"), and the fitted criterion
+    /// is stored in the panel's configuration so node statistics and
+    /// renderings use the same bins the search did.
+    pub fn quantify(&mut self, config: Configuration) -> Result<usize> {
+        Ok(self.quantify_grid(vec![config])?[0])
     }
 
     /// Appends an already-executed quantification as a panel — the commit
@@ -363,6 +358,7 @@ impl Session {
 mod tests {
     use super::*;
     use fairank_core::fairness::{Aggregator, FairnessCriterion, Objective};
+    use fairank_core::quantify::Quantify;
     use fairank_data::paper;
 
     fn session_with_table1() -> Session {
@@ -557,6 +553,19 @@ mod tests {
         drop(s1);
         drop(s2);
         assert_eq!(store.stats().datasets, 0);
+    }
+
+    #[test]
+    fn a_private_session_never_serves_quantify_from_cache() {
+        let mut s = session_with_table1();
+        let a = s.quantify(Configuration::new("table1", "paper-f")).unwrap();
+        let b = s.quantify(Configuration::new("table1", "paper-f")).unwrap();
+        assert!(!s.panel(a).unwrap().from_cache);
+        assert!(
+            !s.panel(b).unwrap().from_cache,
+            "Session::new() has a disabled cache"
+        );
+        assert_eq!(s.cell_cache().stats(), Default::default());
     }
 
     #[test]

@@ -50,16 +50,12 @@ fn grid_spec(backend: EmdBackendKind) -> ScenarioSpec {
 fn run_cached(
     session: &mut Session,
     spec: &ScenarioSpec,
-    cache: &CellCache,
+    cache: &Arc<CellCache>,
 ) -> ScenarioReport {
     plan::compile(session, spec)
         .unwrap()
-        .execute_with(|cells| {
-            cells
-                .into_iter()
-                .map(|cell| cell.execute_cached(cache))
-                .collect()
-        })
+        .with_cell_cache(cache)
+        .execute_with(plan::run_cells_sequential)
         .finish(Some(session))
         .unwrap()
 }
@@ -105,12 +101,12 @@ fn assert_bitwise_identical(fresh: &ScenarioReport, cached: &ScenarioReport) {
 fn cached_reruns_are_bitwise_identical_under_every_emd_backend() {
     for backend in EmdBackendKind::all() {
         let store = Arc::new(DatasetStore::new());
-        let cache = CellCache::new(64);
+        let cache = Arc::new(CellCache::new(64));
         let spec = grid_spec(backend);
 
         // Oracle: the same grid with the cache disabled — pure computes.
         let mut fresh_session = seeded_session(Arc::clone(&store));
-        let fresh = run_cached(&mut fresh_session, &spec, &CellCache::new(0));
+        let fresh = run_cached(&mut fresh_session, &spec, &Arc::new(CellCache::new(0)));
 
         // First cached run populates; second run (new session, same
         // content) is served entirely from the cache.
@@ -142,7 +138,7 @@ fn distinct_backends_occupy_distinct_cache_keys() {
     // never be served a memoized 1d outcome, even over the same dataset,
     // function and criterion shape.
     let store = Arc::new(DatasetStore::new());
-    let cache = CellCache::new(64);
+    let cache = Arc::new(CellCache::new(64));
     let mut session = seeded_session(Arc::clone(&store));
     run_cached(&mut session, &grid_spec(EmdBackendKind::OneD), &cache);
     let report = run_cached(&mut session, &grid_spec(EmdBackendKind::Transport), &cache);
@@ -158,7 +154,7 @@ fn retired_backend_names_share_the_one_d_cache_key() {
     // `kernel` is an alias of `1d`, not a metric of its own: a cell
     // computed under it serves the same grid spelled `emd=1d`.
     let store = Arc::new(DatasetStore::new());
-    let cache = CellCache::new(64);
+    let cache = Arc::new(CellCache::new(64));
     let mut session = seeded_session(Arc::clone(&store));
     let grid = |emd: &str| {
         let line = format!("scenario grid pop f emd={emd}");
@@ -181,7 +177,7 @@ fn eviction_forces_a_recompute_that_still_matches() {
     let store = Arc::new(DatasetStore::new());
     // Cap 2 under an 8-cell grid: entries churn through the LRU on every
     // run, so the rerun recomputes most cells instead of being served.
-    let cache = CellCache::new(2);
+    let cache = Arc::new(CellCache::new(2));
     let spec = grid_spec(EmdBackendKind::OneD);
 
     let mut first_session = seeded_session(Arc::clone(&store));
