@@ -32,12 +32,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use fairank_core::plan::{CellKey, CellOutcome};
 
+use crate::panel::NodeMemo;
 use crate::plan::CellStat;
 
-/// The memoized result of one plan cell: the outcome plus the engine
-/// counters the original compute reported. The resolved space is *not*
-/// stored — on a hit the claiming cell already owns a content-identical
-/// compiled space, so entries stay tree-sized.
+/// The memoized result of one plan cell: the outcome, the engine
+/// counters the original compute reported, and the tree's node boxes once
+/// a panel has read them. The resolved space is not stored: the claiming
+/// cell already holds its session's shared, content-identical space (see
+/// [`crate::Session`]), so entries stay tree-sized.
 #[derive(Debug)]
 pub struct CachedCell {
     /// The cell outcome, bitwise-identical to a fresh compute.
@@ -45,6 +47,9 @@ pub struct CachedCell {
     /// The stat line of the original compute (cache counters zeroed; the
     /// serving side stamps its own label, wall-clock and hit flag).
     pub stat: CellStat,
+    /// The outcome tree's node boxes, shared with every panel made from
+    /// this entry: the first full-tree read fills it, later panels read it.
+    pub node_memo: NodeMemo,
 }
 
 /// Point-in-time cache statistics.
@@ -306,6 +311,7 @@ mod tests {
                 cache_misses: 0,
                 unfairness: Some(unfairness),
             },
+            node_memo: NodeMemo::default(),
         })
     }
 

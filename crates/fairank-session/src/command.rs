@@ -1019,10 +1019,10 @@ pub fn apply(session: &mut Session, command: Command) -> Result<Response> {
         )?)),
         Command::Node { panel, node } => {
             let p = session.panel(panel)?;
-            let stats = p.node_stats(node)?;
+            let stats = p.node(node)?;
             let tree_node = p.outcome.tree.node(node);
             Ok(Response::NodeDetail(NodeView::from_stats(
-                stats,
+                &stats,
                 tree_node.parent,
                 tree_node.children.clone(),
             )))

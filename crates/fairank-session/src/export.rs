@@ -57,16 +57,16 @@ pub struct PanelExport {
 /// Builds the export representation of a panel.
 pub fn export_panel(panel: &Panel) -> Result<PanelExport> {
     let nodes = panel
-        .all_node_stats()
-        .into_iter()
+        .nodes()
+        .iter()
         .map(|stats| ExportNode {
             id: stats.node,
             parent: panel.outcome.tree.node(stats.node).parent,
-            label: stats.label,
+            label: stats.label.clone(),
             size: stats.size,
             mean_score: stats.mean_score,
             histogram: stats.histogram.counts().to_vec(),
-            split_attribute: stats.split_attribute,
+            split_attribute: stats.split_attribute.clone(),
             is_leaf: stats.is_leaf,
             divergence_vs_siblings: stats.divergence_vs_siblings,
         })
@@ -112,9 +112,10 @@ mod tests {
         Panel {
             id: 3,
             config,
-            space,
+            space: space.into(),
             outcome,
             from_cache: false,
+            node_memo: Default::default(),
         }
     }
 

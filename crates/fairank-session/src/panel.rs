@@ -4,6 +4,8 @@
 //! space, and the `QUANTIFY` outcome. The *General box* statistics describe
 //! the whole tree; the *Node box* statistics describe one clicked node.
 
+use std::sync::{Arc, OnceLock};
+
 use fairank_core::fairness::FairnessCriterion;
 use fairank_core::histogram::Histogram;
 use fairank_core::pairwise::cross_distances;
@@ -77,6 +79,11 @@ pub struct NodeStats {
     pub divergence_vs_siblings: Option<f64>,
 }
 
+/// The *Node* box of every node of one tree, built at most once and
+/// shared by every holder of the same tree: a cell-cache entry and each
+/// panel served from or published to it.
+pub type NodeMemo = Arc<OnceLock<Vec<NodeStats>>>;
+
 /// One exploration panel.
 #[derive(Debug, Clone)]
 pub struct Panel {
@@ -84,13 +91,19 @@ pub struct Panel {
     pub id: usize,
     /// The configuration that produced this panel.
     pub config: Configuration,
-    /// The resolved ranking space (after filtering).
-    pub space: RankingSpace,
-    /// The quantification outcome.
+    /// The resolved ranking space (after filtering), shared with every
+    /// panel and plan cell of the session on the same dataset content,
+    /// score source and filter.
+    pub space: Arc<RankingSpace>,
+    /// The quantification outcome (the panel's own copy).
     pub outcome: QuantifyOutcome,
     /// Whether the outcome was served from the content-addressed cell
     /// cache (bitwise-identical to a fresh compute, but not recomputed).
     pub from_cache: bool,
+    /// The node boxes of the whole tree, filled by the first full-tree
+    /// read ([`Panel::nodes`]) and shared with the cell-cache entry the
+    /// outcome came from, if any.
+    pub node_memo: NodeMemo,
 }
 
 impl Panel {
@@ -221,15 +234,27 @@ impl Panel {
         stats.collect()
     }
 
+    /// The *Node* box of every tree node, by id: [`Panel::all_node_stats`]
+    /// on the first call for this tree, the memo afterwards.
+    pub fn nodes(&self) -> &[NodeStats] {
+        self.node_memo.get_or_init(|| self.all_node_stats())
+    }
+
+    /// The *Node* box for one node: read from the memo when the whole
+    /// tree has been built already, otherwise computed alone (so a first
+    /// click never pays for the whole tree).
+    pub fn node(&self, node: usize) -> Result<NodeStats> {
+        match self.node_memo.get().and_then(|nodes| nodes.get(node)) {
+            Some(stats) => Ok(stats.clone()),
+            None => self.node_stats(node),
+        }
+    }
+
     /// Node stats for every leaf (final partition), in tree order.
     pub fn leaf_stats(&self) -> Vec<NodeStats> {
-        let mut all: Vec<Option<NodeStats>> = self.all_node_stats().into_iter().map(Some).collect();
-        self.outcome
-            .tree
-            .leaf_ids()
-            .into_iter()
-            .filter_map(|id| all[id].take())
-            .collect()
+        let nodes = self.nodes();
+        let leaves = self.outcome.tree.leaf_ids().into_iter();
+        leaves.map(|id| nodes[id].clone()).collect()
     }
 }
 
@@ -249,9 +274,10 @@ mod tests {
         Panel {
             id: 1,
             config,
-            space,
+            space: Arc::new(space),
             outcome,
             from_cache: false,
+            node_memo: NodeMemo::default(),
         }
     }
 

@@ -46,6 +46,7 @@ use serde::{Deserialize, Serialize};
 use crate::cellcache::{CachedCell, CellCache, Claim};
 use crate::config::{Configuration, ScoringChoice};
 use crate::error::{Result, SessionError};
+use crate::panel::NodeMemo;
 use crate::report::{
     rebalanced_variant, AuditorJobRow, AuditorReport, EndUserJobRow, EndUserReport,
     JobOwnerReport, VariantRow,
@@ -335,7 +336,7 @@ enum CellWork {
     /// `quantify` strategy the outcome can be committed as a session panel.
     Panel {
         config: Configuration,
-        space: RankingSpace,
+        space: Arc<RankingSpace>,
         strategy: SearchStrategy,
     },
     /// An auditor cell: quantify one job's observed ranking and find its
@@ -458,11 +459,12 @@ pub struct CellResult {
 #[derive(Debug)]
 enum CellPayload {
     Panel {
-        // Boxed: a panel payload (configuration + resolved space + full
-        // outcome) dwarfs the row payloads of the other perspectives.
+        // Boxed: a panel payload (configuration + full outcome) dwarfs the
+        // row payloads of the other perspectives.
         config: Box<Configuration>,
-        space: Box<RankingSpace>,
+        space: Arc<RankingSpace>,
         outcome: Box<CellOutcome>,
+        node_memo: NodeMemo,
     },
     AuditRow {
         criterion_idx: usize,
@@ -536,7 +538,7 @@ impl Cell {
                 // The cell's own compiled config and space are
                 // content-identical to the original compute's (the key
                 // covers every input they derive from), so only the
-                // outcome comes from the cache.
+                // outcome and its node memo come from the cache.
                 let mut stat = cached.stat.clone();
                 stat.label = label;
                 stat.elapsed_us = elapsed_us(started.elapsed());
@@ -547,8 +549,9 @@ impl Cell {
                     stat,
                     payload: CellPayload::Panel {
                         config: Box::new(config),
-                        space: Box::new(space),
+                        space,
                         outcome: Box::new(cached.outcome.clone()),
+                        node_memo: Arc::clone(&cached.node_memo),
                     },
                 })
             }
@@ -556,13 +559,17 @@ impl Cell {
                 // An Err drops the guard uncompleted, aborting the flight
                 // so waiters retry — a failed compute never wedges a key.
                 let mut result = self.compute()?;
-                if let CellPayload::Panel { outcome, .. } = &result.payload {
+                if let CellPayload::Panel {
+                    outcome, node_memo, ..
+                } = &result.payload
+                {
                     let mut stat = result.stat.clone();
                     stat.cache_hits = 0;
                     stat.cache_misses = 0;
                     guard.complete(Arc::new(CachedCell {
                         outcome: (**outcome).clone(),
                         stat,
+                        node_memo: Arc::clone(node_memo),
                     }));
                 }
                 result.stat.cache_misses = 1;
@@ -597,8 +604,9 @@ impl Cell {
                     ),
                     payload: CellPayload::Panel {
                         config: Box::new(config),
-                        space: Box::new(space),
+                        space,
                         outcome: Box::new(outcome),
+                        node_memo: NodeMemo::default(),
                     },
                 })
             }
@@ -996,27 +1004,17 @@ pub(crate) fn observation_transparency(k: Option<usize>, ranking_only: bool) -> 
     }
 }
 
-/// Canonical byte serialization of a panel cell's resolved spec — the
-/// `spec` half of its [`CellKey`]. Every analysis-relevant input appears,
-/// length-prefixed: the resolved score source (concrete weights), the
-/// filter, the range-fitted criterion (objective, aggregator, bins,
+/// Extends a canonical byte serialization of a panel cell's resolved
+/// spec with JSON parts, each length-prefixed. The `spec` half of a
+/// panel cell's [`CellKey`] is `panel.v1` followed by every
+/// analysis-relevant input: the resolved score source (concrete weights)
+/// and the filter — the prefix a session shares the resolved space under
+/// — then the range-fitted criterion (objective, aggregator, bins,
 /// histogram range, EMD backend) and the search strategy. Serialization
 /// is serde-canonical (struct field order), so equal specs always
 /// produce equal bytes.
-fn panel_spec_bytes(
-    source: &ScoreSource,
-    filter: &Filter,
-    criterion: &FairnessCriterion,
-    strategy: &SearchStrategy,
-) -> Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"panel.v1");
-    for part in [
-        serde_json::to_string(source),
-        serde_json::to_string(filter),
-        serde_json::to_string(criterion),
-        serde_json::to_string(strategy),
-    ] {
+fn spec_bytes(mut bytes: Vec<u8>, parts: [serde_json::Result<String>; 2]) -> Result<Vec<u8>> {
+    for part in parts {
         let part = part.map_err(|e| SessionError::Json(e.to_string()))?;
         bytes.extend_from_slice(&(part.len() as u64).to_le_bytes());
         bytes.extend_from_slice(part.as_bytes());
@@ -1060,24 +1058,35 @@ impl Plan {
                 }
                 ScoringChoice::Inline(source) => source.clone(),
             };
-            // Unfiltered configs build their space straight off the shared
-            // columns — no per-cell copy of the dataset; only a filter
-            // materializes a working set.
-            let space = if config.filter.is_empty() {
-                handle.dataset().to_space(&source)?
-            } else {
-                handle.dataset().filter(&config.filter)?.to_space(&source)?
-            };
+            // Every config on the same dataset content, score source and
+            // filter shares one space, resolved only when the session
+            // holds none alive.
+            let space_bytes = spec_bytes(
+                b"panel.v1".to_vec(),
+                [serde_json::to_string(&source), serde_json::to_string(&config.filter)],
+            )?;
+            let space_key = CellKey::new(handle.fingerprint(), &space_bytes);
+            let space = session.shared_space(space_key, || {
+                // Unfiltered configs build their space straight off the
+                // shared columns — no copy of the dataset; only a filter
+                // materializes a working set.
+                Ok(if config.filter.is_empty() {
+                    handle.dataset().to_space(&source)?
+                } else {
+                    handle.dataset().filter(&config.filter)?.to_space(&source)?
+                })
+            })?;
             let mut config = config.clone();
             config.criterion = config.criterion.fit_range(&space);
             // The cache key hashes the *resolved* spec: the concrete score
             // source (never just a function's session-local name), the
             // filter, the range-fitted criterion and the strategy —
             // combined with the dataset's content fingerprint.
-            let key = CellKey::new(
-                handle.fingerprint(),
-                &panel_spec_bytes(&source, &config.filter, &config.criterion, &strategy)?,
-            );
+            let spec = [
+                serde_json::to_string(&config.criterion),
+                serde_json::to_string(&strategy),
+            ];
+            let key = CellKey::new(handle.fingerprint(), &spec_bytes(space_bytes, spec)?);
             cells.push(Cell {
                 index,
                 label: config.describe(),
@@ -1457,6 +1466,7 @@ impl ExecutedPlan {
                         config,
                         space,
                         outcome,
+                        node_memo,
                     } = result.payload
                     else {
                         return Err(SessionError::Internal(
@@ -1467,9 +1477,9 @@ impl ExecutedPlan {
                     let (unfairness, partitions) =
                         (outcome.unfairness, outcome.num_partitions);
                     let panel = match (&mut session, outcome.quantify) {
-                        (Some(session), Some(quantify)) => {
-                            Some(session.commit_panel(*config, *space, quantify, from_cache))
-                        }
+                        (Some(session), Some(quantify)) => Some(session.commit_panel(
+                            *config, space, quantify, from_cache, node_memo,
+                        )),
                         _ => None,
                     };
                     rows.push(GridRow {
@@ -1651,10 +1661,12 @@ pub fn run_cells_sequential(cells: Vec<Cell>) -> Vec<Result<CellResult>> {
 /// not spawn 384 concurrent searches). Panicking cells become `Internal`
 /// errors; the other cells still run.
 pub fn run_cells_scoped(cells: Vec<Cell>) -> Vec<Result<CellResult>> {
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(cells.len());
+    // One cell (every `quantify`) never asks for the core count, which
+    // reads cgroup files on Linux.
+    let workers = match cells.len() {
+        0 | 1 => 1,
+        n => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(n),
+    };
     if workers <= 1 {
         return run_cells_sequential(cells);
     }

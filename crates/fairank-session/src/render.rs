@@ -31,9 +31,9 @@ pub fn render_general(panel: &Panel) -> String {
 
 /// Renders the *Node* box for one node of a panel.
 pub fn render_node_box(panel: &Panel, node: usize) -> crate::error::Result<String> {
-    let stats = panel.node_stats(node)?;
+    let stats = panel.node(node)?;
     let tree_node = panel.outcome.tree.node(node);
-    let view = NodeView::from_stats(stats, tree_node.parent, tree_node.children.clone());
+    let view = NodeView::from_stats(&stats, tree_node.parent, tree_node.children.clone());
     Ok(present::render_node_view(&view))
 }
 
@@ -55,9 +55,10 @@ mod tests {
         Panel {
             id: 0,
             config,
-            space,
+            space: space.into(),
             outcome,
             from_cache: false,
+            node_memo: Default::default(),
         }
     }
 

@@ -81,19 +81,19 @@ pub struct NodeView {
 
 impl NodeView {
     /// Builds the wire view from in-session node statistics plus edges.
-    pub fn from_stats(stats: NodeStats, parent: Option<usize>, children: Vec<usize>) -> Self {
+    pub fn from_stats(stats: &NodeStats, parent: Option<usize>, children: Vec<usize>) -> Self {
         NodeView {
             node: stats.node,
             parent,
             children,
-            label: stats.label,
+            label: stats.label.clone(),
             size: stats.size,
             mean_score: stats.mean_score,
             min_score: stats.min_score,
             max_score: stats.max_score,
             histogram: stats.histogram.counts().to_vec(),
             is_leaf: stats.is_leaf,
-            split_attribute: stats.split_attribute,
+            split_attribute: stats.split_attribute.clone(),
             divergence_vs_siblings: stats.divergence_vs_siblings,
         }
     }
@@ -177,12 +177,13 @@ impl PanelView {
     }
 }
 
-/// Wire views of every node of a panel's tree, root first, in one pass.
+/// Wire views of every node of a panel's tree, root first, read from the
+/// panel's node memo (built in one pass the first time the tree is read).
 pub fn node_views(panel: &Panel) -> Vec<NodeView> {
     let tree = &panel.outcome.tree;
     panel
-        .all_node_stats()
-        .into_iter()
+        .nodes()
+        .iter()
         .map(|stats| {
             let tree_node = tree.node(stats.node);
             NodeView::from_stats(stats, tree_node.parent, tree_node.children.clone())
@@ -478,9 +479,10 @@ mod tests {
         Panel {
             id: 0,
             config,
-            space,
+            space: space.into(),
             outcome,
             from_cache: false,
+            node_memo: Default::default(),
         }
     }
 

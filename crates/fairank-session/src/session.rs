@@ -7,12 +7,14 @@
 //! function or the fairness formulation, and obtain several panels to
 //! explore how that impacts fairness quantification" (§2).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use fairank_anonymize::{datafly, mondrian, DataflyConfig, MondrianConfig};
 use fairank_core::cancel::RunBudget;
+use fairank_core::plan::CellKey;
 use fairank_core::scoring::LinearScoring;
+use fairank_core::space::RankingSpace;
 use fairank_data::dataset::Dataset;
 use fairank_data::filter::Filter;
 use fairank_data::schema::AttributeRole;
@@ -22,7 +24,7 @@ use crate::cellcache::CellCache;
 use crate::config::Configuration;
 use crate::error::{Result, SessionError};
 use crate::market::MarketCache;
-use crate::panel::Panel;
+use crate::panel::{NodeMemo, Panel};
 
 /// Which anonymization algorithm a session command uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,6 +59,10 @@ pub struct Session {
     /// The cell cache every `quantify` and grid cell runs through, shared
     /// like the store; disabled unless [`Session::with_shared`] hands one.
     cells: Arc<CellCache>,
+    /// Resolved ranking spaces by (dataset fingerprint, score source,
+    /// filter). Weak: a space lives exactly as long as a panel or plan
+    /// cell holds it; dead entries are pruned on insert.
+    spaces: Mutex<HashMap<CellKey, Weak<RankingSpace>>>,
     /// Cooperative cancellation scope every search run by this session
     /// honors. Unlimited by default; the service installs a per-request
     /// deadline + cancel tokens before dispatching a command.
@@ -277,14 +283,34 @@ impl Session {
         Ok(self.quantify_grid(vec![config])?[0])
     }
 
+    /// The space resolved under `key` (see [`crate::plan`]'s panel cells)
+    /// while any panel or cell still holds it; otherwise `build`s it and
+    /// keeps a weak reference. Configurations that differ only in their
+    /// criterion thus score the rows once and share the result.
+    pub(crate) fn shared_space(
+        &self,
+        key: CellKey,
+        build: impl FnOnce() -> Result<RankingSpace>,
+    ) -> Result<Arc<RankingSpace>> {
+        let mut spaces = self.spaces.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(space) = spaces.get(&key).and_then(Weak::upgrade) {
+            return Ok(space);
+        }
+        let space = Arc::new(build()?);
+        spaces.retain(|_, space| space.strong_count() > 0);
+        spaces.insert(key, Arc::downgrade(&space));
+        Ok(space)
+    }
+
     /// Appends an already-executed quantification as a panel — the commit
     /// step of grid plan cells. Returns the new panel's id.
     pub(crate) fn commit_panel(
         &mut self,
         config: Configuration,
-        space: fairank_core::space::RankingSpace,
+        space: Arc<RankingSpace>,
         outcome: fairank_core::quantify::QuantifyOutcome,
         from_cache: bool,
+        node_memo: NodeMemo,
     ) -> usize {
         // Chaos hook: a panic here unwinds through the scenario reduce
         // while the caller holds the session lock — the poisoning the
@@ -297,6 +323,7 @@ impl Session {
             space,
             outcome,
             from_cache,
+            node_memo,
         });
         id
     }
@@ -320,9 +347,11 @@ impl Session {
     ///
     /// This is a thin builder over the scenario plan layer: the grid
     /// compiles into one [`crate::plan::Plan`] cell per configuration
-    /// (resolved and validated up front), executes on one scoped OS thread
-    /// per cell, and commits atomically — any failure surfaces before a
-    /// single panel is appended.
+    /// (resolved and validated up front; configurations on the same
+    /// dataset, score source and filter share one space), executes on at
+    /// most `available_parallelism` scoped OS threads (a one-cell grid on
+    /// the calling thread), and commits atomically — any failure surfaces
+    /// before a single panel is appended.
     pub fn quantify_grid(&mut self, configs: Vec<Configuration>) -> Result<Vec<usize>> {
         use crate::plan::{Plan, ScenarioOutcome};
         use fairank_core::plan::SearchStrategy;

@@ -111,9 +111,10 @@ proptest! {
         let panel = Panel {
             id: 0,
             config: Configuration::new("d", "f").with_criterion(criterion),
-            space,
+            space: space.into(),
             outcome,
             from_cache: false,
+            node_memo: Default::default(),
         };
         assert_one_pass_matches_per_node(&panel);
     }
