@@ -470,10 +470,11 @@ mod tests {
         let exact: Vec<usize> = (0..base.len())
             .filter(|&i| base[i].tolerance == Tolerance::Exact)
             .collect();
-        // 10 quantify records x 9 counters, 2 backends x 2 reuse counters,
-        // 3 stream sums, 6 grid-cache and 2 quantify-cache counts, and the
-        // serve request total.
-        assert_eq!(exact.len(), 90 + 4 + 3 + 6 + 2 + 1);
+        // 10 quantify records x 9 counters, the grid cells' 3 summed
+        // counters, 2 backends x 2 reuse counters, 3 stream sums, 6
+        // grid-cache and 2 quantify-cache counts, and the serve request
+        // total.
+        assert_eq!(exact.len(), 90 + 3 + 4 + 3 + 6 + 2 + 1);
         for i in exact {
             let mut run = base.clone();
             let r = &mut run[i];

@@ -61,6 +61,17 @@
 //! every counter but `emd_cache_hits` and `pairwise_batches` are identical
 //! whichever path runs.
 //!
+//! A from-scratch search's last aggregation, `unfairness` over its final
+//! leaves, is [`SplitEngine::final_unfairness`], which consumes the
+//! engine. On the `biased` preset it is a grid cell's critical path: the
+//! `most`/`max` cell on 10k rows folds 358 leaves (63,903 pairs, nearly
+//! all fresh), and the walk inserted every pair into a memo that grew to
+//! ~128k slots and was dropped a moment later. A pair of contents that
+//! each occur once among the leaves cannot recur, so the final fold
+//! probes the memo for it (hits and misses count as the walk's) but never
+//! inserts it, and folds the fresh 1-D pairs of a row in lockstep. Pairs
+//! that touch a repeated content still go through the memo.
+//!
 //! The engine mirrors [`FairnessCriterion`]'s aggregation orders exactly
 //! (pairwise `(0,1), (0,2), …` and children-outer cross products), so
 //! floating-point accumulation is unchanged and search results do not move
@@ -163,6 +174,11 @@ pub(crate) enum Aggregation {
     PerPair,
     /// Always deduplicate.
     Dedup,
+    /// [`Aggregation::Auto`], except that a search's final leaf fold walks
+    /// the memo like every other aggregation instead of taking
+    /// [`SplitEngine::final_unfairness`]'s fresh-pair path: the oracle
+    /// that path is pinned against.
+    AutoMemoFold,
 }
 
 /// "No entry" marker for the trie's `u32` indices.
@@ -904,6 +920,15 @@ pub struct CandidateSplit {
     pub(crate) child_codes: Vec<u32>,
 }
 
+impl CandidateSplit {
+    /// The content ids of every child but the `i`-th: child `i`'s siblings
+    /// once the split is accepted.
+    pub(crate) fn sibling_ids(&self, i: usize) -> Vec<u32> {
+        let (before, after) = self.child_ids.split_at(i);
+        [before, &after[1..]].concat()
+    }
+}
+
 /// One attribute's recorded split summary at a trie node: the `(code,
 /// rows)` pairs of the counting pass, ascending by code. Recorded by
 /// [`SplitEngine::best_split`] when eval recording is on, incrementally
@@ -1064,7 +1089,7 @@ impl<'a> SplitEngine<'a> {
 
     /// The partition's histogram content id, built through the binned-score
     /// cache on a trie miss. Hits walk the trie and allocate nothing.
-    fn hist_id(&mut self, partition: &Partition) -> u32 {
+    pub(crate) fn hist_id(&mut self, partition: &Partition) -> u32 {
         let node = self.paths.node_of(&partition.path);
         if let Some(id) = self.paths.content(node) {
             self.note_reuse(id);
@@ -1184,8 +1209,11 @@ impl<'a> SplitEngine<'a> {
     /// distinct×distinct table — the expanded vector (millions of entries
     /// over fine partitionings) is never stored. A repeated content also
     /// resolves its self-pair, as the per-pair walk would, so both paths
-    /// leave the memo (and `emd_calls`) in the same state.
-    fn dedup_pairwise_value(&mut self) -> f64 {
+    /// leave the memo (and `emd_calls`) in the same state. The batch's
+    /// `C(L, 2)` leaf pairs are ticked against the budget up front.
+    fn dedup_pairwise_value(&mut self) -> Result<f64> {
+        let leaves = self.scratch.batch.slots.len();
+        self.tick_n(leaves.saturating_sub(1) * leaves / 2)?;
         self.stats.pairwise_batches += 1;
         let mut batch = std::mem::take(&mut self.scratch.batch);
         let d = batch.distinct.len();
@@ -1215,14 +1243,16 @@ impl<'a> SplitEngine<'a> {
             })
         });
         self.scratch.batch = batch;
-        value
+        Ok(value)
     }
 
     /// The deduplicated cross aggregation (left outer, right inner) over
     /// the leaves [`Self::dedups`] mapped, the first `split` of them on the
     /// left: each distinct content pair — self-pairs included, when a
-    /// content sits on both sides — resolves once.
-    fn dedup_cross_value(&mut self, split: usize) -> f64 {
+    /// content sits on both sides — resolves once. The batch's leaf pairs
+    /// are ticked against the budget up front.
+    fn dedup_cross_value(&mut self, split: usize) -> Result<f64> {
+        self.tick_n(split * (self.scratch.batch.slots.len() - split))?;
         self.stats.pairwise_batches += 1;
         let mut batch = std::mem::take(&mut self.scratch.batch);
         let d = batch.distinct.len();
@@ -1247,7 +1277,7 @@ impl<'a> SplitEngine<'a> {
             })
         });
         self.scratch.batch = batch;
-        value
+        Ok(value)
     }
 
     /// Whether an aggregation over `pairs` leaf pairs among the id `lists`
@@ -1257,7 +1287,7 @@ impl<'a> SplitEngine<'a> {
     /// `true` leaves the leaves mapped to slots in the batch scratch.
     fn dedups(&mut self, pairs: usize, lists: &[&[u32]]) -> bool {
         let forced = match self.aggregation {
-            Aggregation::Auto => false,
+            Aggregation::Auto | Aggregation::AutoMemoFold => false,
             Aggregation::PerPair => return false,
             Aggregation::Dedup => true,
         };
@@ -1299,8 +1329,7 @@ impl<'a> SplitEngine<'a> {
         let n = ids.len();
         let pairs = n.saturating_sub(1) * n / 2;
         if self.dedups(pairs, &[ids]) {
-            self.tick_n(pairs)?;
-            return Ok(self.dedup_pairwise_value());
+            return self.dedup_pairwise_value();
         }
         self.walk_value((0..n).flat_map(|i| ids[i + 1..].iter().map(move |&b| (ids[i], b))))
     }
@@ -1310,8 +1339,7 @@ impl<'a> SplitEngine<'a> {
     fn cross_value(&mut self, left: &[u32], right: &[u32]) -> Result<f64> {
         let pairs = left.len() * right.len();
         if self.dedups(pairs, &[left, right]) {
-            self.tick_n(pairs)?;
-            return Ok(self.dedup_cross_value(left.len()));
+            return self.dedup_cross_value(left.len());
         }
         self.walk_value(left.iter().flat_map(|&a| right.iter().map(move |&b| (a, b))))
     }
@@ -1345,56 +1373,10 @@ impl<'a> SplitEngine<'a> {
         result
     }
 
-    /// Aggregate of all child-vs-sibling distances (Algorithm 1 line 8),
-    /// reusing the winner cache's child ids. Distance order matches
-    /// `cross_distances` (children outer, siblings inner).
-    pub fn children_versus_siblings(
-        &mut self,
-        candidate: &CandidateSplit,
-        siblings: &[Partition],
-    ) -> Result<f64> {
-        let mut sib_ids = std::mem::take(&mut self.scratch.ids);
-        sib_ids.clear();
-        for s in siblings {
-            sib_ids.push(self.hist_id(s));
-        }
-        let result = self.cross_value(&candidate.child_ids, &sib_ids);
-        self.scratch.ids = sib_ids;
-        result
-    }
-
-    /// The holistic split test: `unfairness(siblings ∪ {current})` vs.
-    /// `unfairness(siblings ∪ children)`, with the children taken from the
-    /// winner cache. List orders match the naive construction (siblings
-    /// first, then current / children).
-    pub fn holistic_values(
-        &mut self,
-        siblings: &[Partition],
-        current: &Partition,
-        candidate: &CandidateSplit,
-    ) -> Result<(f64, f64)> {
-        let mut ids = std::mem::take(&mut self.scratch.ids);
-        ids.clear();
-        for s in siblings {
-            ids.push(self.hist_id(s));
-        }
-        ids.push(self.hist_id(current));
-        let result = match self.pairwise_value(&ids) {
-            Ok(before) => {
-                ids.truncate(siblings.len());
-                ids.extend(candidate.child_ids.iter().copied());
-                self.pairwise_value(&ids).map(|after| (before, after))
-            }
-            Err(e) => Err(e),
-        };
-        self.scratch.ids = ids;
-        result
-    }
-
     /// [`Self::versus`] with the partitions' histogram content ids already
-    /// in hand (the incremental replay threads them through the recursion
-    /// instead of re-walking the trie per node). Values are pure functions
-    /// of the ids, so the bits cannot differ from the partition form.
+    /// in hand (both searches thread them through the recursion instead of
+    /// re-walking the trie per node). Values are pure functions of the ids,
+    /// so the bits cannot differ from the partition form.
     pub(crate) fn versus_ids(&mut self, current: u32, sibling_ids: &[u32]) -> Result<f64> {
         self.note_reuse(current);
         for &id in sibling_ids {
@@ -1403,7 +1385,9 @@ impl<'a> SplitEngine<'a> {
         self.cross_value(&[current], sibling_ids)
     }
 
-    /// [`Self::children_versus_siblings`] with sibling content ids in hand.
+    /// Aggregate of all child-vs-sibling distances (Algorithm 1 line 8),
+    /// reusing the winner cache's child ids. Distance order matches
+    /// `cross_distances` (children outer, siblings inner).
     pub(crate) fn children_versus_siblings_ids(
         &mut self,
         candidate: &CandidateSplit,
@@ -1415,9 +1399,11 @@ impl<'a> SplitEngine<'a> {
         self.cross_value(&candidate.child_ids, sibling_ids)
     }
 
-    /// [`Self::holistic_values`] with sibling and current content ids in
-    /// hand. List orders match the partition form exactly (siblings first,
-    /// then current / children), so every aggregated value is bit-equal.
+    /// The holistic split test: `unfairness(siblings ∪ {current})` vs.
+    /// `unfairness(siblings ∪ children)`, with the children taken from the
+    /// winner cache. List orders match the naive construction (siblings
+    /// first, then current / children), so every aggregated value is
+    /// bit-equal.
     pub(crate) fn holistic_values_ids(
         &mut self,
         sibling_ids: &[u32],
@@ -1773,8 +1759,7 @@ impl<'a> SplitEngine<'a> {
         if self.dedups(pairs, &[&ids]) {
             self.scratch.ids = ids;
             table.clear();
-            self.tick_n(pairs)?;
-            return Ok(self.dedup_pairwise_value());
+            return self.dedup_pairwise_value();
         }
         let pos: Vec<u32> = leaves
             .iter()
@@ -1813,6 +1798,105 @@ impl<'a> SplitEngine<'a> {
         let value = self.criterion.aggregator.apply(&dists);
         table.replace(leaves, dists);
         Ok(value)
+    }
+
+    /// `unfairness` over a finished search's leaves, given as content ids
+    /// in leaf order. It is the search's last aggregation, so it consumes
+    /// the engine: nothing reads the memo afterwards, and the fold never
+    /// grows it for a pair that cannot recur. That is a pair of two
+    /// contents that each occur once among the leaves; it is probed (a hit
+    /// counts as one), and a miss is computed by [`Self::fold_fresh`]
+    /// without an insert. Every other pair goes through
+    /// [`Self::distance`]. Batches that [`Self::pairwise_value`] would
+    /// deduplicate, batches under `DEDUP_MIN_PAIRS`, the transport metric
+    /// and a forced [`Aggregation`] take [`Self::pairwise_value`]
+    /// unchanged. Values, their order and every counter are those of
+    /// [`Self::pairwise_value`]; returns the value and the final counters.
+    pub(crate) fn final_unfairness(mut self, ids: &[u32]) -> Result<(f64, EngineStats)> {
+        let n = ids.len();
+        let pairs = n.saturating_sub(1) * n / 2;
+        let fresh = self.aggregation == Aggregation::Auto
+            && pairs >= DEDUP_MIN_PAIRS
+            && self.criterion.emd.backend() == EmdBackendKind::OneD;
+        let value = if !fresh {
+            self.pairwise_value(ids)?
+        } else if self.dedups(pairs, &[ids]) {
+            self.dedup_pairwise_value()?
+        } else {
+            // `dedups` declined, so the leaves are mapped to slots.
+            self.fold_fresh(ids)?
+        };
+        Ok((value, self.stats))
+    }
+
+    /// The per-pair fold of [`Self::final_unfairness`] over leaves that
+    /// [`Self::dedups`] has mapped to slots. Row `i` folds every pair
+    /// `(i, j > i)` of 1-D masses in lockstep: the masses are laid out by
+    /// bin, so `cum[j] += a − b_j; tot[j] += |cum[j]|` runs across the row
+    /// as one vector loop. Each pair performs exactly the operations of
+    /// `emd_1d_mass`, in the same order, so the bits are the same. A row
+    /// polls the budget once for the distances it computed.
+    fn fold_fresh(&mut self, ids: &[u32]) -> Result<f64> {
+        let n = ids.len();
+        let bins = self.contents.bins;
+        let width = self.criterion.hist.bin_width();
+        let batch = &self.scratch.batch;
+        let mut occurrences = vec![0u32; batch.distinct.len()];
+        for &slot in &batch.slots {
+            occurrences[slot as usize] += 1;
+        }
+        let once: Vec<bool> = batch.slots.iter().map(|&s| occurrences[s as usize] == 1).collect();
+        // `by_bin[bin * n + j]`: leaf `j`'s mass in `bin`.
+        let mut by_bin = vec![0.0; bins * n];
+        for (j, &id) in ids.iter().enumerate() {
+            self.contents.ensure_mass(id);
+            for (bin, &m) in self.contents.mass(id).iter().enumerate() {
+                by_bin[bin * n + j] = m;
+            }
+        }
+        let (mut cum, mut tot) = (vec![0.0f64; n], vec![0.0f64; n]);
+        let mut dists = std::mem::take(&mut self.scratch.dists);
+        dists.clear();
+        for i in 0..n {
+            if once[i] {
+                cum[i + 1..].fill(0.0);
+                tot[i + 1..].fill(0.0);
+                for bin in 0..bins {
+                    let a = by_bin[bin * n + i];
+                    let b = &by_bin[bin * n + i + 1..(bin + 1) * n];
+                    for ((c, t), &m) in cum[i + 1..].iter_mut().zip(&mut tot[i + 1..]).zip(b) {
+                        *c += a - m;
+                        *t += c.abs();
+                    }
+                }
+            }
+            let mut computed = 0;
+            for j in i + 1..n {
+                let (a, b) = (ids[i], ids[j]);
+                if !(once[i] && once[j]) {
+                    dists.push(self.distance(a, b)?);
+                    continue;
+                }
+                let (lo, hi) = canon(a, b);
+                if let Some(d) = self.emd_memo.get(pack_pair(lo, hi)) {
+                    self.stats.emd_cache_hits += 1;
+                    dists.push(d);
+                    continue;
+                }
+                computed += 1;
+                dists.push(if self.contents.is_empty(a) || self.contents.is_empty(b) {
+                    self.fold_one_d(a, b)
+                } else {
+                    tot[j] * width
+                });
+            }
+            if computed > 0 {
+                self.stats.emd_calls += computed;
+                self.tick_n(computed)?;
+                fault::panic_point(fault::EMD_PANIC);
+            }
+        }
+        Ok(self.criterion.aggregator.apply(&dists))
     }
 
     /// Rehydrates an engine over `space` from detached caches: no bin-code
@@ -2489,6 +2573,20 @@ mod tests {
         );
     }
 
+    /// The holistic split test over partitions, through the id form.
+    fn holistic(
+        engine: &mut SplitEngine<'_>,
+        siblings: &[Partition],
+        current: &Partition,
+        candidate: &CandidateSplit,
+    ) -> (f64, f64) {
+        let sibling_ids: Vec<u32> = siblings.iter().map(|p| engine.hist_id(p)).collect();
+        let current_id = engine.hist_id(current);
+        engine
+            .holistic_values_ids(&sibling_ids, current_id, candidate)
+            .unwrap()
+    }
+
     #[test]
     fn kernel_backend_matches_batched_engine_bitwise() {
         use crate::emd::Emd;
@@ -2517,10 +2615,10 @@ mod tests {
         assert_eq!(vb.to_bits(), vk.to_bits());
         let (cb, _) = batched.best_split(&parts[0], &[1], 1).unwrap();
         let cb = cb.expect("noise splits the F partition");
-        let hb = batched.holistic_values(&parts[1..], &parts[0], &cb).unwrap();
+        let hb = holistic(&mut batched, &parts[1..], &parts[0], &cb);
         let (ck, _) = kernel.best_split(&parts[0], &[1], 1).unwrap();
         let ck = ck.expect("noise splits the F partition");
-        let hk = kernel.holistic_values(&parts[1..], &parts[0], &ck).unwrap();
+        let hk = holistic(&mut kernel, &parts[1..], &parts[0], &ck);
         assert_eq!(hb.0.to_bits(), hk.0.to_bits());
         assert_eq!(hb.1.to_bits(), hk.1.to_bits());
         assert!(batched.stats().pairwise_batches > 0);
@@ -2528,8 +2626,45 @@ mod tests {
         let _ = one_d.unfairness(&parts).unwrap();
         let _ = one_d.versus(&parts[0], &parts[1..]).unwrap();
         let (c1, _) = one_d.best_split(&parts[0], &[1], 1).unwrap();
-        let _ = one_d.holistic_values(&parts[1..], &parts[0], &c1.unwrap()).unwrap();
+        let _ = holistic(&mut one_d, &parts[1..], &parts[0], &c1.unwrap());
         assert_eq!(kernel.stats(), one_d.stats());
+    }
+
+    #[test]
+    fn final_fold_skips_the_memo_only_for_pairs_that_cannot_recur() {
+        // 24 groups of 30 rows, group `k` with `k + 1` low scores: 24
+        // distinct contents.
+        let (mut labels, mut scores) = (Vec::new(), Vec::new());
+        for k in 0..24 {
+            for r in 0..30 {
+                labels.push(format!("g{k:02}"));
+                scores.push(if r <= k { 0.05 } else { 0.95 });
+            }
+        }
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let attr = ProtectedAttribute::from_values("g", &labels);
+        let s = RankingSpace::new(vec![attr], scores).unwrap();
+        let parts = Partition::root(&s).split(&s, 0);
+        // Two contents repeat among the leaves, so both fold paths run.
+        let mut leaves = parts.clone();
+        leaves.extend([parts[2].clone(), parts[7].clone(), parts[2].clone()]);
+        let crit = FairnessCriterion::default();
+        let fold = |aggregation| {
+            let mut engine = SplitEngine::new(&s, crit);
+            engine.set_aggregation(aggregation);
+            // Memoize some sibling pairs first, as a search would.
+            let _ = engine.unfairness(&parts[..6]).unwrap();
+            let ids: Vec<u32> = leaves.iter().map(|p| engine.hist_id(p)).collect();
+            engine.final_unfairness(&ids).unwrap()
+        };
+        let (fresh, walk) = (fold(Aggregation::Auto), fold(Aggregation::AutoMemoFold));
+        assert_eq!(fresh.0.to_bits(), walk.0.to_bits());
+        assert_eq!(fresh.1, walk.1);
+        let naive = crit.unfairness(&leaves, s.scores()).unwrap();
+        assert_eq!(fresh.0.to_bits(), naive.to_bits());
+        // The 15 memoized pairs hit, as do the repeats' recurring pairs.
+        assert!(fresh.1.emd_cache_hits > 15, "{:?}", fresh.1);
+        assert_eq!(fresh.1.pairwise_batches, 0);
     }
 
     #[test]

@@ -496,7 +496,7 @@ impl DeltaEngine {
                 fold_elapsed,
             }),
             Err(CoreError::Cancelled { reason, .. }) => {
-                Quantify::merge_engine_stats(&mut stats, &engine);
+                Quantify::merge_engine_stats(&mut stats, engine.stats());
                 Err(CoreError::Cancelled { reason, stats })
             }
             Err(e) => Err(e),
@@ -540,8 +540,9 @@ impl DeltaEngine {
         tree
     }
 
-    /// The mirror of `Quantify::engine_search`, with `delta_best_split` in
-    /// place of the counting-pass `best_split`, over the compact tree.
+    /// The mirror of `Quantify::grow_tree` and its final fold, with
+    /// `delta_best_split` in place of the counting-pass `best_split`, over
+    /// the compact tree.
     /// Everything else — sibling sets, split-acceptance values, the final
     /// leaf unfairness — runs through the same engine calls in the same
     /// order, so accepted trees and every compared value reproduce the
@@ -566,7 +567,7 @@ impl DeltaEngine {
             let fold = Instant::now();
             let root = Partition::root(&self.space);
             let unfairness = engine.unfairness(std::slice::from_ref(&root))?;
-            Quantify::merge_engine_stats(stats, engine);
+            Quantify::merge_engine_stats(stats, engine.stats());
             table.clear();
             return Ok((unfairness, 1, fold.elapsed()));
         };
@@ -588,7 +589,7 @@ impl DeltaEngine {
             self.copy_group(engine, replay, ids, stats, pc);
         } else {
             for (i, id) in ids.enumerate() {
-                let sibling_ids = Self::siblings(&candidate, i);
+                let sibling_ids = candidate.sibling_ids(i);
                 self.delta_rec(
                     engine,
                     replay,
@@ -606,19 +607,8 @@ impl DeltaEngine {
         let fold = Instant::now();
         let leaves = leaves(&replay.nodes);
         let unfairness = engine.fold_leaves(&leaves, table)?;
-        Quantify::merge_engine_stats(stats, engine);
+        Quantify::merge_engine_stats(stats, engine.stats());
         Ok((unfairness, leaves.len(), fold.elapsed()))
-    }
-
-    /// The content ids of every child of `candidate` but the `i`-th.
-    fn siblings(candidate: &CandidateSplit, i: usize) -> Vec<u32> {
-        candidate
-            .child_ids
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, &c)| c)
-            .collect()
     }
 
     /// Records the accepted split of `node` into `candidate`'s children.
@@ -869,7 +859,7 @@ impl DeltaEngine {
         }
 
         for (i, id) in ids.enumerate() {
-            let new_sibling_ids = Self::siblings(&candidate, i);
+            let new_sibling_ids = candidate.sibling_ids(i);
             self.delta_rec(
                 engine,
                 replay,

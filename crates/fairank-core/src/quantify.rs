@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::cancel::RunBudget;
-use crate::engine::{Aggregation, SplitEngine};
+use crate::engine::{Aggregation, EngineStats, SplitEngine};
 use crate::error::{CoreError, Result};
 use crate::fairness::FairnessCriterion;
 use crate::partition::{Partition, PartitioningTree};
@@ -246,88 +246,103 @@ impl Quantify {
         let mut engine = SplitEngine::new(space, self.criterion);
         engine.set_run_budget(&self.budget);
         engine.set_aggregation(self.aggregation);
-        match self.engine_search(&mut engine, &mut stats, space, start) {
-            Err(CoreError::Cancelled { reason, .. }) => {
-                // The engine reports its own counters at the moment the
-                // budget fired; graft on the search-level counters so the
-                // caller sees the full partial progress.
-                Self::merge_engine_stats(&mut stats, &engine);
-                Err(CoreError::Cancelled { reason, stats })
-            }
-            other => other,
-        }
+        let (tree, leaves) = self
+            .grow_tree(&mut engine, &mut stats, space)
+            .map_err(|e| Self::with_search_counters(e, &stats))?;
+        Self::finish(engine, tree, &leaves, stats, start)
     }
 
-    fn engine_search(
+    /// Grows the partitioning tree through the engine and returns it with
+    /// the content id of each leaf, in leaf order.
+    fn grow_tree(
         &self,
         engine: &mut SplitEngine<'_>,
         stats: &mut SearchStats,
         space: &RankingSpace,
-        start: Instant,
-    ) -> Result<QuantifyOutcome> {
-        let root = Partition::root(space);
-        let mut tree = PartitioningTree::new(root.clone());
-
+    ) -> Result<(PartitioningTree, Vec<u32>)> {
+        let mut tree = PartitioningTree::new(Partition::root(space));
+        let root = tree.root();
         let all_attrs: Vec<usize> = (0..space.attributes().len()).collect();
 
         // Initial invocation (§3.2): split the whole population on the most
         // unfair attribute, then run QUANTIFY once per resulting partition.
         let (candidate, scored) =
-            engine.best_split(&root, &all_attrs, self.min_partition_size)?;
+            engine.best_split(&tree.node(root).partition, &all_attrs, self.min_partition_size)?;
         stats.candidate_splits += scored;
         let Some(candidate) = candidate else {
             // Nothing splits the population: the trivial partitioning.
-            let partitions = vec![root];
-            let unfairness = engine.unfairness(&partitions)?;
-            Self::merge_engine_stats(stats, engine);
-            return Ok(QuantifyOutcome {
-                tree,
-                partitions,
-                unfairness,
-                stats: *stats,
-                elapsed: start.elapsed(),
-            });
+            let id = engine.hist_id(&tree.node(root).partition);
+            return Ok((tree, vec![id]));
         };
 
         let first_attr = candidate.attr;
-        let children = root.split(space, first_attr);
+        let children = tree.node(root).partition.split(space, first_attr);
         let remaining: Vec<usize> =
             all_attrs.iter().copied().filter(|&a| a != first_attr).collect();
-        let ids = tree.split_node(tree.root(), first_attr, children.clone());
+        let ids = tree.split_node(root, first_attr, children);
         stats.splits_performed += 1;
+        // `contents[tree node]`: the node's content id. The root's is
+        // never read: once split, it is no leaf.
+        let mut contents = vec![u32::MAX];
+        contents.extend_from_slice(&candidate.child_ids);
 
-        for (i, id) in ids.iter().enumerate() {
-            let siblings: Vec<Partition> = children
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| p.clone())
-                .collect();
+        for (i, &id) in ids.iter().enumerate() {
             self.quantify_rec_engine(
                 engine,
                 &mut tree,
-                *id,
-                &siblings,
+                &mut contents,
+                id,
+                &candidate.sibling_ids(i),
                 &remaining,
                 1,
                 stats,
             )?;
         }
+        let leaves = tree.leaf_ids().into_iter().map(|id| contents[id]).collect();
+        Ok((tree, leaves))
+    }
 
-        let partitions = tree.leaf_partitions();
-        let unfairness = engine.unfairness(&partitions)?;
-        Self::merge_engine_stats(stats, engine);
+    /// The final fold: `unfairness` over the leaves, which consumes the
+    /// engine.
+    fn finish(
+        engine: SplitEngine<'_>,
+        tree: PartitioningTree,
+        leaves: &[u32],
+        mut stats: SearchStats,
+        start: Instant,
+    ) -> Result<QuantifyOutcome> {
+        let (unfairness, engine_stats) = engine
+            .final_unfairness(leaves)
+            .map_err(|e| Self::with_search_counters(e, &stats))?;
+        Self::merge_engine_stats(&mut stats, engine_stats);
         Ok(QuantifyOutcome {
+            partitions: tree.leaf_partitions(),
             tree,
-            partitions,
             unfairness,
-            stats: *stats,
+            stats,
             elapsed: start.elapsed(),
         })
     }
 
-    pub(crate) fn merge_engine_stats(stats: &mut SearchStats, engine: &SplitEngine<'_>) {
-        let e = engine.stats();
+    /// A cancelled engine reports its own counters at the moment the
+    /// budget fired; this grafts on the search-level counters, so the
+    /// caller sees the full partial progress.
+    fn with_search_counters(err: CoreError, search: &SearchStats) -> CoreError {
+        match err {
+            CoreError::Cancelled { reason, stats } => CoreError::Cancelled {
+                reason,
+                stats: SearchStats {
+                    nodes_evaluated: search.nodes_evaluated,
+                    splits_performed: search.splits_performed,
+                    candidate_splits: search.candidate_splits,
+                    ..stats
+                },
+            },
+            other => other,
+        }
+    }
+
+    pub(crate) fn merge_engine_stats(stats: &mut SearchStats, e: EngineStats) {
         stats.histograms_built = e.histograms_built;
         stats.emd_calls = e.emd_calls;
         stats.emd_cache_hits = e.emd_cache_hits;
@@ -337,15 +352,19 @@ impl Quantify {
     }
 
     /// The recursive body of Algorithm 1, evaluated through the engine.
-    /// Candidate children never materialize row vectors; the winning
+    /// The node's and its siblings' content ids come from the parent's
+    /// winning candidate, so no sibling partition is cloned; candidate
+    /// children never materialize row vectors, and the winning
     /// attribute's rows materialize only once the split is accepted.
+    /// `contents` maps tree nodes to content ids and grows with each split.
     #[allow(clippy::too_many_arguments)]
     fn quantify_rec_engine(
         &self,
         engine: &mut SplitEngine<'_>,
         tree: &mut PartitioningTree,
+        contents: &mut Vec<u32>,
         node_id: usize,
-        siblings: &[Partition],
+        sibling_ids: &[u32],
         avail: &[usize],
         depth: usize,
         stats: &mut SearchStats,
@@ -361,12 +380,12 @@ impl Quantify {
         // work is served entirely from the memo (no ticks).
         engine.check_budget()?;
         stats.nodes_evaluated += 1;
-        let current = tree.node(node_id).partition.clone();
+        let current = &tree.node(node_id).partition;
+        let current_id = contents[node_id];
 
         // Line 5: the most unfair attribute — one counting pass per
         // candidate, winner cache handed back.
-        let (candidate, scored) =
-            engine.best_split(&current, avail, self.min_partition_size)?;
+        let (candidate, scored) = engine.best_split(current, avail, self.min_partition_size)?;
         stats.candidate_splits += scored;
         let Some(candidate) = candidate else {
             return Ok(()); // no attribute splits this node
@@ -376,12 +395,12 @@ impl Quantify {
         // children-vs-siblings, reusing the winner cache's histograms.
         let (current_val, children_val) = match self.split_eval {
             SplitEvaluation::PaperSiblings => {
-                let cur = engine.versus(&current, siblings)?;
-                let ch = engine.children_versus_siblings(&candidate, siblings)?;
+                let cur = engine.versus_ids(current_id, sibling_ids)?;
+                let ch = engine.children_versus_siblings_ids(&candidate, sibling_ids)?;
                 (cur, ch)
             }
             SplitEvaluation::Holistic => {
-                engine.holistic_values(siblings, &current, &candidate)?
+                engine.holistic_values_ids(sibling_ids, current_id, &candidate)?
             }
         };
 
@@ -395,22 +414,19 @@ impl Quantify {
         // recurse with the new sibling sets.
         let attr = candidate.attr;
         let children = current.split(engine.space(), attr);
-        debug_assert!(children.len() >= 2);
+        debug_assert_eq!(children.len(), candidate.child_ids.len());
         let remaining: Vec<usize> = avail.iter().copied().filter(|&a| a != attr).collect();
-        let ids = tree.split_node(node_id, attr, children.clone());
+        let ids = tree.split_node(node_id, attr, children);
+        debug_assert_eq!(ids.first(), Some(&contents.len()));
+        contents.extend_from_slice(&candidate.child_ids);
         stats.splits_performed += 1;
-        for (i, id) in ids.iter().enumerate() {
-            let new_siblings: Vec<Partition> = children
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| p.clone())
-                .collect();
+        for (i, &id) in ids.iter().enumerate() {
             self.quantify_rec_engine(
                 engine,
                 tree,
-                *id,
-                &new_siblings,
+                contents,
+                id,
+                &candidate.sibling_ids(i),
                 &remaining,
                 depth + 1,
                 stats,
@@ -970,6 +986,46 @@ mod tests {
         );
     }
 
+    #[test]
+    fn budget_firing_in_the_final_fold_cancels_with_partial_stats() {
+        use crate::cancel::{CancelReason, CancelToken, RunBudget};
+        // Fine bins keep the leaves' contents distinct: the fold takes the
+        // fresh-pair path, not the deduplicated one.
+        let space = planted_space(2_000, 5, 4, 3);
+        let crit = FairnessCriterion::default()
+            .with_hist(crate::histogram::HistogramSpec::unit(40).unwrap());
+        let search = Quantify::new(crit);
+        let full = search.run_space(&space).unwrap();
+        assert_eq!(full.stats.pairwise_batches, 0);
+        // Grow the tree under no budget, then fire the budget before the
+        // fold: only the fold's own polls can see it.
+        let mut engine = SplitEngine::new(&space, *search.criterion());
+        let mut stats = SearchStats::default();
+        let (tree, leaves) = search.grow_tree(&mut engine, &mut stats, &space).unwrap();
+        assert!(leaves.len() >= 40, "{} leaves", leaves.len());
+        let grown = engine.stats();
+        let token = CancelToken::new();
+        token.cancel(CancelReason::Deadline);
+        engine.set_run_budget(&RunBudget::unlimited().with_token(token));
+        match Quantify::finish(engine, tree, &leaves, stats, Instant::now()) {
+            Err(CoreError::Cancelled { reason, stats: partial }) => {
+                assert_eq!(reason, CancelReason::Deadline);
+                // The search-level counters are the whole search's...
+                assert_eq!(partial.nodes_evaluated, full.stats.nodes_evaluated);
+                assert_eq!(partial.splits_performed, full.stats.splits_performed);
+                assert_eq!(partial.candidate_splits, full.stats.candidate_splits);
+                assert_eq!(partial.histograms_built, full.stats.histograms_built);
+                // ...and the fold stopped part way through its pairs.
+                assert!(
+                    grown.emd_calls < partial.emd_calls && partial.emd_calls < full.stats.emd_calls,
+                    "grown {grown:?}, partial {partial:?}, full {:?}",
+                    full.stats
+                );
+            }
+            other => panic!("expected a cancelled fold, got {other:?}"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1004,6 +1060,38 @@ mod tests {
                 prop_assert_eq!(&walk.tree, &other.tree);
                 prop_assert_eq!(path_independent(walk.stats), path_independent(other.stats));
             }
+        }
+
+        #[test]
+        fn final_fold_matches_the_memo_walk_with_every_counter(
+            n in 300usize..=1_500,
+            attrs in 4usize..=6,
+            card in 2u32..=4,
+            seed in 0u64..1_000_000,
+            bins in 1usize..=12,
+            variant in 0usize..24,
+        ) {
+            // Enough rows and attributes for final partitionings of 17+
+            // leaves (the fresh-pair fold's minimum); few bins make some
+            // leaves share a content, so repeated and fresh pairs mix.
+            let space = planted_space(n, attrs, card, seed);
+            let aggregator = Aggregator::all()[variant % 6];
+            let objective = [Objective::MostUnfair, Objective::LeastUnfair][variant / 6 % 2];
+            let eval = [SplitEvaluation::PaperSiblings, SplitEvaluation::Holistic][variant / 12];
+            let criterion = FairnessCriterion::new(objective, aggregator)
+                .with_hist(crate::histogram::HistogramSpec::unit(bins).unwrap());
+            let run = |aggregation| {
+                Quantify::new(criterion)
+                    .with_split_evaluation(eval)
+                    .with_aggregation(aggregation)
+                    .run_space(&space)
+                    .unwrap()
+            };
+            let (fresh, walk) = (run(Aggregation::Auto), run(Aggregation::AutoMemoFold));
+            prop_assert_eq!(fresh.unfairness.to_bits(), walk.unfairness.to_bits());
+            prop_assert_eq!(&fresh.partitions, &walk.partitions);
+            prop_assert_eq!(&fresh.tree, &walk.tree);
+            prop_assert_eq!(fresh.stats, walk.stats);
         }
     }
 }
