@@ -62,15 +62,12 @@
 //! whichever path runs.
 //!
 //! A from-scratch search's last aggregation, `unfairness` over its final
-//! leaves, is [`SplitEngine::final_unfairness`], which consumes the
-//! engine. On the `biased` preset it is a grid cell's critical path: the
-//! `most`/`max` cell on 10k rows folds 358 leaves (63,903 pairs, nearly
-//! all fresh), and the walk inserted every pair into a memo that grew to
-//! ~128k slots and was dropped a moment later. A pair of contents that
-//! each occur once among the leaves cannot recur, so the final fold
-//! probes the memo for it (hits and misses count as the walk's) but never
-//! inserts it, and folds the fresh 1-D pairs of a row in lockstep. Pairs
-//! that touch a repeated content still go through the memo.
+//! leaves, is [`SplitEngine::final_unfairness`]. It consumes the engine, so
+//! a pair of contents that each occur once among the leaves cannot recur:
+//! it is probed in the memo (hits and misses count as the walk's) but never
+//! inserted. On the `biased` preset this fold is a grid cell's critical
+//! path (the 10k-row `most`/`max` cell folds 358 leaves, 63,903 pairs), and
+//! the walk grew a memo of ~128k slots that was dropped a moment later.
 //!
 //! The engine mirrors [`FairnessCriterion`]'s aggregation orders exactly
 //! (pairwise `(0,1), (0,2), …` and children-outer cross products), so
@@ -178,6 +175,7 @@ pub(crate) enum Aggregation {
     /// the memo like every other aggregation instead of taking
     /// [`SplitEngine::final_unfairness`]'s fresh-pair path: the oracle
     /// that path is pinned against.
+    #[cfg(test)]
     AutoMemoFold,
 }
 
@@ -1287,7 +1285,9 @@ impl<'a> SplitEngine<'a> {
     /// `true` leaves the leaves mapped to slots in the batch scratch.
     fn dedups(&mut self, pairs: usize, lists: &[&[u32]]) -> bool {
         let forced = match self.aggregation {
-            Aggregation::Auto | Aggregation::AutoMemoFold => false,
+            Aggregation::Auto => false,
+            #[cfg(test)]
+            Aggregation::AutoMemoFold => false,
             Aggregation::PerPair => return false,
             Aggregation::Dedup => true,
         };
@@ -1801,17 +1801,12 @@ impl<'a> SplitEngine<'a> {
     }
 
     /// `unfairness` over a finished search's leaves, given as content ids
-    /// in leaf order. It is the search's last aggregation, so it consumes
-    /// the engine: nothing reads the memo afterwards, and the fold never
-    /// grows it for a pair that cannot recur. That is a pair of two
-    /// contents that each occur once among the leaves; it is probed (a hit
-    /// counts as one), and a miss is computed by [`Self::fold_fresh`]
-    /// without an insert. Every other pair goes through
-    /// [`Self::distance`]. Batches that [`Self::pairwise_value`] would
-    /// deduplicate, batches under `DEDUP_MIN_PAIRS`, the transport metric
-    /// and a forced [`Aggregation`] take [`Self::pairwise_value`]
-    /// unchanged. Values, their order and every counter are those of
-    /// [`Self::pairwise_value`]; returns the value and the final counters.
+    /// in leaf order, with the final counters. It consumes the engine, so
+    /// [`Self::fold_fresh`] never inserts a pair that cannot recur.
+    /// Batches that [`Self::dedups`] takes, batches under
+    /// `DEDUP_MIN_PAIRS`, the transport metric and a forced
+    /// [`Aggregation`] take [`Self::pairwise_value`] unchanged. Values,
+    /// their order and every counter are those of [`Self::pairwise_value`].
     pub(crate) fn final_unfairness(mut self, ids: &[u32]) -> Result<(f64, EngineStats)> {
         let n = ids.len();
         let pairs = n.saturating_sub(1) * n / 2;
@@ -1830,65 +1825,40 @@ impl<'a> SplitEngine<'a> {
     }
 
     /// The per-pair fold of [`Self::final_unfairness`] over leaves that
-    /// [`Self::dedups`] has mapped to slots. Row `i` folds every pair
-    /// `(i, j > i)` of 1-D masses in lockstep: the masses are laid out by
-    /// bin, so `cum[j] += a − b_j; tot[j] += |cum[j]|` runs across the row
-    /// as one vector loop. Each pair performs exactly the operations of
-    /// `emd_1d_mass`, in the same order, so the bits are the same. A row
-    /// polls the budget once for the distances it computed.
+    /// [`Self::dedups`] has mapped to slots: [`Self::walk_value`]'s pairs
+    /// in its order, except that a pair of two contents that each occur
+    /// once is probed and, on a miss, folded by [`Self::fold_one_d`]
+    /// without an insert. A row polls the budget once for the distances
+    /// it folded.
     fn fold_fresh(&mut self, ids: &[u32]) -> Result<f64> {
         let n = ids.len();
-        let bins = self.contents.bins;
-        let width = self.criterion.hist.bin_width();
         let batch = &self.scratch.batch;
         let mut occurrences = vec![0u32; batch.distinct.len()];
         for &slot in &batch.slots {
             occurrences[slot as usize] += 1;
         }
-        let once: Vec<bool> = batch.slots.iter().map(|&s| occurrences[s as usize] == 1).collect();
-        // `by_bin[bin * n + j]`: leaf `j`'s mass in `bin`.
-        let mut by_bin = vec![0.0; bins * n];
-        for (j, &id) in ids.iter().enumerate() {
-            self.contents.ensure_mass(id);
-            for (bin, &m) in self.contents.mass(id).iter().enumerate() {
-                by_bin[bin * n + j] = m;
-            }
-        }
-        let (mut cum, mut tot) = (vec![0.0f64; n], vec![0.0f64; n]);
+        let once: Vec<bool> = batch
+            .slots
+            .iter()
+            .map(|&s| occurrences[s as usize] == 1)
+            .collect();
         let mut dists = std::mem::take(&mut self.scratch.dists);
         dists.clear();
         for i in 0..n {
-            if once[i] {
-                cum[i + 1..].fill(0.0);
-                tot[i + 1..].fill(0.0);
-                for bin in 0..bins {
-                    let a = by_bin[bin * n + i];
-                    let b = &by_bin[bin * n + i + 1..(bin + 1) * n];
-                    for ((c, t), &m) in cum[i + 1..].iter_mut().zip(&mut tot[i + 1..]).zip(b) {
-                        *c += a - m;
-                        *t += c.abs();
-                    }
-                }
-            }
             let mut computed = 0;
             for j in i + 1..n {
-                let (a, b) = (ids[i], ids[j]);
                 if !(once[i] && once[j]) {
-                    dists.push(self.distance(a, b)?);
+                    dists.push(self.distance(ids[i], ids[j])?);
                     continue;
                 }
-                let (lo, hi) = canon(a, b);
+                let (lo, hi) = canon(ids[i], ids[j]);
                 if let Some(d) = self.emd_memo.get(pack_pair(lo, hi)) {
                     self.stats.emd_cache_hits += 1;
                     dists.push(d);
-                    continue;
-                }
-                computed += 1;
-                dists.push(if self.contents.is_empty(a) || self.contents.is_empty(b) {
-                    self.fold_one_d(a, b)
                 } else {
-                    tot[j] * width
-                });
+                    computed += 1;
+                    dists.push(self.fold_one_d(lo, hi));
+                }
             }
             if computed > 0 {
                 self.stats.emd_calls += computed;
